@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -334,6 +335,78 @@ TEST(Search, DeltaAndThreadsPreserveTraceBitIdentity) {
         EXPECT_EQ(stripWallClock(sink.buffered()), ref_trace);
       }
     }
+  }
+}
+
+TEST(Search, HeuristicTracesPinned) {
+  // The heuristic structure (the SearchConfig default) under both methods,
+  // pinned to fingerprints recorded from the implementation that replayed
+  // every candidate sequence from the kernel: best cost, the evaluation
+  // counters and an fnv1a hash of the telemetry stream without wall-clock
+  // (every proposal, runtime and acceptance decision). A change to how
+  // candidate sequences are replayed must keep all of them.
+  struct Pin {
+    const char* kernel;
+    const char* machine;
+    SearchMethod method;
+    double best_runtime;
+    int evals;
+    std::int64_t cache_hits;
+    std::int64_t machine_evals;
+    std::uint64_t trace_hash;
+  };
+  constexpr auto kSA = SearchMethod::SimulatedAnnealing;
+  constexpr auto kRS = SearchMethod::RandomSampling;
+  const Pin pins[] = {
+      {"softmax", "snitch", kSA, 0x1.cfdb417c18a1bp-22, 150, 18, 132, 0xfcff8e28b9a86b53ull},
+      {"softmax", "snitch", kRS, 0x1.cfdb417c18a1bp-22, 150, 25, 125, 0xe7865a867a64f54cull},
+      {"softmax", "xeon", kSA, 0x1.37e57cbcc1193p-23, 150, 13, 137, 0x9eccf6299879f304ull},
+      {"softmax", "xeon", kRS, 0x1.a3454727b3d65p-23, 150, 30, 120, 0x5570f7cdabeacd98ull},
+      {"softmax", "gh200", kSA, 0x1.e9485d58ccfep-25, 150, 10, 140, 0x24c49852e18fa4cdull},
+      {"softmax", "gh200", kRS, 0x1.fa766940f3d49p-25, 150, 42, 108, 0x0ee41c903880e40aull},
+      {"matmul", "snitch", kSA, 0x1.9c511dc3a41dfp-23, 150, 128, 22, 0xe961b31c96c1ab29ull},
+      {"matmul", "snitch", kRS, 0x1.9c511dc3a41dfp-23, 150, 108, 42, 0xca0c7df2e36748a2ull},
+      {"matmul", "xeon", kSA, 0x1.bddbc74beff1ap-23, 150, 80, 70, 0x41770ad49efe6fafull},
+      {"matmul", "xeon", kRS, 0x1.bbd03397eb52p-23, 150, 90, 60, 0x813cc9e51eede0aeull},
+      {"matmul", "gh200", kSA, 0x1.630cf61322a8p-24, 150, 71, 79, 0xdbc04631de03b4e8ull},
+      {"matmul", "gh200", kRS, 0x1.630cf61322a8p-24, 150, 93, 57, 0x8bf9bd34a917ee3aull},
+      {"layernorm_1", "snitch", kSA, 0x1.f237594c664eep-22, 150, 10, 140, 0x28d226de1639773cull},
+      {"layernorm_1", "snitch", kRS, 0x1.f237594c664eep-22, 150, 24, 126, 0x5d67b194f3cb14d2ull},
+      {"layernorm_1", "xeon", kSA, 0x1.6a011f7732606p-23, 150, 9, 141, 0xa933f742c37246aaull},
+      {"layernorm_1", "xeon", kRS, 0x1.a3454727b3d65p-23, 150, 29, 121, 0x208364b58b77da32ull},
+      {"layernorm_1", "gh200", kSA, 0x1.1842cc7af475fp-24, 150, 7, 143, 0xe9abd1595c1187b9ull},
+      {"layernorm_1", "gh200", kRS, 0x1.15af177e883c3p-24, 150, 32, 118, 0xa42c0f61aa9e1e96ull},
+  };
+  for (const Pin& pin : pins) {
+    const auto* k = kernels::findKernel(pin.kernel);
+    const auto* m = machines::findMachine(pin.machine);
+    ASSERT_NE(k, nullptr);
+    ASSERT_NE(m, nullptr);
+    Telemetry sink;
+    SearchConfig cfg;
+    cfg.method = pin.method;
+    cfg.structure = SpaceStructure::Heuristic;
+    cfg.budget = 150;
+    cfg.seed = 5;
+    cfg.threads = 1;
+    cfg.telemetry = &sink;
+    const auto r = runSearch(k->build_small(), *m, cfg);
+    const std::uint64_t trace_hash = fnv1a(stripWallClock(sink.buffered()));
+    // The observed fingerprint, printed in the table's own syntax.
+    char row[256];
+    std::snprintf(row, sizeof row,
+                  "{\"%s\", \"%s\", %s, %a, %d, %lld, %lld, 0x%016llxull},",
+                  pin.kernel, pin.machine, pin.method == kSA ? "kSA" : "kRS",
+                  r.best_runtime, r.evals,
+                  static_cast<long long>(r.stats.cache_hits),
+                  static_cast<long long>(r.stats.machine_evals),
+                  static_cast<unsigned long long>(trace_hash));
+    SCOPED_TRACE(row);
+    EXPECT_EQ(r.best_runtime, pin.best_runtime);
+    EXPECT_EQ(r.evals, pin.evals);
+    EXPECT_EQ(r.stats.cache_hits, pin.cache_hits);
+    EXPECT_EQ(r.stats.machine_evals, pin.machine_evals);
+    EXPECT_EQ(trace_hash, pin.trace_hash);
   }
 }
 
