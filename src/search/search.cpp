@@ -16,6 +16,7 @@
 #include "search/evalcache.h"
 #include "search/parallel_eval.h"
 #include "search/pass.h"
+#include "search/prefix_replay.h"
 #include "search/prior.h"
 #include "search/prior_train.h"
 #include "support/common.h"
@@ -24,7 +25,6 @@
 namespace perfdojo::search {
 
 using transform::Action;
-using transform::History;
 using transform::Location;
 using transform::MachineCaps;
 using transform::Step;
@@ -62,10 +62,11 @@ double saTemperature(double t0, double decay, std::int64_t evals) {
   return t0 * std::pow(decay, static_cast<double>(evals));
 }
 
-bool suggestExpertAction(const ir::Program& p, const MachineCaps& caps,
-                         Rng& rng, Action& out) {
-  auto actions = transform::allActions(p, caps);
-  if (actions.empty()) return false;
+namespace {
+
+/// suggestExpertAction's weight for each action, parallel to `actions`.
+std::vector<double> expertWeights(const std::vector<Action>& actions,
+                                  const MachineCaps& caps) {
   std::vector<double> weights;
   weights.reserve(actions.size());
   for (const auto& a : actions) {
@@ -99,7 +100,16 @@ bool suggestExpertAction(const ir::Program& p, const MachineCaps& caps,
     }
     weights.push_back(w);
   }
-  out = actions[rng.weightedIndex(weights)];
+  return weights;
+}
+
+}  // namespace
+
+bool suggestExpertAction(const ir::Program& p, const MachineCaps& caps,
+                         Rng& rng, Action& out) {
+  const auto actions = transform::allActions(p, caps);
+  if (actions.empty()) return false;
+  out = actions[rng.weightedIndex(expertWeights(actions, caps))];
   return true;
 }
 
@@ -860,54 +870,6 @@ struct SeqState {
   double parent_runtime;
 };
 
-/// Proposes a neighbor sequence: append an expert-suggested action, or
-/// replace/erase a randomly chosen step while keeping the rest.
-bool mutateSequence(const ir::Program& kernel, const machines::Machine& m,
-                    Rng& rng, const std::vector<Step>& steps, int max_steps,
-                    std::vector<Step>& out) {
-  const double r = rng.uniformReal();
-  History::ReplayResult rr;
-  if (steps.empty() || (r < 0.6 && static_cast<int>(steps.size()) < max_steps)) {
-    // Append: replay then push an expert-biased action.
-    auto p = History::replay(kernel, steps, rr);
-    if (!p) return false;
-    Action a;
-    if (!suggestExpertAction(*p, m.caps(), rng, a)) return false;
-    out = steps;
-    out.push_back({a.transform, a.loc});
-    return true;
-  }
-  const std::size_t idx = rng.uniform(steps.size());
-  if (r < 0.8) {
-    // Replace step idx with an expert action applicable at that point.
-    std::vector<Step> prefix(steps.begin(),
-                             steps.begin() + static_cast<std::ptrdiff_t>(idx));
-    auto p = History::replay(kernel, prefix, rr);
-    if (!p) return false;
-    Action a;
-    if (!suggestExpertAction(*p, m.caps(), rng, a)) return false;
-    out = steps;
-    out[idx] = {a.transform, a.loc};
-  } else {
-    // Erase step idx.
-    out = steps;
-    out.erase(out.begin() + static_cast<std::ptrdiff_t>(idx));
-  }
-  return true;
-}
-
-/// Replays a sequence; false if any step fails to replay. The cost is NOT
-/// computed here — callers price the returned program through the
-/// evaluation layer (memoized / batched).
-bool replaySequence(const ir::Program& kernel, const std::vector<Step>& steps,
-                    ir::Program& prog) {
-  History::ReplayResult rr;
-  auto p = History::replay(kernel, steps, rr);
-  if (!p) return false;
-  prog = std::move(*p);
-  return true;
-}
-
 /// Section 4.2.1: "an initial complete sequence is generated as a candidate
 /// and then iteratively refined" — the expert pass provides that sequence.
 std::vector<Step> initialSequence(const ir::Program& kernel,
@@ -926,13 +888,18 @@ void randomSamplingHeuristic(const ir::Program& kernel,
   const double t0 = ev.cost(kernel);
   tr.record(kernel, t0);
   pool.push_back({{}, poolRuntime(t0), poolRuntime(t0)});
+  // The replayer is bound to the last parent drawn (initially pool[0], the
+  // empty sequence). Pool entries are immutable, so the checkpoints it
+  // records while replaying a parent's prefix stay valid for as long as the
+  // weighted draw keeps returning that parent.
+  PrefixReplayer seq(kernel);
+  std::size_t bound_pi = 0;
   {
-    const auto seed_steps = initialSequence(kernel, m);
-    ir::Program prog;
-    if (replaySequence(kernel, seed_steps, prog)) {
+    ir::Program prog = seq.stateAt(0);
+    if (seq.replayTail(0, initialSequence(kernel, m), prog)) {
       const double rt = ev.cost(prog);
       tr.record(prog, rt);
-      pool.push_back({seed_steps, poolRuntime(rt), poolRuntime(t0)});
+      pool.push_back({seq.candidate(), poolRuntime(rt), poolRuntime(t0)});
     }
   }
   DeferredEvals batch(ev, tr);
@@ -943,20 +910,18 @@ void randomSamplingHeuristic(const ir::Program& kernel,
     for (const auto& e : pool) w.push_back(1.0 / e.parent_runtime);
     const std::size_t pi = rng.weightedIndex(w);
     if (pool[pi].runtime == kPendingRuntime) batch.flush();
-    const auto& parent = pool[pi];
-    std::vector<Step> cand;
-    if (!mutateSequence(kernel, m, rng, parent.steps, cfg.max_steps, cand)) {
-      ++barren;
-      continue;
+    if (pi != bound_pi) {
+      seq.bind(pool[pi].steps);
+      bound_pi = pi;
     }
     ir::Program prog;
-    if (!replaySequence(kernel, cand, prog)) {
+    if (!seq.propose(m.caps(), rng, cfg.max_steps, prog)) {
       ++barren;
       continue;
     }
     barren = 0;
     const std::size_t slot = pool.size();
-    pool.push_back({std::move(cand), kPendingRuntime, parent.runtime});
+    pool.push_back({seq.candidate(), kPendingRuntime, pool[pi].runtime});
     batch.submit(std::move(prog), [&pool, slot](double rt) {
       pool[slot].runtime = poolRuntime(rt);
     });
@@ -964,6 +929,7 @@ void randomSamplingHeuristic(const ir::Program& kernel,
     if (pool.size() > 4096) {
       batch.flush();
       pool.erase(pool.begin(), pool.begin() + 1024);
+      bound_pi = static_cast<std::size_t>(-1);  // indices shifted
     }
   }
   batch.flush();
@@ -973,18 +939,20 @@ void randomSamplingHeuristic(const ir::Program& kernel,
 void annealingHeuristic(const ir::Program& kernel, const machines::Machine& m,
                         const SearchConfig& cfg, Eval& ev, Tracker& tr) {
   Rng rng(cfg.seed);
-  std::vector<Step> cur;
   double cur_rt = ev.cost(kernel);
   const double base_rt = cur_rt;
   tr.record(kernel, cur_rt);
+  // The incumbent starts as the empty sequence and the seed sequence is its
+  // first candidate, so the seed replay itself records the checkpoints an
+  // accept keeps.
+  PrefixReplayer seq(kernel);
   {
-    const auto seed_steps = initialSequence(kernel, m);
-    ir::Program prog;
-    if (replaySequence(kernel, seed_steps, prog)) {
+    ir::Program prog = seq.stateAt(0);
+    if (seq.replayTail(0, initialSequence(kernel, m), prog)) {
       const double rt = ev.cost(prog);
       tr.record(prog, rt);
       if (rt < cur_rt) {
-        cur = seed_steps;
+        seq.accept();
         cur_rt = rt;
       }
     }
@@ -992,13 +960,8 @@ void annealingHeuristic(const ir::Program& kernel, const machines::Machine& m,
   double temp = cfg.sa_t0;
   int barren = 0;  // consecutive failed proposals (mutation or replay)
   while (!tr.exhausted() && barren < 1024) {
-    std::vector<Step> cand;
-    if (!mutateSequence(kernel, m, rng, cur, cfg.max_steps, cand)) {
-      ++barren;
-      continue;
-    }
     ir::Program prog;
-    if (!replaySequence(kernel, cand, prog)) {
+    if (!seq.propose(m.caps(), rng, cfg.max_steps, prog)) {
       ++barren;
       continue;
     }
@@ -1008,6 +971,7 @@ void annealingHeuristic(const ir::Program& kernel, const machines::Machine& m,
     const double delta = (rt - cur_rt) / base_rt;
     const bool accepted = saAccept(delta, temp, rng);
     if (cfg.telemetry) {
+      const std::vector<Step>& cand = seq.candidate();
       Event e("sa_step");
       e.integer("eval", tr.evals)
           .integer("seq_len", static_cast<std::int64_t>(cand.size()));
@@ -1021,7 +985,7 @@ void annealingHeuristic(const ir::Program& kernel, const machines::Machine& m,
       cfg.telemetry->emit(e);
     }
     if (accepted) {
-      cur = std::move(cand);
+      seq.accept();
       cur_rt = rt;
     }
     temp *= cfg.sa_decay;  // decays once per recorded evaluation

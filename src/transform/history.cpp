@@ -34,10 +34,13 @@ void History::undo() {
 std::optional<ir::Program> History::replay(const ir::Program& base,
                                            const std::vector<Step>& steps,
                                            ReplayResult& result) {
+  // One working copy mutated in place; apply() would copy the whole program
+  // at every step. Each step is validated exactly as apply() validates it.
   ir::Program p = base;
   for (std::size_t i = 0; i < steps.size(); ++i) {
     try {
-      p = steps[i].transform->apply(p, steps[i].loc);
+      steps[i].transform->applyInPlace(p, steps[i].loc, nullptr,
+                                       /*validate=*/true);
     } catch (const Error& e) {
       result.ok = false;
       result.failed_step = i;

@@ -91,6 +91,30 @@ TEST(History, InsertAndReplace) {
   }
 }
 
+TEST(History, FailedReplayReportsStepAndLeavesBaseUntouched) {
+  // Replay mutates one working copy in place; a step that no longer applies
+  // must still be reported by index and message, with no program returned
+  // and the base program unchanged.
+  const ir::Program base = kernels::makeAdd(8, 16);
+  const std::string base_text = ir::canonicalText(base);
+  const ir::NodeId base_next_id = base.next_id;
+  const auto slocs = splitScope().findApplicable(base, cpuCaps());
+  ASSERT_FALSE(slocs.empty());
+  Location missing = slocs[0];
+  missing.node = base.next_id + 1000;  // no replayed state has this node
+  const std::vector<Step> steps = {{&splitScope(), slocs[0]},
+                                   {&splitScope(), missing},
+                                   {&splitScope(), slocs[0]}};
+  History::ReplayResult rr;
+  const auto p = History::replay(base, steps, rr);
+  EXPECT_FALSE(p.has_value());
+  EXPECT_FALSE(rr.ok);
+  EXPECT_EQ(rr.failed_step, 1u);
+  EXPECT_EQ(rr.message, "split_scope: location not applicable to this program");
+  EXPECT_EQ(ir::canonicalText(base), base_text);
+  EXPECT_EQ(base.next_id, base_next_id);
+}
+
 TEST(History, ReplayFromScratchMatchesIncremental) {
   History h(kernels::makeReduceMean(8, 16));
   Rng rng(11);
