@@ -7,6 +7,8 @@
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
+#include "search/graph.h"
+#include "search/evalcache.h"
 #include "search/pass.h"
 #include "search/search.h"
 #include "support/stats.h"
@@ -335,6 +337,132 @@ TEST(Search, DeltaAndThreadsPreserveTraceBitIdentity) {
         EXPECT_EQ(stripWallClock(sink.buffered()), ref_trace);
       }
     }
+  }
+}
+
+TEST(Search, EdgesTracesPinned) {
+  // The edges structure under both methods, pinned per (kernel, machine) at
+  // threads 1 and 8 to fingerprints of the single-pricing-path behaviour:
+  // best cost, the evaluation counters and an fnv1a hash of the telemetry
+  // stream without wall-clock (every candidate, runtime, memo hit and
+  // acceptance decision). primed_evals is 0 without batched neighbor
+  // priming and is left out of the hash. A change to how neighbors are
+  // priced, accepted or enumerated must keep all of them.
+  struct Pin {
+    const char* kernel;
+    const char* machine;
+    SearchMethod method;
+    double best_runtime;
+    int evals;
+    std::int64_t cache_hits;
+    std::int64_t machine_evals;
+    std::int64_t unique_programs;
+    std::uint64_t trace_hash;
+  };
+  constexpr auto kSA = SearchMethod::SimulatedAnnealing;
+  constexpr auto kRS = SearchMethod::RandomSampling;
+  const Pin pins[] = {
+      {"softmax", "snitch", kSA, 0x1.ddd0ab28b83p-22, 300, 7, 293, 293, 0xe1f485daac0c17eeull},
+      {"softmax", "snitch", kRS, 0x1.3a11c9ac0602dp-21, 300, 10, 290, 290, 0xbf35f4fbe0feb88dull},
+      {"softmax", "xeon", kSA, 0x1.5381c6baff845p-23, 300, 4, 296, 296, 0x34ba9067e36543a5ull},
+      {"softmax", "xeon", kRS, 0x1.87a8fd29756b2p-23, 300, 3, 297, 297, 0xc806aa73253284e0ull},
+      {"softmax", "gh200", kSA, 0x1.e9485d58ccfep-25, 300, 10, 290, 290, 0xbd6bad4db01a4de1ull},
+      {"softmax", "gh200", kRS, 0x1.f1df634ce0694p-25, 300, 11, 289, 289, 0x38bfec939cdee371ull},
+      {"matmul", "snitch", kSA, 0x1.9c511dc3a41dfp-21, 300, 46, 254, 254, 0x51fe1185183a80a6ull},
+      {"matmul", "snitch", kRS, 0x1.9c511dc3a41dfp-21, 300, 64, 236, 236, 0x8d5e6709556e8ac8ull},
+      {"matmul", "xeon", kSA, 0x1.bbd03397eb52p-23, 300, 45, 255, 255, 0xcc7646c73ce59e49ull},
+      {"matmul", "xeon", kRS, 0x1.9f2e1fbfaa97p-23, 300, 42, 258, 258, 0xed3487b4651df691ull},
+      {"matmul", "gh200", kSA, 0x1.630cf61322a8p-24, 300, 33, 267, 267, 0x239ad981eca8d1afull},
+      {"matmul", "gh200", kRS, 0x1.630cf61322a8p-24, 300, 43, 257, 257, 0x5d527109115ebf18ull},
+      {"layernorm_1", "snitch", kSA, 0x1.523a8a6a7ca09p-21, 300, 5, 295, 295, 0x82a696e4085c257cull},
+      {"layernorm_1", "snitch", kRS, 0x1.1a64e3b7fe673p-21, 300, 7, 293, 293, 0x9254e0923340d7b4ull},
+      {"layernorm_1", "xeon", kSA, 0x1.b0908739d1e4p-23, 300, 1, 299, 299, 0xdfbf8346d9e22bbeull},
+      {"layernorm_1", "xeon", kRS, 0x1.8ed1821f8599ep-23, 300, 3, 297, 297, 0xde3b5f293e0e0a6bull},
+      {"layernorm_1", "gh200", kSA, 0x1.0b8c3e8c9a47dp-24, 300, 7, 293, 293, 0x1201918bab9f9dfbull},
+      {"layernorm_1", "gh200", kRS, 0x1.139f538164dacp-24, 300, 4, 296, 296, 0x03fb5c627ccdb0caull},
+  };
+  const std::string primed = ",\"primed_evals\":0";
+  for (const Pin& pin : pins) {
+    const auto* k = kernels::findKernel(pin.kernel);
+    const auto* m = machines::findMachine(pin.machine);
+    ASSERT_NE(k, nullptr);
+    ASSERT_NE(m, nullptr);
+    for (int threads : {1, 8}) {
+      Telemetry sink;
+      SearchConfig cfg;
+      cfg.method = pin.method;
+      cfg.structure = SpaceStructure::Edges;
+      cfg.budget = 300;
+      cfg.max_steps = 12;
+      cfg.seed = 5;
+      cfg.threads = threads;
+      cfg.batch_neighbors = false;
+      cfg.telemetry = &sink;
+      const auto r = runSearch(k->build_small(), *m, cfg);
+      std::string trace = stripWallClock(sink.buffered());
+      for (std::size_t at; (at = trace.find(primed)) != std::string::npos;)
+        trace.erase(at, primed.size());
+      const std::uint64_t trace_hash = fnv1a(trace);
+      // The observed fingerprint, printed in the table's own syntax.
+      char row[256];
+      std::snprintf(
+          row, sizeof row,
+          "{\"%s\", \"%s\", %s, %a, %d, %lld, %lld, %lld, 0x%016llxull},",
+          pin.kernel, pin.machine, pin.method == kSA ? "kSA" : "kRS",
+          r.best_runtime, r.evals, static_cast<long long>(r.stats.cache_hits),
+          static_cast<long long>(r.stats.machine_evals),
+          static_cast<long long>(r.stats.unique_programs),
+          static_cast<unsigned long long>(trace_hash));
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " " << row);
+      EXPECT_EQ(r.best_runtime, pin.best_runtime);
+      EXPECT_EQ(r.evals, pin.evals);
+      EXPECT_EQ(r.stats.cache_hits, pin.cache_hits);
+      EXPECT_EQ(r.stats.machine_evals, pin.machine_evals);
+      EXPECT_EQ(r.stats.unique_programs, pin.unique_programs);
+      EXPECT_EQ(trace_hash, pin.trace_hash);
+    }
+  }
+  // One TransformationGraph expansion per kernel: every node's (hash,
+  // depth, runtime) and every edge's (from, to, label), folded in order.
+  struct GraphPin {
+    const char* kernel;
+    std::size_t nodes;
+    std::size_t edges;
+    std::uint64_t hash;
+  };
+  const GraphPin graph_pins[] = {
+      {"softmax", 600, 625, 0x2d3696a5b1182b94ull},
+      {"matmul", 131, 168, 0x685f3f796f6724c1ull},
+      {"layernorm_1", 600, 613, 0xfcafbf324c834b49ull},
+  };
+  for (const GraphPin& pin : graph_pins) {
+    const auto* k = kernels::findKernel(pin.kernel);
+    ASSERT_NE(k, nullptr);
+    EvalCache cache;
+    const TransformationGraph g(k->build_small(), machines::xeon(), 2, 600,
+                                &cache);
+    std::uint64_t h = fnv1a(std::string());
+    auto fold = [&h](const void* data, std::size_t n) {
+      h = fnv1a(data, n, h);
+    };
+    for (const auto& [nh, node] : g.nodes()) {
+      fold(&nh, sizeof nh);
+      fold(&node.depth, sizeof node.depth);
+      fold(&node.runtime, sizeof node.runtime);
+    }
+    for (const auto& e : g.edges()) {
+      fold(&e.from, sizeof e.from);
+      fold(&e.to, sizeof e.to);
+      fold(e.label.data(), e.label.size());
+    }
+    char row[128];
+    std::snprintf(row, sizeof row, "{\"%s\", %zu, %zu, 0x%016llxull},",
+                  pin.kernel, g.nodeCount(), g.edgeCount(),
+                  static_cast<unsigned long long>(h));
+    SCOPED_TRACE(row);
+    EXPECT_EQ(g.nodeCount(), pin.nodes);
+    EXPECT_EQ(g.edgeCount(), pin.edges);
+    EXPECT_EQ(h, pin.hash);
   }
 }
 
