@@ -1,46 +1,43 @@
 // End-to-end candidate-throughput benchmark for the tuning hot path.
 //
-// Runs the edges-structure annealing search over two deep-tree Table-3
+// Runs edges-structure simulated annealing over two deep-tree Table-3
 // kernels twice:
 //
-//   modern — the shipping pipeline: memo table + arena-backed delta hashing
-//            + batched neighbor priming + incrementally maintained action
-//            index + arena rebase-on-accept (SearchConfig defaults)
-//   noindex— modern minus the accepted-move path: action index and rebase
-//            off, so every acceptance re-enumerates allActions and rebinds
-//            the delta context from scratch
-//   legacy — the minimal copy pipeline: the same memo table, but every
-//            candidate priced by apply-copying the tree and re-rendering its
-//            canonical text (use_delta/use_arena/batch_neighbors off)
+//   modern — the shipping pipeline (runSearch with SearchConfig defaults):
+//            memo table + arena-backed delta pricing + incrementally
+//            maintained action index + arena rebase-on-accept
+//   legacy — a reference loop local to this bench, written from the
+//            definitions: the same memo table, but every candidate priced by
+//            apply-copying the tree and re-rendering its canonical text, and
+//            a fresh allActions after each accepted move
 //
-// A fourth leg times neighbor *enumeration* alone — actions/sec along a
+// A third leg times neighbor *enumeration* alone — actions/sec along a
 // deterministic accepted-move trajectory, maintained ActionSet splices vs
 // full allActions re-enumeration — so the index's own win is gated as a
 // host-independent ratio (`index_enum_speedup`) even where end-to-end wall
 // is dominated by pricing.
 //
 // What this gate means: end-to-end throughput on the in-tree analytic models
-// is dominated by neighbor enumeration (transform::allActions per accepted
-// state) and per-acceptance rebinds, not by pricing — so the modern stack's
+// is dominated by neighbor enumeration and pricing, and the modern stack's
 // per-candidate pricing win (gated at >= 5x by bench_micro_hash) shows up
-// here as *bounded overhead*, not as a wall-clock multiple. The gated metric
-// is that bound: modern_wall / legacy_wall may not drift above the
-// checked-in ratio by more than the band. A pricing-stack regression (a
-// rebind that went quadratic, a probe that started re-rendering, priming
-// running away) lands directly on this ratio, and a ratio of two same-host
-// timings is host-speed independent, so a slow CI runner cannot fake a pass
-// or a fail.
+// here as a wall-clock ratio. The gated metric is that ratio: modern_wall /
+// legacy_wall may not drift above the checked-in ratio by more than the
+// band. A pricing-stack regression (a rebase that went quadratic, a probe
+// that started re-rendering) lands directly on this ratio, and a ratio of
+// two same-host timings is host-speed independent, so a slow CI runner
+// cannot fake a pass or a fail.
 //
 // Timing discipline (the same warmup + median-of-N the hash microbench
 // uses): one warm-up run per pipeline, then the median wall of kReps
-// interleaved repetitions. Every repetition is bit-identical in results —
-// the pipelines differ only in how candidates are priced — so medians
-// compare like with like.
+// interleaved repetitions. Both pipelines make the same decisions — the
+// bench exits 2 if their evaluation counts or best costs differ — so
+// medians compare like with like.
 //
 //   bench_candidates [--out BENCH_candidates.json]
 //                    [--check bench/BENCH_candidates_baseline.json]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -50,6 +47,7 @@
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
+#include "search/evalcache.h"
 #include "search/search.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
@@ -75,29 +73,75 @@ search::SearchConfig modernConfig() {
   cfg.max_steps = 64;  // deep walks: realistic tree sizes for the rehash
   cfg.seed = 7;
   cfg.threads = 1;  // cost of the pricing path itself, not pool scheduling
-  return cfg;       // cache + delta + arena + batching: the defaults
-}
-
-search::SearchConfig noIndexConfig() {
-  auto cfg = modernConfig();
-  cfg.use_action_index = false;  // re-enumerate allActions per acceptance
-  cfg.use_rebase = false;        // rebind the delta context per acceptance
   return cfg;
 }
 
-search::SearchConfig legacyConfig() {
-  auto cfg = noIndexConfig();
-  cfg.use_delta = false;  // memo stays on; pricing falls back to apply-copy
-  cfg.use_arena = false;
-  cfg.batch_neighbors = false;
-  return cfg;
+struct LegacyRun {
+  std::int64_t evals = 0;
+  double best_runtime = 0;
+  double wall_ms = 0;
+};
+
+/// The legacy leg: the annealing walk of runSearch, decision for decision,
+/// priced the copy way. Same per-state cost memo and same shared memo
+/// table keyed by canonicalHash, so it differs from the modern pipeline only
+/// in how a candidate's identity is computed and its action list obtained.
+LegacyRun legacyAnnealing(const ir::Program& kernel,
+                          const machines::Machine& m,
+                          const search::SearchConfig& cfg) {
+  const auto t0 = std::chrono::steady_clock::now();
+  search::EvalCache cache;
+  Rng rng(cfg.seed);
+  const double base_rt = cache.evaluate(m, kernel);
+  LegacyRun r;
+  r.evals = 1;
+  r.best_runtime = base_rt;
+  ir::Program cur = kernel;
+  double cur_rt = base_rt;
+  double temp = cfg.sa_t0;
+  int steps = 0;
+  auto actions = transform::allActions(cur, m.caps());
+  std::vector<double> memo(actions.size(), -1.0);
+  while (r.evals < cfg.budget) {
+    if (actions.empty() || steps >= cfg.max_steps) {
+      cur = kernel;
+      cur_rt = base_rt;
+      steps = 0;
+      actions = transform::allActions(cur, m.caps());
+      memo.assign(actions.size(), -1.0);
+      if (actions.empty()) break;
+      continue;
+    }
+    const std::size_t ai = rng.uniform(actions.size());
+    const bool memo_hit = memo[ai] >= 0;
+    ir::Program cand;
+    if (!memo_hit) {
+      cand = actions[ai].apply(cur);
+      memo[ai] = cache.evaluate(m, cand);
+    }
+    const double rt = memo[ai];
+    ++r.evals;
+    if (std::isfinite(rt) && rt >= 0 && rt < r.best_runtime)
+      r.best_runtime = rt;
+    if (search::saAccept((rt - cur_rt) / base_rt, temp, rng)) {
+      cur = memo_hit ? actions[ai].apply(cur) : std::move(cand);
+      cur_rt = rt;
+      ++steps;
+      actions = transform::allActions(cur, m.caps());
+      memo.assign(actions.size(), -1.0);
+    }
+    temp *= cfg.sa_decay;
+  }
+  r.wall_ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  return r;
 }
 
 struct Measurement {
   std::vector<std::string> kernels;
   std::int64_t candidates = 0;  // per pipeline, summed over kernels
   double modern_ms = 0;         // median wall, summed over kernels
-  double noindex_ms = 0;
   double legacy_ms = 0;
   // Enumeration leg: actions enumerated along the accepted-move trajectory,
   // spliced vs re-enumerated (identical counts by the element-identity
@@ -109,10 +153,6 @@ struct Measurement {
     return modern_ms > 0 ? 1e3 * static_cast<double>(candidates) / modern_ms
                          : 0;
   }
-  double noindex_cps() const {
-    return noindex_ms > 0 ? 1e3 * static_cast<double>(candidates) / noindex_ms
-                          : 0;
-  }
   double legacy_cps() const {
     return legacy_ms > 0 ? 1e3 * static_cast<double>(candidates) / legacy_ms
                          : 0;
@@ -121,11 +161,6 @@ struct Measurement {
   /// analytic models. Lower is better; 1.0 is parity.
   double overhead() const {
     return legacy_ms > 0 && modern_ms > 0 ? modern_ms / legacy_ms : 0;
-  }
-  /// End-to-end win of the accepted-move path: index+rebase off over on.
-  /// Higher is better; 1.0 is parity.
-  double indexRatio() const {
-    return modern_ms > 0 && noindex_ms > 0 ? noindex_ms / modern_ms : 0;
   }
   /// Enumeration-only win: full re-enumeration wall over spliced wall.
   double enumSpeedup() const {
@@ -186,38 +221,27 @@ Measurement measure() {
       std::exit(2);
     }
     const ir::Program p = k->build();
-    const auto modern_cfg = modernConfig();
-    const auto noindex_cfg = noIndexConfig();
-    const auto legacy_cfg = legacyConfig();
-    // Warm-up all pipelines, and take the candidate count from the warm-up
+    const auto cfg = modernConfig();
+    // Warm-up both pipelines, and take the candidate count from the warm-up
     // (bit-identical across reps and pipelines by the determinism contract).
-    const auto warm_modern = search::runSearch(p, m, modern_cfg);
-    const auto warm_noindex = search::runSearch(p, m, noindex_cfg);
-    const auto warm_legacy = search::runSearch(p, m, legacy_cfg);
-    if (warm_modern.stats.evals_requested !=
-            warm_legacy.stats.evals_requested ||
-        warm_modern.stats.evals_requested !=
-            warm_noindex.stats.evals_requested ||
-        warm_modern.best_runtime != warm_legacy.best_runtime ||
-        warm_modern.best_runtime != warm_noindex.best_runtime) {
-      std::fprintf(stderr, "pipeline divergence on %s: %lld vs %lld vs %lld "
-                   "evals\n",
+    const auto warm_modern = search::runSearch(p, m, cfg);
+    const auto warm_legacy = legacyAnnealing(p, m, cfg);
+    if (warm_modern.stats.evals_requested != warm_legacy.evals ||
+        warm_modern.best_runtime != warm_legacy.best_runtime) {
+      std::fprintf(stderr, "pipeline divergence on %s: %lld vs %lld evals\n",
                    label.c_str(),
                    static_cast<long long>(warm_modern.stats.evals_requested),
-                   static_cast<long long>(warm_noindex.stats.evals_requested),
-                   static_cast<long long>(warm_legacy.stats.evals_requested));
+                   static_cast<long long>(warm_legacy.evals));
       std::exit(2);
     }
     mm.candidates += warm_modern.stats.evals_requested;
 
-    std::vector<double> modern_s, noindex_s, legacy_s;
+    std::vector<double> modern_s, legacy_s;
     for (int rep = 0; rep < kReps; ++rep) {
-      modern_s.push_back(search::runSearch(p, m, modern_cfg).stats.wall_ms);
-      noindex_s.push_back(search::runSearch(p, m, noindex_cfg).stats.wall_ms);
-      legacy_s.push_back(search::runSearch(p, m, legacy_cfg).stats.wall_ms);
+      modern_s.push_back(search::runSearch(p, m, cfg).stats.wall_ms);
+      legacy_s.push_back(legacyAnnealing(p, m, cfg).wall_ms);
     }
     mm.modern_ms += median(modern_s);
-    mm.noindex_ms += median(noindex_s);
     mm.legacy_ms += median(legacy_s);
 
     const std::int64_t indexed_actions =
@@ -243,13 +267,10 @@ std::string toJson(const Measurement& m) {
     os << (i ? "," : "") << '"' << m.kernels[i] << '"';
   os << "],\"candidates\":" << m.candidates
      << ",\"modern_wall_ms\":" << m.modern_ms
-     << ",\"noindex_wall_ms\":" << m.noindex_ms
      << ",\"legacy_wall_ms\":" << m.legacy_ms
      << ",\"modern_candidates_per_sec\":" << m.modern_cps()
-     << ",\"noindex_candidates_per_sec\":" << m.noindex_cps()
      << ",\"legacy_candidates_per_sec\":" << m.legacy_cps()
      << ",\"overhead_ratio\":" << m.overhead()
-     << ",\"index_ratio\":" << m.indexRatio()
      << ",\"enum_actions\":" << m.enum_actions
      << ",\"enum_indexed_ms\":" << m.enum_indexed_ms
      << ",\"enum_full_ms\":" << m.enum_full_ms
@@ -330,12 +351,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(m.candidates), m.kernels.size());
   std::printf("modern  %10.1f ms  %12.0f candidates/sec\n", m.modern_ms,
               m.modern_cps());
-  std::printf("noindex %10.1f ms  %12.0f candidates/sec\n", m.noindex_ms,
-              m.noindex_cps());
   std::printf("legacy  %10.1f ms  %12.0f candidates/sec\n", m.legacy_ms,
               m.legacy_cps());
   std::printf("overhead %.2fx (modern wall / legacy wall)\n", m.overhead());
-  std::printf("index    %.2fx (noindex wall / modern wall)\n", m.indexRatio());
   std::printf("enum    %10.1f ms indexed vs %10.1f ms full  %12.0f "
               "actions/sec  %.2fx\n",
               m.enum_indexed_ms, m.enum_full_ms,

@@ -1,13 +1,11 @@
 // Microbenchmark for the incremental canonical-hash machinery. Measures the
-// per-candidate cost of pricing a neighbor's identity three ways on the
+// per-candidate cost of pricing a neighbor's identity two ways on the
 // largest (deepest-tree) Table-3 kernel after a heuristic schedule:
 //
-//   full         — the legacy copy path: q = action.apply(p); canonicalHash(q)
-//   delta        — DeltaContext::neighborHash on the arena backend: in-place
-//                  apply, splice probe over the SoA line slab, watermark undo
-//                  (what the edges-annealer and graph expansion do)
-//   delta-noarena — the same walk on the per-node line-cache backend the
-//                  arena replaced (the --no-arena escape hatch)
+//   full         — the definition: q = action.apply(p); canonicalHash(q)
+//   delta        — DeltaContext::neighborHash: in-place apply, splice probe
+//                  over the arena's SoA line slab, watermark undo (what the
+//                  edges-annealer, graph expansion and exact tier do)
 //
 // Timing discipline: one warm-up sweep, then the median of kReps interleaved
 // repetitions per path. A single wall-clock run flakes under CI noise (a
@@ -29,7 +27,6 @@
 #include <vector>
 
 #include "ir/canonical.h"
-#include "ir/incremental.h"
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
@@ -77,9 +74,8 @@ struct Measurement {
   std::size_t nodes = 0;
   std::size_t actions = 0;
   int candidates = 0;
-  double full_ns = 0;          // per candidate, copy path
-  double delta_ns = 0;         // per candidate, incremental path (arena)
-  double delta_noarena_ns = 0; // per candidate, line-cache backend
+  double full_ns = 0;   // per candidate, copy path
+  double delta_ns = 0;  // per candidate, incremental path
   double speedup() const { return delta_ns > 0 ? full_ns / delta_ns : 0; }
 };
 
@@ -93,22 +89,17 @@ Measurement measure() {
   mm.candidates = iters;
 
   search::DeltaContext dctx;
-  dctx.setUseArena(true);
   dctx.bind(p);
-  search::DeltaContext dctx_noarena;
-  dctx_noarena.setUseArena(false);
-  dctx_noarena.bind(p);
 
   // Warm-up all paths (page in code, populate allocator caches).
   std::uint64_t sink = 0;
   for (std::size_t i = 0; i < actions.size(); ++i) {
     sink ^= ir::canonicalHash(actions[i].apply(p));
     sink ^= dctx.neighborHash(actions[i]);
-    sink ^= dctx_noarena.neighborHash(actions[i]);
   }
 
   // Median of kReps interleaved repetitions per path.
-  std::vector<double> full_s, delta_s, noarena_s;
+  std::vector<double> full_s, delta_s;
   for (int rep = 0; rep < kReps; ++rep) {
     auto t0 = Clock::now();
     for (int i = 0; i < iters; ++i) {
@@ -123,17 +114,10 @@ Measurement measure() {
       sink ^= dctx.neighborHash(actions[i % actions.size()]);
     t1 = Clock::now();
     delta_s.push_back(nsPer(t0, t1, iters));
-
-    t0 = Clock::now();
-    for (int i = 0; i < iters; ++i)
-      sink ^= dctx_noarena.neighborHash(actions[i % actions.size()]);
-    t1 = Clock::now();
-    noarena_s.push_back(nsPer(t0, t1, iters));
   }
   if (sink == 42) std::fprintf(stderr, " ");  // defeat dead-code elimination
   mm.full_ns = median(full_s);
   mm.delta_ns = median(delta_s);
-  mm.delta_noarena_ns = median(noarena_s);
   return mm;
 }
 
@@ -143,7 +127,6 @@ std::string toJson(const Measurement& m) {
      << ",\"actions\":" << m.actions << ",\"candidates\":" << m.candidates
      << ",\"full_ns_per_candidate\":" << m.full_ns
      << ",\"delta_ns_per_candidate\":" << m.delta_ns
-     << ",\"delta_noarena_ns_per_candidate\":" << m.delta_noarena_ns
      << ",\"speedup\":" << m.speedup() << "}\n";
   return os.str();
 }
@@ -201,10 +184,8 @@ int main(int argc, char** argv) {
               m.actions);
   std::printf("full          %10.1f ns/candidate (apply-copy + full re-render)\n",
               m.full_ns);
-  std::printf("delta (arena) %10.1f ns/candidate (in-place + splice probe + undo)\n",
+  std::printf("delta         %10.1f ns/candidate (in-place + splice probe + undo)\n",
               m.delta_ns);
-  std::printf("delta (cache) %10.1f ns/candidate (line-cache backend)\n",
-              m.delta_noarena_ns);
   std::printf("speedup %.2fx\n", m.speedup());
   const std::string json = perfdojo::toJson(m);
   std::ofstream(out) << json;

@@ -11,20 +11,19 @@
 //   roundtrip  — parse(print(p)) is canonically identical to p, with stable
 //                canonical text and hash
 //   incremental-hash — a canonical hash maintained incrementally across the
-//                walk's in-place mutations (IncrementalCanonical fed by each
-//                transform's MutationSummary) agrees bit-for-bit with a full
+//                walk's in-place mutations (ir::CanonicalArena rebased from
+//                each transform's MutationSummary) agrees bit-for-bit with a full
 //                re-render; a divergence means a transform under-reports its
 //                mutation footprint and delta search would go stale
-//   cache      — EvalCache::selfCheck: full-render vs incremental-rebuild
-//                hash agreement and memoized cost vs a fresh machine-model
+//   cache      — EvalCache::selfCheck: full-render vs arena-bind hash
+//                agreement and memoized cost vs a fresh machine-model
 //                evaluation
 //   arena-delta — search::DeltaContext prices each walk step's (base,
-//                action) pair through BOTH canonical-form backends — the
-//                arena and the per-node line cache — and both must agree
-//                bit-for-bit with ir::canonicalHash(action.apply(base)).
-//                A divergence means delta-hashed search would key the memo
-//                table wrong under one backend (checked by the fuzz walk
-//                and by runWitness during replay, like the apply layer)
+//                action) pair, which must agree bit-for-bit with
+//                ir::canonicalHash(action.apply(base)). A divergence means
+//                delta-hashed search would key the memo table wrong
+//                (checked by the fuzz walk and by runWitness during replay,
+//                like the apply layer)
 //   action-set — a transform::ActionSet maintained across the walk's
 //                mutations (spliced from each step's MutationSummary) must
 //                stay element-identical — same elements, same order — to a
@@ -59,7 +58,7 @@ struct OracleOptions {
   bool check_roundtrip = true;
   bool check_incremental = true;
   bool check_cache = true;
-  bool check_arena = true;        // arena-vs-line-cache delta hash agreement
+  bool check_arena = true;        // delta neighbor hash vs copy-and-hash
   bool check_action_set = true;   // spliced ActionSet vs fresh allActions
   bool check_codegen = false;     // compiles with the system C compiler
   double codegen_rel_tol = 1e-3;  // compiled f32 arithmetic vs f64 interpreter
@@ -78,7 +77,7 @@ struct OracleReport {
 /// canonical-hash collisions; nullptr skips the cache layer.
 /// `incremental_hash`, if given, is a canonical hash the caller maintained
 /// incrementally across its mutations of `transformed` (e.g. the fuzz walk's
-/// IncrementalCanonical updated per step); the incremental-hash layer checks
+/// CanonicalArena rebased per step); the incremental-hash layer checks
 /// it against a full re-render. nullptr skips that layer.
 OracleReport checkOracle(const ir::Program& original,
                          const ir::Program& transformed,

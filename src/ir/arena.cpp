@@ -30,9 +30,9 @@ void CanonicalArena::bind(const Program& p) {
   slot_of_id_.assign(p.next_id, -1);
 
   // Pre-order flatten, rendering each line straight into the slab. The root
-  // container has no line of its own (printTree starts at its children),
-  // mirroring IncrementalCanonical. Recursion depth equals the loop nest
-  // depth — single digits for every kernel in the suite.
+  // container has no line of its own (printTree starts at its children).
+  // Recursion depth equals the loop nest depth — single digits for every
+  // kernel in the suite.
   std::vector<NodeId> chain;
   auto flatten = [&](auto&& self, const Node& n, std::int32_t parent,
                      int depth) -> void {
@@ -297,7 +297,7 @@ std::uint64_t CanonicalArena::probe(const Program& q,
     if (slot < 0) {
       // A clean node the base never had — outside the reported subtrees, so
       // the report is inadequate; render it fresh (always byte-correct) and
-      // keep going, exactly like IncrementalCanonical's cache-miss path.
+      // keep going.
       flush();
       const std::string line = printNodeLine(n, depth, chain_buf_);
       h = fnv1a(line.data(), line.size(), h);

@@ -1,11 +1,11 @@
-// Arena-flattened canonical form of one program: the allocation-free hot
-// path of delta candidate hashing.
+// Arena-flattened canonical form of one program: the allocation-free way
+// the canonical hash is maintained across in-place mutations.
 //
-// IncrementalCanonical (ir/incremental.h) caches one rendered canonical line
-// per NodeId in an unordered_map<NodeId, std::string> and re-streams every
-// line through FNV on each probe — correct, but the per-node map lookup, the
-// per-line hash call and the node-granular recursion dominate once rendering
-// itself is cached. CanonicalArena removes all three:
+// FNV-1a is sequential over bytes, so the canonical hash cannot be composed
+// from independent child hashes while staying bit-identical to
+// fnv1a(canonicalText(p)) — and bit identity is non-negotiable: memo tables,
+// witness files and telemetry traces all key on that exact value. What can
+// be kept per subtree is the expensive part, the rendered text:
 //
 //   * bind() flattens the tree once into dense pre-order structure-of-arrays
 //     storage: per-slot NodeId, subtree interval, parent slot, depth, and the
@@ -22,11 +22,13 @@
 //     only the ancestor spine of the dirty roots, never the clean interior.
 //
 // The invariant is the same non-negotiable one the whole evaluation layer
-// keys on, enforced by the property suite and the fuzzer's arena oracle:
+// keys on, enforced by the property suite and the fuzzer's incremental-hash
+// and arena-delta oracle layers:
 //
 //   hash() == fnv1a(canonicalText(p))          after bind(p)
 //   probe(q, mut) == fnv1a(canonicalText(q))   for any adequately-reported
 //                                              mutation p -> q
+//   hash() == fnv1a(canonicalText(q))          after rebase(q, mut)
 //
 // The arena is strictly read-only after bind(): probe() commits nothing, so
 // a caller that mutates-probes-undoes (search::DeltaContext) never has to

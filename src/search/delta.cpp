@@ -1,16 +1,10 @@
 #include "search/delta.h"
 
-#include <atomic>
-
-#include "ir/walk.h"
 #include "support/common.h"
 
 namespace perfdojo::search {
 
 namespace {
-
-std::atomic<bool> g_default_use_arena{true};
-std::atomic<bool> g_default_use_rebase{true};
 
 void indexNodes(const ir::Node& n, std::vector<const ir::Node*>& index) {
   if (n.id < index.size()) index[n.id] = &n;
@@ -19,34 +13,13 @@ void indexNodes(const ir::Node& n, std::vector<const ir::Node*>& index) {
 
 }  // namespace
 
-void DeltaContext::setDefaultUseArena(bool v) {
-  g_default_use_arena.store(v, std::memory_order_relaxed);
-}
-
-bool DeltaContext::defaultUseArena() {
-  return g_default_use_arena.load(std::memory_order_relaxed);
-}
-
-void DeltaContext::setDefaultUseRebase(bool v) {
-  g_default_use_rebase.store(v, std::memory_order_relaxed);
-}
-
-bool DeltaContext::defaultUseRebase() {
-  return g_default_use_rebase.load(std::memory_order_relaxed);
-}
-
 void DeltaContext::bind(const ir::Program& base) {
   base_ = base;
   scratch_ = base_;
-  if (use_arena_) {
-    arena_.bind(base_);
-    base_hash_ = arena_.hash();
-    base_index_.assign(base_.next_id, nullptr);
-    indexNodes(base_.root, base_index_);
-  } else {
-    inc_.rebuild(scratch_);
-    base_hash_ = inc_.hash();
-  }
+  arena_.bind(base_);
+  base_hash_ = arena_.hash();
+  base_index_.assign(base_.next_id, nullptr);
+  indexNodes(base_.root, base_index_);
   bound_ = true;
 }
 
@@ -66,10 +39,8 @@ std::uint64_t DeltaContext::neighborVisit(const transform::Action& a,
     if (mut.whole_tree) ++stats_.whole_tree_fallbacks;
     // probe() hashes the mutated scratch against the base's read-only
     // canonical form without committing anything, so the undo only has to
-    // restore the tree — the arena/cache keeps describing the base
-    // throughout.
-    const std::uint64_t h =
-        use_arena_ ? arena_.probe(scratch_, mut) : inc_.probe(scratch_, mut);
+    // restore the tree — the arena keeps describing the base throughout.
+    const std::uint64_t h = arena_.probe(scratch_, mut);
     // The scratch tree IS the candidate right now; let the caller price it
     // in place before the undo recycles its storage.
     if (visit) visit(h, scratch_);
@@ -103,55 +74,35 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
   }
   ++stats_.accepts;
   if (mut_out) *mut_out = mut;
-  if (use_rebase_) {
-    if (use_arena_) {
-      arena_.rebase(scratch_, mut);
-      base_hash_ = arena_.hash();
+  arena_.rebase(scratch_, mut);
+  base_hash_ = arena_.hash();
+  // Fold the accepted mutation into base_ — the undo in reverse: copy only
+  // the reported-dirty subtree instead of the whole program. Multi-root
+  // reports fall back to the full copy (roots may nest, and a prior fold
+  // would invalidate the base index entries under an outer root).
+  if (!mut.whole_tree && mut.dirty_scopes.size() == 1) {
+    if (mut.buffers_changed) base_.buffers = scratch_.buffers;
+    base_.next_id = scratch_.next_id;
+    const ir::NodeId id = mut.dirty_scopes.front();
+    if (id == scratch_.root.id) {
+      base_.root = scratch_.root;
     } else {
-      inc_.update(scratch_, mut);
-      base_hash_ = inc_.hash();
-    }
-    // Fold the accepted mutation into base_ — the undo in reverse: copy only
-    // the reported-dirty subtree instead of the whole program. Multi-root
-    // reports fall back to the full copy (roots may nest, and a prior fold
-    // would invalidate the base index entries under an outer root).
-    if (!mut.whole_tree && mut.dirty_scopes.size() == 1) {
-      if (mut.buffers_changed) base_.buffers = scratch_.buffers;
-      base_.next_id = scratch_.next_id;
-      const ir::NodeId id = mut.dirty_scopes.front();
-      if (id == scratch_.root.id) {
-        base_.root = scratch_.root;
-      } else {
-        ir::Node* dst;
-        const ir::Node* src;
-        if (use_arena_) {
-          // The arena was just rebased, so its chains describe scratch_ (the
-          // NEW tree); the base index still describes the old base.
-          src = locateScratch(id);
-          dst = id < base_index_.size()
-                    ? const_cast<ir::Node*>(base_index_[id])
-                    : nullptr;
-        } else {
-          src = ir::findNode(scratch_.root, id);
-          dst = ir::findNode(base_.root, id);
-        }
-        require(dst != nullptr && src != nullptr,
-                "DeltaContext: dirty subtree " + std::to_string(id) +
-                    " missing during accept (bad mutation report)");
-        *dst = *src;
-      }
-    } else {
-      base_ = scratch_;
-    }
-    if (use_arena_) {
-      base_index_.assign(base_.next_id, nullptr);
-      indexNodes(base_.root, base_index_);
+      // The arena was just rebased, so its chains describe scratch_ (the
+      // NEW tree); the base index still describes the old base.
+      const ir::Node* src = locateScratch(id);
+      ir::Node* dst = id < base_index_.size()
+                          ? const_cast<ir::Node*>(base_index_[id])
+                          : nullptr;
+      require(dst != nullptr && src != nullptr,
+              "DeltaContext: dirty subtree " + std::to_string(id) +
+                  " missing during accept (bad mutation report)");
+      *dst = *src;
     }
   } else {
-    ++stats_.accept_rebinds;
-    const ir::Program next = std::move(scratch_);
-    bind(next);
+    base_ = scratch_;
   }
+  base_index_.assign(base_.next_id, nullptr);
+  indexNodes(base_.root, base_index_);
   return base_;
 }
 
@@ -190,15 +141,8 @@ void DeltaContext::undo(const ir::MutationSummary& mut) {
       scratch_.root = base_.root;
       continue;
     }
-    ir::Node* dst;
-    const ir::Node* src;
-    if (use_arena_) {
-      src = id < base_index_.size() ? base_index_[id] : nullptr;
-      dst = locateScratch(id);
-    } else {
-      dst = ir::findNode(scratch_.root, id);
-      src = ir::findNode(base_.root, id);
-    }
+    const ir::Node* src = id < base_index_.size() ? base_index_[id] : nullptr;
+    ir::Node* dst = locateScratch(id);
     require(dst != nullptr && src != nullptr,
             "DeltaContext: dirty subtree " + std::to_string(id) +
                 " missing during undo (bad mutation report)");

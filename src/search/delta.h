@@ -2,25 +2,20 @@
 // as (base, action) pairs. neighborHash() prices the pair's identity — the
 // canonical hash the memo table keys on — by mutating a scratch copy in
 // place, probing a read-only canonical form of the base, and undoing the
-// mutation by restoring only the reported-dirty subtrees. The full validated
-// tree copy (materialize) is deferred until a candidate actually wins: is
-// accepted by annealing, enqueued by the graph expansion, or needs a
-// machine-model evaluation on a cache miss.
+// mutation by restoring only the reported-dirty subtrees. No tree copy is
+// made per neighbor: a cost model prices the live scratch tree inside
+// neighborVisit(), and an accepted move is committed in place by accept().
 //
-// Two interchangeable canonical-form backends:
-//   * ir::CanonicalArena (default): dense pre-order SoA flattening with the
-//     canonical text in one contiguous slab. Probing splices — clean byte
-//     ranges hash in single FNV calls, undo looks nodes up through the
-//     arena's NodeId->slot index and parent chains instead of O(n) tree
-//     searches, and the id watermark (`next_id`) resets in O(1).
-//   * ir::IncrementalCanonical (`setUseArena(false)`, the CLI's --no-arena
-//     escape hatch for one PR): the per-node line-cache design this arena
-//     replaced.
+// The canonical form is an ir::CanonicalArena: dense pre-order SoA
+// flattening with the canonical text in one contiguous slab. Probing splices
+// — clean byte ranges hash in single FNV calls, undo looks nodes up through
+// the arena's NodeId->slot index and parent chains instead of O(n) tree
+// searches, and the id watermark (`next_id`) resets in O(1). Accepting
+// rebases the arena in place from the mutation summary.
 //
-// Hashes are bit-identical to ir::canonicalHash(action.apply(base)) with
-// EITHER backend — the property suite and the fuzzer's arena oracle layer
-// enforce this — so a delta-hashed search makes exactly the decisions of a
-// copy-based one, arena on or off.
+// Hashes are bit-identical to ir::canonicalHash(action.apply(base)) — the
+// property suite and the fuzzer's arena-delta oracle layer enforce this — so
+// a delta-priced search makes exactly the decisions the definition implies.
 #pragma once
 
 #include <cstdint>
@@ -41,35 +36,11 @@ struct DeltaStats {
   std::int64_t whole_tree_fallbacks = 0;
   /// Accepted moves committed through accept().
   std::int64_t accepts = 0;
-  /// accept() calls that re-bound from scratch (--no-rebase escape hatch).
-  std::int64_t accept_rebinds = 0;
 };
 
 class DeltaContext {
  public:
   DeltaContext() = default;
-
-  /// Selects the canonical-form backend for subsequent bind() calls. The
-  /// default follows defaultUseArena(); results are bit-identical either
-  /// way, only the hot-path cost differs.
-  void setUseArena(bool v) { use_arena_ = v; }
-  bool usesArena() const { return use_arena_; }
-
-  /// Process-wide default backend for newly constructed contexts — the CLI's
-  /// --no-arena flag flips this once at startup so every context in the run
-  /// (search, graph expansion, exact frontier) switches together.
-  static void setDefaultUseArena(bool v);
-  static bool defaultUseArena();
-
-  /// Selects how accept() re-binds the canonical form: in place from the
-  /// mutation summary (default) or from scratch (--no-rebase). Hashes are
-  /// bit-identical either way.
-  void setUseRebase(bool v) { use_rebase_ = v; }
-  bool usesRebase() const { return use_rebase_; }
-
-  /// Process-wide default for the accept() path, mirroring the arena flag.
-  static void setDefaultUseRebase(bool v);
-  static bool defaultUseRebase();
 
   /// Fixes the base program; copies it twice (base + scratch) and renders
   /// its canonical form once. Amortized over every neighbor hashed from it.
@@ -95,28 +66,21 @@ class DeltaContext {
 
   /// neighborHash() that additionally hands the mutated scratch tree to
   /// `visit` between the probe and the undo. The visited program is
-  /// content-identical to materialize(a) — so a cost model evaluated inside
-  /// the visitor prices the candidate WITHOUT the second apply and the full
-  /// base copy that materialize() pays. Same exception contract as
-  /// neighborHash: any throw (including from the visitor) resynchronizes the
-  /// scratch state before propagating.
+  /// content-identical to a.apply(base()) — so a cost model evaluated inside
+  /// the visitor prices the candidate without a second apply or a full base
+  /// copy. Same exception contract as neighborHash: any throw (including
+  /// from the visitor) resynchronizes the scratch state before propagating.
   std::uint64_t neighborVisit(const transform::Action& a,
                               const NeighborVisitor& visit);
-
-  /// The full validated program for a winning candidate.
-  ir::Program materialize(const transform::Action& a) const {
-    return a.apply(base_);
-  }
 
   /// Commits an accepted action: the context's base BECOMES a.apply(base()).
   /// The mutation is applied (validated) in place on the scratch tree and
   /// the canonical form is REBASED from the mutation summary — clean slabs
   /// and columns move, only dirty subtrees re-render — instead of being
   /// rebuilt from scratch, making acceptance O(dirty subtree) like pricing.
-  /// With setUseRebase(false) it degrades to bind(a.apply(base())). Either
-  /// way the context afterwards is indistinguishable from a fresh bind of
-  /// the new base (bit-identical hashes). Throws if the action does not
-  /// apply; the context then still describes the OLD base, fully usable.
+  /// The context afterwards is indistinguishable from a fresh bind of the
+  /// new base (bit-identical hashes). Throws if the action does not apply;
+  /// the context then still describes the OLD base, fully usable.
   /// Returns the new base; `mut_out` (optional) receives the mutation
   /// summary so callers can splice their own per-base indices (the search
   /// loop's ActionSet) from the same report.
@@ -134,14 +98,11 @@ class DeltaContext {
 
   ir::Program base_;
   ir::Program scratch_;
-  ir::IncrementalCanonical inc_;  // backend when !use_arena_
-  ir::CanonicalArena arena_;      // backend when use_arena_
+  ir::CanonicalArena arena_;  // canonical form of base_
   /// NodeId -> node in base_ (dense, built at bind): O(1) undo sources.
   std::vector<const ir::Node*> base_index_;
   std::vector<ir::NodeId> chain_buf_;
   std::uint64_t base_hash_ = 0;
-  bool use_arena_ = defaultUseArena();
-  bool use_rebase_ = defaultUseRebase();
   bool bound_ = false;
   DeltaStats stats_;
 };

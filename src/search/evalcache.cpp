@@ -1,7 +1,7 @@
 #include "search/evalcache.h"
 
 #include "ir/canonical.h"
-#include "ir/incremental.h"
+#include "ir/arena.h"
 #include "support/common.h"
 
 namespace perfdojo::search {
@@ -63,15 +63,13 @@ bool EvalCache::selfCheck(const machines::Machine& m, const ir::Program& p,
     return false;
   };
   const std::uint64_t h1 = ir::canonicalHash(p);
-  // Recompute through the *other* implementation: a from-scratch incremental
-  // rebuild must agree byte-for-byte with the monolithic render. (The old
+  // Recompute through the *other* implementation: a from-scratch arena
+  // bind must agree byte-for-byte with the monolithic render. (The old
   // check hashed the same way twice and could only ever agree with itself.)
-  ir::IncrementalCanonical inc;
-  inc.rebuild(p);
-  const std::uint64_t h2 = inc.hash();
+  const std::uint64_t h2 = ir::CanonicalArena(p).hash();
   if (h1 != h2)
     return report("canonical hash diverges between full render and "
-                  "incremental rebuild: " + std::to_string(h1) + " vs " +
+                  "arena bind: " + std::to_string(h1) + " vs " +
                   std::to_string(h2));
   if (maintained_hash && *maintained_hash != h1)
     return report("incrementally maintained hash " +

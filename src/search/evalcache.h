@@ -51,7 +51,7 @@ class EvalCache {
 
   /// Differential-testing hook (the fuzzer's cache-consistency oracle layer):
   /// hashes `p` through both canonical-hash implementations — the monolithic
-  /// full-text render and a from-scratch incremental rebuild — and checks
+  /// full-text render and a from-scratch arena bind — and checks
   /// they agree bit-for-bit; checks that any memoized cost for it matches a
   /// fresh machine-model evaluation. A divergence means a hash-implementation
   /// split, a canonical-hash collision between programs with different costs,

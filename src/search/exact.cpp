@@ -197,16 +197,14 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
                             .integer("depth", cfg.depth)
                             .integer("max_states", cfg.max_states)
                             .boolean("prune", cfg.prune)
-                            .boolean("dedup", cfg.dedup)
-                            .boolean("delta", cfg.use_delta));
+                            .boolean("dedup", cfg.dedup));
 
   // Kernel action index, bound once and copied per worker replay (each
   // worker owns its copy, so the shared one stays untouched). The maintained
-  // lists are element-identical to fresh enumerations, so visit order,
-  // dedup sequence and certificates are bit-identical index on or off.
-  const bool use_index = transform::ActionSet::defaultEnabled();
+  // lists are element-identical to fresh enumerations, so visit order and
+  // dedup sequence are exactly the definition's.
   transform::ActionSet kernel_set;
-  if (use_index) kernel_set.bind(kernel, caps);
+  kernel_set.bind(kernel, caps);
 
   double best_cost = base_cost;
   std::vector<Step> best_steps;
@@ -230,26 +228,15 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
       // path, enumerate its actions, hash every child. Pure per-entry work.
       std::vector<Expansion> ex(n);
       auto expand = [&](std::size_t i) {
-        const Entry& e = frontier[base + i];
-        if (use_index) {
-          transform::ActionSet aset;
-          ex[i].program = replayIndexed(kernel, e.steps, kernel_set, aset);
-          ex[i].actions = aset.actions();
-        } else {
-          ex[i].program = replayOrThrow(kernel, e.steps);
-          ex[i].actions = transform::allActions(ex[i].program, caps);
-        }
+        transform::ActionSet aset;
+        ex[i].program = replayIndexed(kernel, frontier[base + i].steps,
+                                      kernel_set, aset);
+        ex[i].actions = aset.actions();
         ex[i].hashes.resize(ex[i].actions.size());
-        if (cfg.use_delta) {
-          DeltaContext dctx;
-          dctx.bind(ex[i].program);
-          for (std::size_t j = 0; j < ex[i].actions.size(); ++j)
-            ex[i].hashes[j] = dctx.neighborHash(ex[i].actions[j]);
-        } else {
-          for (std::size_t j = 0; j < ex[i].actions.size(); ++j)
-            ex[i].hashes[j] =
-                ir::canonicalHash(ex[i].actions[j].apply(ex[i].program));
-        }
+        DeltaContext dctx;
+        dctx.bind(ex[i].program);
+        for (std::size_t j = 0; j < ex[i].actions.size(); ++j)
+          ex[i].hashes[j] = dctx.neighborHash(ex[i].actions[j]);
       };
       if (workers)
         workers->forEach(n, expand);

@@ -5,7 +5,7 @@
 //
 // The frontier is compressed: a state is a canonical hash plus the replay
 // path (transform::Step sequence) that reaches it from the kernel — programs
-// are re-materialized per expansion via History::replay instead of being
+// are re-materialized per expansion by replaying that path instead of being
 // held resident, so memory stays O(frontier), not O(frontier * tree).
 // States are deduped by the incremental canonical hash (bit-exact), child
 // hashes are priced incrementally through DeltaContext, and subtrees are
@@ -16,7 +16,7 @@
 // budget decisions all happen on the calling thread in a fixed
 // (frontier-entry, action) order; ParallelEvaluator workers only replay,
 // hash and price. Results, certificates and telemetry traces are
-// bit-identical for any thread count and with delta hashing on or off.
+// bit-identical for any thread count.
 //
 // When the frontier drains before the state budget, the result carries an
 // optimality certificate: within depth `k`, no schedule of the kernel on the
@@ -41,9 +41,6 @@ struct ExactConfig {
   /// Worker threads for expansion/pricing; 0 = hardware_concurrency,
   /// 1 = fully serial. Results do not depend on this value.
   int threads = 0;
-  /// Hash children incrementally as (state, action) pairs (DeltaContext)
-  /// instead of materialize-then-hash. Bit-identical either way.
-  bool use_delta = true;
   /// Lower-bound pruning: drop a frontier state when its admissible floor
   /// already meets the best cost found. Never changes the optimal cost
   /// (enforced by the soundness suite), only the states visited.

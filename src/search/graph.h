@@ -39,11 +39,11 @@ class TransformationGraph {
   ///
   /// An optional EvalCache shares costs with other consumers (a search run,
   /// a Dojo session); an optional ParallelEvaluator prices each expansion
-  /// level's unique new nodes concurrently. With `use_delta`, children are
-  /// identified by incremental (in-place) canonical hashing and only the
-  /// deduplicated fresh nodes are ever materialized into tree copies. All
-  /// three knobs are purely accelerative: the resulting graph is identical
-  /// with or without them.
+  /// level's unique new nodes concurrently. Children are identified by
+  /// incremental (in-place) canonical hashing, and only the deduplicated
+  /// fresh nodes are ever materialized into tree copies. Both knobs are
+  /// purely accelerative: the resulting graph is identical with or without
+  /// them.
   ///
   /// An optional learned prior (search/prior.h) prunes each parent's action
   /// list to the `prior_topk` best-predicted children before any hashing or
@@ -55,7 +55,6 @@ class TransformationGraph {
                       int max_depth, std::size_t max_nodes,
                       EvalCache* cache = nullptr,
                       ParallelEvaluator* pool = nullptr,
-                      bool use_delta = true,
                       const PriorModel* prior = nullptr, int prior_topk = 0);
 
   std::size_t nodeCount() const { return nodes_.size(); }

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
-#include <optional>
 #include <unordered_set>
 
 #include "ir/canonical.h"
@@ -124,8 +123,6 @@ class Eval {
   Eval(const machines::Machine& m, EvalCache* cache, ParallelEvaluator* pool)
       : m_(m), cache_(cache), pool_(pool) {}
 
-  const machines::Machine& machine() const { return m_; }
-
   /// In-flight cap for deferred evaluation batches. Thread-count dependent,
   /// which is safe: batch boundaries never influence search decisions.
   std::size_t batchLimit() const {
@@ -133,74 +130,76 @@ class Eval {
   }
 
   double cost(const ir::Program& p) {
+    return costInPlace(cache_ ? ir::canonicalHash(p) : 0, p);
+  }
+
+  /// Prices programs[i] into out[i], concurrently when a pool is available.
+  /// Counts exactly as cost() called in order would: memo lookups and the
+  /// hit/miss split are decided serially, and only the model runs of
+  /// distinct misses go to the pool. (Pricing two copies of one program
+  /// concurrently would let both miss, making the counters depend on the
+  /// schedule.)
+  void costs(const std::vector<ir::Program>& programs,
+             std::vector<double>& out) {
+    const std::size_t n = programs.size();
+    out.assign(n, 0.0);
+    if (!pool_ || n <= 1) {
+      for (std::size_t i = 0; i < n; ++i) out[i] = cost(programs[i]);
+      return;
+    }
+    std::vector<std::uint64_t> hashes(n, 0);
+    if (cache_)
+      pool_->forEach(n, [&](std::size_t i) {
+        hashes[i] = ir::canonicalHash(programs[i]);
+      });
+    // first[i]: index of the batch entry that runs the model for entry i.
+    std::vector<std::size_t> first(n);
+    std::vector<std::size_t> runs;
+    for (std::size_t i = 0; i < n; ++i) {
+      ++requested_;
+      first[i] = i;
+      if (!cache_) {
+        runs.push_back(i);
+        continue;
+      }
+      noteUnique(hashes[i]);
+      if (cache_->lookup(m_, hashes[i], out[i])) {
+        ++hits_;
+        continue;
+      }
+      for (const std::size_t j : runs)
+        if (hashes[j] == hashes[i]) first[i] = j;
+      if (first[i] == i)
+        runs.push_back(i);
+      else
+        ++hits_;
+    }
+    pool_->forEach(runs.size(), [&](std::size_t r) {
+      out[runs[r]] = m_.evaluate(programs[runs[r]]);
+    });
+    machine_evals_ += static_cast<std::int64_t>(runs.size());
+    for (const std::size_t i : runs)
+      if (cache_) cache_->insert(m_, hashes[i], out[i]);
+    for (std::size_t i = 0; i < n; ++i) out[i] = out[first[i]];
+  }
+
+  /// cost() for a candidate whose canonical hash `h` the caller already
+  /// knows — the edges walk prices the delta scratch tree while it is live.
+  /// Without a memo table the hash is ignored and `p` is just evaluated:
+  /// one requested eval, one machine eval, no unique-set entry.
+  double costInPlace(std::uint64_t h, const ir::Program& p) {
     ++requested_;
     if (!cache_) {
       ++machine_evals_;
       return m_.evaluate(p);
     }
-    const std::uint64_t h = ir::canonicalHash(p);
     noteUnique(h);
     double v;
     if (cache_->lookup(m_, h, v)) {
       ++hits_;
       return v;
     }
-    v = timedEvaluate(p);
-    ++machine_evals_;
-    cache_->insert(m_, h, v);
-    return v;
-  }
-
-  /// Prices programs[i] into out[i], concurrently when a pool is available.
-  void costs(const std::vector<ir::Program>& programs,
-             std::vector<double>& out) {
-    out.assign(programs.size(), 0.0);
-    if (pool_ && programs.size() > 1) {
-      pool_->forEach(programs.size(),
-                     [&](std::size_t i) { out[i] = cost(programs[i]); });
-    } else {
-      for (std::size_t i = 0; i < programs.size(); ++i)
-        out[i] = cost(programs[i]);
-    }
-  }
-
-  /// Memoized cost for a candidate known only by its canonical hash (the
-  /// delta path): the program is materialized via `make` only on a memo
-  /// miss, and handed back through `prog` so the caller can reuse it.
-  /// Counter effects are identical to cost() on the materialized program,
-  /// so SearchStats and the search_end telemetry cannot tell the paths
-  /// apart. Callers must ensure memoizing().
-  double costHashed(std::uint64_t h, std::optional<ir::Program>& prog,
-                    const std::function<ir::Program()>& make) {
-    ++requested_;
-    noteUnique(h);
-    double v;
-    if (cache_->lookup(m_, h, v)) {
-      ++hits_;
-      return v;
-    }
-    prog.emplace(make());
-    v = timedEvaluate(*prog);
-    ++machine_evals_;
-    cache_->insert(m_, h, v);
-    return v;
-  }
-
-  /// costHashed for a caller that is holding the candidate live (the delta
-  /// scratch tree during a neighborVisit): a memo miss evaluates `p` right
-  /// there instead of materializing a copy. Counter effects are identical to
-  /// costHashed/cost on a materialized copy — the model sees the same
-  /// program content — so decisions, stats and telemetry cannot tell the
-  /// paths apart. Callers must ensure memoizing().
-  double costInPlace(std::uint64_t h, const ir::Program& p) {
-    ++requested_;
-    noteUnique(h);
-    double v;
-    if (cache_->lookup(m_, h, v)) {
-      ++hits_;
-      return v;
-    }
-    v = timedEvaluate(p);
+    v = m_.evaluate(p);
     ++machine_evals_;
     cache_->insert(m_, h, v);
     return v;
@@ -213,59 +212,12 @@ class Eval {
     ++hits_;
   }
 
-  /// Uncounted memo lookup for the neighbor prefetcher: priming is not a
-  /// decision-loop request, so it must not perturb requested_/hits_.
-  bool rawLookup(std::uint64_t h, double& v) const {
-    return cache_->lookup(m_, h, v);
-  }
-
-  /// Machine-evaluates a prefetched candidate and publishes it to the memo.
-  /// Counted as a (primed) machine eval and a priced unique program; the
-  /// decision loop's later draw of this candidate becomes a cache hit.
-  /// Re-entrant — the prefetch batch runs under the pool.
-  double primedEval(std::uint64_t h, const ir::Program& p) {
-    noteUnique(h);
-    const double v = timedEvaluate(p);
-    ++machine_evals_;
-    ++primed_;
-    cache_->insert(m_, h, v);
-    return v;
-  }
-
-  /// Runs fn(i) for i in [0, n) — on the pool only when the batch is worth
-  /// the dispatch: n model runs at the recently observed per-eval cost must
-  /// exceed the pool's wake/join overhead, or an analytic model's
-  /// sub-microsecond evals would pay more for scheduling than for work.
-  /// Batch membership is decided by the caller before this, so the choice
-  /// (like thread count itself) can only change scheduling, never which
-  /// candidates are priced nor any counter.
-  void forBatch(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    // Dispatch only when the batch carries at least ~1ms of model work: the
-    // pool's wake + completion-barrier cost is tens of microseconds idle but
-    // can reach milliseconds when the machine is oversubscribed (CI runs
-    // tests in parallel), and the batch sizes here are small. Measured-
-    // runtime models (the batching target) cost >= hundreds of microseconds
-    // per eval and clear this easily; analytic models never should.
-    constexpr std::int64_t kDispatchNs = 1000000;
-    const std::int64_t per_eval = eval_ns_.load(std::memory_order_relaxed);
-    // Serial while the per-eval cost is unknown or too small to amortize the
-    // dispatch: an analytic model's sub-microsecond evals would pay more for
-    // scheduling than for work.
-    if (pool_ && n > 1 && per_eval > 0 &&
-        per_eval * static_cast<std::int64_t>(n) >= kDispatchNs) {
-      pool_->forEach(n, fn);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-    }
-  }
-
   bool memoizing() const { return cache_ != nullptr; }
 
   void fillStats(SearchStats& s) const {
     s.evals_requested = requested_.load();
     s.cache_hits = hits_.load();
     s.machine_evals = machine_evals_.load();
-    s.primed_evals = primed_.load();
     s.unique_programs = static_cast<std::int64_t>(seen_.size());
     s.threads_used = pool_ ? pool_->threads() : 1;
   }
@@ -276,35 +228,12 @@ class Eval {
     seen_.insert(h);
   }
 
-  /// Evaluates and keeps a running-minimum estimate of the model's per-eval
-  /// cost for forBatch's serial-vs-pool decision. The minimum, not an
-  /// average: a wall-clock sample can only be inflated by preemption, and on
-  /// a loaded machine (CI runs tests in parallel) an averaged estimate
-  /// ratchets upward until it flips forBatch into pool dispatch exactly when
-  /// the machine is busiest. The model is fixed for the run, so the fastest
-  /// observed eval is the honest uninflated cost. Lossy under concurrent
-  /// updates by design — it only steers scheduling.
-  double timedEvaluate(const ir::Program& p) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const double v = m_.evaluate(p);
-    const std::int64_t ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    const std::int64_t prev = eval_ns_.load(std::memory_order_relaxed);
-    if (prev == 0 || ns < prev)
-      eval_ns_.store(ns, std::memory_order_relaxed);
-    return v;
-  }
-
   const machines::Machine& m_;
   EvalCache* cache_;
   ParallelEvaluator* pool_;
   std::atomic<std::int64_t> requested_{0};
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> machine_evals_{0};
-  std::atomic<std::int64_t> primed_{0};
-  std::atomic<std::int64_t> eval_ns_{0};  // decaying per-eval cost estimate
   mutable std::mutex seen_mu_;
   std::unordered_set<std::uint64_t> seen_;
 };
@@ -518,18 +447,17 @@ void randomSamplingEdges(const ir::Program& kernel,
   pool.push_back({kernel, poolRuntime(t0), poolRuntime(t0)});
   DeferredEvals batch(ev, tr);
   // The weighted draw concentrates on fast parents, so the same pool entry
-  // is drawn many times in a row; with the action index on, its enumeration
-  // is bound once and reused until the draw moves on (pool entries are
-  // immutable, so the cached list stays exact).
-  const bool use_index = cfg.use_action_index;
+  // is drawn many times in a row; its enumeration is bound once and reused
+  // until the draw moves on (pool entries are immutable, so the cached list
+  // stays exact).
   transform::ActionSet aset;
   std::size_t cached_pi = static_cast<std::size_t>(-1);
   // The prior gate follows the same reuse pattern as the ActionSet: a drawn
   // parent's neighbor scores stay valid until the draw moves to another pool
   // entry (entries are immutable), so rescoring happens once per parent
   // streak, not once per draw. The allowed indices target the deterministic
-  // action enumeration, which is identical whether it came from the index or
-  // a fresh allActions pass.
+  // action enumeration, which the index keeps element-identical to a fresh
+  // allActions pass.
   PriorGate gate(cfg, tr);
   std::size_t gate_pi = static_cast<std::size_t>(-1);
   // Parent draws depend only on parent_runtime values (known at submission
@@ -544,15 +472,11 @@ void randomSamplingEdges(const ir::Program& kernel,
     const std::size_t pi = rng.weightedIndex(w);
     if (pool[pi].runtime == kPendingRuntime) batch.flush();
     const auto& parent = pool[pi];
-    std::vector<Action> own_actions;
-    if (use_index && pi != cached_pi) {
+    if (pi != cached_pi) {
       aset.bind(parent.program, m.caps());
       cached_pi = pi;
     }
-    if (!use_index)
-      own_actions = transform::allActions(parent.program, m.caps());
-    const std::vector<Action>& actions =
-        use_index ? aset.actions() : own_actions;
+    const std::vector<Action>& actions = aset.actions();
     if (actions.empty()) {
       ++barren;  // a dead-end parent may be drawn forever; bound the retries
       continue;
@@ -595,171 +519,44 @@ void randomSamplingEdges(const ir::Program& kernel,
   if (!tr.exhausted()) tr.reason = TerminationReason::Stall;
 }
 
-/// Cap on candidates machine-evaluated per prefetch batch, and on how many
-/// upcoming draws the membership simulation looks ahead. Fixed constants —
-/// NOT derived from the thread count — because batch membership decides
-/// which programs get (speculatively) priced, and every counter in the
-/// search_end event must be bit-identical for any `threads` setting.
-constexpr std::size_t kPrimeBatch = 16;
-constexpr int kPrimeLookahead = 64;
-
-/// Consecutive rejections a state must survive before its neighbor set is
-/// primed. A fresh state usually has an improving (always-accepted) neighbor
-/// within a draw or two, so eager priming would waste most of its probes;
-/// a state the walk is stalling on is exactly where the rejection-assuming
-/// membership simulation is accurate. The trigger depends only on the
-/// deterministic acceptance sequence — never on timing or thread count — so
-/// counters and traces stay bit-identical across threads and backends.
-constexpr int kPrimeAfterRejects = 2;
-
-/// Batched neighbor pricing for the annealing walk: replays the upcoming
-/// draw sequence on a clone of the RNG to collect the distinct actions the
-/// walk is about to need (assuming rejection, the common case once the
-/// temperature decays), then prices their memo misses in one concurrent
-/// batch. Speculation can only waste model runs (counted as primed_evals),
-/// never change a decision: the real loop re-draws from its own RNG and
-/// reads the same deterministic costs, now warm.
-void primeNeighbors(const std::vector<Action>& actions,
-                    const std::vector<std::size_t>& allowed,
-                    std::vector<double>& action_cost, const ir::Program& cur,
-                    Rng rng_clone, int evals_remaining, bool use_delta,
-                    DeltaContext& dctx, Eval& ev) {
-  if (allowed.empty() || evals_remaining <= 0) return;
-  std::vector<std::size_t> picks;
-  std::vector<char> picked(actions.size(), 0);
-  const int lookahead = std::min(kPrimeLookahead, evals_remaining);
-  for (int t = 0; t < lookahead && picks.size() < kPrimeBatch; ++t) {
-    // Mirror the real loop's draw exactly: a uniform over the prior-allowed
-    // indices. Without an active gate `allowed` is the identity over the
-    // full action range, so the simulated stream is the pre-prior one.
-    const std::size_t ai = allowed[rng_clone.uniform(allowed.size())];
-    if (!picked[ai]) {
-      picked[ai] = 1;
-      picks.push_back(ai);
-    }
-    // Assume the candidate is worse than the current state and rejected:
-    // consume the acceptance draw the real loop would consume and keep
-    // simulating. A wrong guess only misaligns the speculative tail.
-    rng_clone.uniformReal();
-  }
-  // Hash every pick (serially — the delta scratch is single-threaded; with
-  // the arena this is the cheap part) and split memo hits from misses.
-  struct Miss {
-    std::size_t ai;
-    std::uint64_t h;
-  };
-  std::vector<Miss> misses;
-  std::vector<std::uint64_t> pick_hash(picks.size());
-  for (std::size_t i = 0; i < picks.size(); ++i) {
-    const std::size_t ai = picks[i];
-    const std::uint64_t h = use_delta
-                                ? dctx.neighborHash(actions[ai])
-                                : ir::canonicalHash(actions[ai].apply(cur));
-    pick_hash[i] = h;
-    double v;
-    if (ev.rawLookup(h, v)) {
-      action_cost[ai] = v;
-      continue;
-    }
-    bool dup = false;
-    for (const auto& ms : misses) dup = dup || ms.h == h;
-    if (!dup) misses.push_back({ai, h});
-  }
-  // One concurrent batch for the misses: materialize + evaluate + publish.
-  ev.forBatch(misses.size(), [&](std::size_t i) {
-    const auto& ms = misses[i];
-    const ir::Program prog = use_delta ? dctx.materialize(actions[ms.ai])
-                                       : actions[ms.ai].apply(cur);
-    ev.primedEval(ms.h, prog);
-  });
-  // Every pick is warm now; fill the per-state memo (duplicate-hash picks
-  // resolve through the shared table).
-  for (std::size_t i = 0; i < picks.size(); ++i) {
-    if (action_cost[picks[i]] != kPendingRuntime) continue;
-    double v;
-    if (ev.rawLookup(pick_hash[i], v)) action_cost[picks[i]] = v;
-  }
-}
-
 void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
                     const SearchConfig& cfg, Eval& ev, Tracker& tr) {
   Rng rng(cfg.seed);
-  // `own` holds the current state on the non-delta paths; on the delta path
-  // the accepted state lives in the DeltaContext's base and `cur` aims at it
-  // directly, so an accepted move never copies the program back out.
-  ir::Program own = kernel;
-  const ir::Program* cur = &own;
-  double cur_rt = ev.cost(*cur);
-  const double base_rt = cur_rt;
-  tr.record(*cur, cur_rt);
+  const double base_rt = ev.cost(kernel);
+  tr.record(kernel, base_rt);
+  double cur_rt = base_rt;
   double temp = cfg.sa_t0;
   int steps = 0;
-  // The action list of `cur` is stable while `cur` is unchanged (enumeration
-  // is deterministic), so it is computed once per accepted state, and each
-  // action's candidate cost is memoized per state: a re-drawn action costs a
-  // table lookup instead of an apply + evaluate. Cost values are identical,
-  // so the decision sequence matches a memo-free run exactly.
-  //
-  // With the action index on, that list is not even re-enumerated on an
-  // accepted move: the ActionSet splices it from the mutation summary and
-  // `actions` points at its maintained storage. The maintained list is
-  // element-identical to a fresh enumeration, so ai-indexed draws land on
-  // the same action either way.
-  const bool use_index = cfg.use_action_index;
-  transform::ActionSet aset;
-  std::vector<Action> own_actions;
-  const std::vector<Action>* actions = nullptr;
-  if (use_index) {
-    aset.bind(*cur, m.caps());
-    actions = &aset.actions();
-  } else {
-    own_actions = transform::allActions(*cur, m.caps());
-    actions = &own_actions;
-  }
-  std::vector<double> action_cost;
-  action_cost.assign(actions->size(), kPendingRuntime);
-  // Delta path: with the memo table available, fresh neighbors are hashed
-  // incrementally against the accepted state and model-priced in place on
-  // the delta scratch — a full tree copy happens only on an accepted move
-  // or a new best. The hash is bit-identical to canonicalHash(apply(cur)),
-  // so the decision sequence, counters and telemetry match the copy-based
-  // path exactly.
-  const bool use_delta = cfg.use_delta && ev.memoizing();
-  const bool batch = cfg.batch_neighbors && ev.memoizing();
+  // The current state is the DeltaContext's base: neighbors are hashed
+  // incrementally against it and model-priced live on its scratch tree, and
+  // an accepted move is committed in place, so the walk copies a program
+  // only for a new best. The hash is canonicalHash(a.apply(cur)) bit for bit.
   DeltaContext dctx;
-  dctx.setUseArena(cfg.use_arena);
-  dctx.setUseRebase(cfg.use_rebase);
-  if (use_delta) {
-    dctx.bind(*cur);
-    cur = &dctx.base();
-  }
+  // The action list of the current state comes from the ActionSet, spliced
+  // from each accepted move's mutation summary; it is element-identical to
+  // a fresh allActions, so ai-indexed draws land on the definition's action.
+  // Each action's candidate cost is memoized per state: a re-drawn action
+  // costs a table lookup instead of an apply + evaluate, with identical
+  // values, so the decision sequence matches a memo-free run exactly.
+  transform::ActionSet aset;
+  std::vector<double> action_cost;
   // Prior gate: rescored at every state (re)bind, after the delta context is
   // aimed at the new state so scoring can render neighbors in place.
   PriorGate gate(cfg, tr);
-  gate.rebind(*actions, *cur, use_delta ? &dctx : nullptr);
-  int rejects_here = 0;    // consecutive rejections at the current state
-  bool primed_here = false;  // this state's neighbor set already primed
+  auto restart = [&] {
+    dctx.bind(kernel);
+    aset.bind(dctx.base(), m.caps());
+    action_cost.assign(aset.actions().size(), kPendingRuntime);
+    gate.rebind(aset.actions(), dctx.base(), &dctx);
+    cur_rt = base_rt;
+    steps = 0;
+  };
+  restart();
   while (!tr.exhausted()) {
-    if (actions->empty() || steps >= cfg.max_steps) {
-      own = kernel;  // restart from the source program
-      cur = &own;
-      cur_rt = base_rt;
-      steps = 0;
-      if (use_delta) {
-        dctx.bind(*cur);
-        cur = &dctx.base();
-      }
-      if (use_index) {
-        aset.bind(*cur, m.caps());
-        actions = &aset.actions();
-      } else {
-        own_actions = transform::allActions(*cur, m.caps());
-      }
-      action_cost.assign(actions->size(), kPendingRuntime);
-      gate.rebind(*actions, *cur, use_delta ? &dctx : nullptr);
-      rejects_here = 0;
-      primed_here = false;
-      if (actions->empty()) {
+    const std::vector<Action>& actions = aset.actions();
+    if (actions.empty() || steps >= cfg.max_steps) {
+      restart();  // from the source program
+      if (aset.actions().empty()) {
         tr.reason = TerminationReason::Stall;
         break;  // nothing applicable at the root: done
       }
@@ -767,95 +564,47 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
     }
     const std::vector<std::size_t>& allowed = gate.allowed();
     const std::size_t ai = allowed[rng.uniform(allowed.size())];
+    const Action& a = actions[ai];
     double rt;
-    std::optional<ir::Program> cand;
     const bool memo_hit = ev.memoizing() && action_cost[ai] != kPendingRuntime;
     if (memo_hit) {
       // Re-drawn action on an unchanged state: the cost is known, so skip
-      // the apply + hash + evaluate entirely. Its first evaluation already
-      // set best_runtime <= rt, so the lazy record can never materialize.
+      // the apply + hash + evaluate entirely.
       rt = action_cost[ai];
       ev.countMemoHit();
-      tr.record(rt, [&] { return (*actions)[ai].apply(*cur); });
-    } else if (use_delta) {
-      // Price the neighbor while it is still live in the delta scratch: the
-      // probe pass already applied it, so a memo miss evaluates the model in
-      // place instead of paying materialize() (a full base copy plus a
-      // second, validated apply). The hash and the evaluated content are
-      // identical to the materialized path, so decisions/counters match.
-      dctx.neighborVisit((*actions)[ai],
-                         [&](std::uint64_t h, const ir::Program& q) {
-                           rt = ev.costInPlace(h, q);
-                         });
-      action_cost[ai] = rt;
-      gate.note(ai, rt, cur_rt);
-      // The tracker materializes lazily iff the candidate improves the best
-      // (identical program: cur IS the delta base).
-      tr.record(rt, [&] { return (*actions)[ai].apply(*cur); });
     } else {
-      cand = (*actions)[ai].apply(*cur);
-      rt = ev.cost(*cand);
+      // Price the neighbor while it is still live in the delta scratch.
+      dctx.neighborVisit(a, [&](std::uint64_t h, const ir::Program& q) {
+        rt = ev.costInPlace(h, q);
+      });
       action_cost[ai] = rt;
       gate.note(ai, rt, cur_rt);
-      tr.record(*cand, rt);
     }
+    // Materialized only if the candidate improves the best — never on a
+    // memo hit, whose first evaluation already set best_runtime <= rt.
+    tr.record(rt, [&] { return a.apply(dctx.base()); });
     const double delta = (rt - cur_rt) / base_rt;
     const bool accepted = saAccept(delta, temp, rng);
     if (cfg.telemetry)
-      cfg.telemetry->emit(
-          Event("sa_step")
-              .integer("eval", tr.evals)
-              .str("action", (*actions)[ai].transform->name())
-              .str("loc", transform::locationToText((*actions)[ai].loc))
-              .num("runtime", rt)
-              .num("delta", delta)
-              .num("temp", temp)
-              .boolean("accepted", accepted)
-              .boolean("memo_hit", memo_hit));
+      cfg.telemetry->emit(Event("sa_step")
+                              .integer("eval", tr.evals)
+                              .str("action", a.transform->name())
+                              .str("loc", transform::locationToText(a.loc))
+                              .num("runtime", rt)
+                              .num("delta", delta)
+                              .num("temp", temp)
+                              .boolean("accepted", accepted)
+                              .boolean("memo_hit", memo_hit));
     if (accepted) {
-      // Copy the chosen action out before anything invalidates the list it
-      // lives in (the ActionSet splice or the re-enumeration below).
-      const Action chosen = (*actions)[ai];
+      // accept() applies the move and rebases the canonical form in place;
+      // its mutation summary splices the action list (which invalidates `a`).
       ir::MutationSummary mut;
-      bool have_mut = false;
-      if (use_delta) {
-        // accept() applies the move, rebases the canonical form in place
-        // (O(dirty subtree) with the arena) and hands back the summary; the
-        // new base is read through `cur` without copying it out.
-        cur = &dctx.accept(chosen, &mut);
-        have_mut = true;
-      } else if (use_index) {
-        // No delta context to share the apply with, but the index still
-        // wants the summary: apply in place on the owned state directly
-        // (identical program to chosen.apply(*cur)).
-        chosen.transform->applyInPlace(own, chosen.loc, &mut,
-                                       /*validate=*/true);
-        have_mut = true;
-      } else {
-        own = cand ? std::move(*cand) : chosen.apply(own);
-      }
+      const ir::Program& cur = dctx.accept(a, &mut);
+      aset.update(cur, mut);
+      action_cost.assign(aset.actions().size(), kPendingRuntime);
+      gate.rebind(aset.actions(), cur, &dctx);
       cur_rt = rt;
       ++steps;
-      if (use_index) {
-        if (have_mut)
-          aset.update(*cur, mut);
-        else
-          aset.bind(*cur, m.caps());
-        actions = &aset.actions();
-      } else {
-        own_actions = transform::allActions(*cur, m.caps());
-      }
-      action_cost.assign(actions->size(), kPendingRuntime);
-      gate.rebind(*actions, *cur, use_delta ? &dctx : nullptr);
-      rejects_here = 0;
-      primed_here = false;
-    } else if (batch && !primed_here &&
-               ++rejects_here >= kPrimeAfterRejects) {
-      // The walk is stalling on this state: prime the neighbors the cloned
-      // RNG says it is about to draw, batching their memo misses.
-      primed_here = true;
-      primeNeighbors(*actions, gate.allowed(), action_cost, *cur, rng,
-                     cfg.budget - tr.evals, use_delta, dctx, ev);
     }
     temp *= cfg.sa_decay;  // decays once per recorded evaluation
   }
@@ -1067,7 +816,6 @@ SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
         .integer("evals", r.evals)
         .integer("cache_hits", r.stats.cache_hits)
         .integer("machine_evals", r.stats.machine_evals)
-        .integer("primed_evals", r.stats.primed_evals)
         .integer("unique_programs", r.stats.unique_programs)
         .integer("nonfinite_rejected", r.stats.nonfinite_rejected);
     // Prior fields only when a filtering prior ran: a run with --no-prior or

@@ -59,41 +59,6 @@ struct SearchConfig {
   /// Memoize evaluations by canonical program hash. Costs are deterministic,
   /// so this changes wall-clock and raw machine-eval counts, never results.
   bool use_cache = true;
-  /// Delta candidate generation for the edges-structure annealing walk:
-  /// neighbors are hashed incrementally as (state, action) pairs and only
-  /// materialized into a full tree copy when the memo table misses or the
-  /// move is accepted. Requires memoization to pay off, so it is inert when
-  /// the run has no cache. Hashes are bit-identical to the copy-based path,
-  /// so results, visit order and telemetry traces do not depend on this.
-  bool use_delta = true;
-  /// Canonical-form backend for delta hashing: the arena (SoA + contiguous
-  /// line slab, splice probes) or, when false, the per-node line-cache
-  /// backend it replaced (the CLI's --no-arena escape hatch, kept for one
-  /// PR). Hashes are bit-identical either way.
-  bool use_arena = true;
-  /// Batched neighbor pricing for the edges-structure annealing walk: once
-  /// a state survives a couple of consecutive rejections (the stall regime),
-  /// a cloned-RNG simulation of the upcoming draws collects the actions the
-  /// walk is about to need, and their memo misses are machine-evaluated in
-  /// one concurrent batch (counted separately as primed_evals). Membership
-  /// depends only on the RNG stream and the deterministic acceptance
-  /// sequence — never on thread count or the delta backend — so decisions,
-  /// traces and counters stay bit-identical across those settings. Inert
-  /// without a cache. --no-batch disables it.
-  bool batch_neighbors = true;
-  /// Incrementally-maintained applicable-action index for the edges
-  /// structure: after an accepted move the action list is spliced from the
-  /// mutation summary (transform::ActionSet) instead of re-enumerated with
-  /// a full allActions pass. The maintained list is element-identical —
-  /// same elements, same order — to a fresh enumeration, so decision
-  /// sequences, traces and certificates are bit-identical with the index on
-  /// or off. --no-action-index disables it.
-  bool use_action_index = true;
-  /// In-place canonical-form rebase on accepted moves (DeltaContext::accept
-  /// + CanonicalArena::rebase): clean slabs and columns move, only dirty
-  /// subtrees re-render. When false (--no-rebase) every acceptance re-binds
-  /// from scratch. Hashes are bit-identical either way.
-  bool use_rebase = true;
   /// Optional learned cost-model prior (search/prior.h) for the edges
   /// structure: each state's neighbor set is scored from canonical text and
   /// only the prior_topk best-predicted neighbors stay drawable; the rest
@@ -121,10 +86,11 @@ struct SearchConfig {
 struct SearchStats {
   std::int64_t evals_requested = 0;  // cost lookups issued by the search loop
   std::int64_t cache_hits = 0;       // served from the memo table
-  std::int64_t machine_evals = 0;    // raw machine-model runs (incl. primed)
-  /// Machine-model runs performed by the neighbor prefetcher rather than on
-  /// demand by the decision loop. The exact accounting identity is
-  /// (machine_evals - primed_evals) + cache_hits == evals_requested.
+  /// Raw machine-model runs; machine_evals + cache_hits == evals_requested.
+  std::int64_t machine_evals = 0;
+  /// Always 0: no search tier prefetches neighbors any more. Kept only
+  /// because the repository benchmark reads it (search.primed_frac), until
+  /// the next benchmark change drops both. Not part of search_end.
   std::int64_t primed_evals = 0;
   std::int64_t unique_programs = 0;  // distinct canonical programs priced
   /// Candidates whose cost came back NaN/inf: never promoted to best, never

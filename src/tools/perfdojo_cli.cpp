@@ -53,7 +53,6 @@
 #include "libgen/server.h"
 #include "machines/machine.h"
 #include "rl/perfllm.h"
-#include "search/delta.h"
 #include "search/exact.h"
 #include "search/pass.h"
 #include "search/prior.h"
@@ -64,7 +63,6 @@
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/telemetry.h"
-#include "transform/action_set.h"
 
 using namespace perfdojo;
 
@@ -160,11 +158,6 @@ int usage() {
                "  --machines <x,y>    with --update: ... on these machines\n"
                "  --threads <n>       evaluation worker threads (0 = all cores)\n"
                "  --no-cache <0|1>    1 disables evaluation memoization\n"
-               "  --no-delta <0|1>    1 disables incremental (delta) candidate hashing\n"
-               "  --no-arena <0|1>    1 falls back to the per-node line-cache hash backend\n"
-               "  --no-batch <0|1>    1 disables batched neighbor pricing (SA prefetch)\n"
-               "  --no-action-index <0|1>  1 re-enumerates actions fully after accepted moves\n"
-               "  --no-rebase <0|1>   1 re-binds the canonical form from scratch on accepts\n"
                "  --emit <fmt>        ir | c | cuda\n"
                "  --out <dir>         libgen / fuzz-witness output directory\n"
                "  --trace-out <file>  append JSONL telemetry events to <file>\n"
@@ -281,11 +274,6 @@ int cmdOptimize(const Args& a) {
       fail("invalid --structure '" + s + "': expected edges or heuristic");
     sc.threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
     sc.use_cache = a.get("no-cache", "0") != "1";
-    sc.use_delta = a.get("no-delta", "0") != "1";
-    sc.use_arena = a.get("no-arena", "0") != "1";
-    sc.batch_neighbors = a.get("no-batch", "0") != "1";
-    sc.use_action_index = a.get("no-action-index", "0") != "1";
-    sc.use_rebase = a.get("no-rebase", "0") != "1";
     sc.trace_programs = a.get("trace-programs", "0") == "1";
     sc.telemetry = trace.get();
     // The prior must outlive the search; --no-prior wins over --prior so a
@@ -322,7 +310,6 @@ int cmdOptimize(const Args& a) {
     ec.depth = static_cast<int>(flagInt(a, "depth", 3, 1, 64));
     ec.max_states = flagInt(a, "max-states", 200000, 1, 1000000000000LL);
     ec.threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
-    ec.use_delta = a.get("no-delta", "0") != "1";
     ec.prune = a.get("no-prune", "0") != "1";
     ec.kernel_label = k->label;
     ec.telemetry = trace.get();
@@ -834,20 +821,6 @@ int cmdFuzz(const Args& a) {
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
-  // The escape hatch switches every DeltaContext in the process (search,
-  // graph expansion, exact frontier, fuzz oracles) to the pre-arena backend;
-  // results are bit-identical, only the hot-path cost differs.
-  if (a.get("no-arena", "0") == "1")
-    search::DeltaContext::setDefaultUseArena(false);
-  // Same pattern for the accepted-move hot path: --no-action-index switches
-  // every consumer of the maintained action index (SA, sampling pool, graph
-  // expansion, exact frontier, Dojo::moves) back to full re-enumeration, and
-  // --no-rebase makes every DeltaContext accept() re-bind from scratch.
-  // Traces and certificates are bit-identical either way.
-  if (a.get("no-action-index", "0") == "1")
-    transform::ActionSet::setDefaultEnabled(false);
-  if (a.get("no-rebase", "0") == "1")
-    search::DeltaContext::setDefaultUseRebase(false);
   try {
     if (a.command == "list") return cmdList();
     if (a.command == "show") return cmdShow(a);

@@ -1,6 +1,6 @@
 // Incrementally-maintained applicable-action index: the accepted-move side
-// of the hot path. PR 8 made neighbor *pricing* O(dirty subtree); what kept
-// accepted moves O(program) was re-running transform::allActions — 20
+// of the hot path. Neighbor *pricing* is O(dirty subtree); what would keep
+// accepted moves O(program) is re-running transform::allActions — 20
 // transforms × full-tree findApplicable walks — after every acceptance.
 //
 // ActionSet keeps one location list per transform and, after an accepted
@@ -30,8 +30,8 @@
 //   transform::allActions(p, caps) after every bind()/update().
 //
 // Decision sequences, traces and optimality certificates are therefore
-// bit-identical with the index on or off; the property suite and the
-// fuzzer's action-set oracle layer enforce it element-for-element.
+// exactly those a fresh enumeration per state would give; the property suite
+// and the fuzzer's action-set oracle layer enforce it element-for-element.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +66,6 @@ struct ActionSetStats {
 class ActionSet {
  public:
   ActionSet() = default;
-
-  /// Process-wide default for whether search tiers maintain an ActionSet at
-  /// all (the CLI's --no-action-index escape hatch flips this once at
-  /// startup). Mirrors DeltaContext::setDefaultUseArena.
-  static void setDefaultEnabled(bool v);
-  static bool defaultEnabled();
 
   /// Full enumeration of `p` against the standard transform library.
   void bind(const ir::Program& p, const MachineCaps& caps);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/arena.h"
 #include "ir/incremental.h"
 #include "ir/program.h"
 #include "transform/transform.h"
@@ -30,11 +31,11 @@ class History {
   const std::vector<Step>& steps() const { return steps_; }
   std::size_t size() const { return steps_.size(); }
 
-  /// ir::canonicalHash(current()), maintained incrementally: push() updates
-  /// it from the applied transform's mutation summary instead of re-rendering
-  /// the whole program (sequence edits rebuild). The deterministic passes and
+  /// ir::canonicalHash(current()), maintained incrementally: push() rebases
+  /// the canonical form from the applied transform's mutation summary
+  /// instead of re-rendering the whole program (sequence edits re-bind). The deterministic passes and
   /// the memoized evaluation layer key on this value.
-  std::uint64_t currentHash() const { return inc_.hash(); }
+  std::uint64_t currentHash() const { return canon_.hash(); }
 
   /// Mutation summary of the last push() — the report currentHash() was
   /// updated from — so callers can splice their own per-state indices (the
@@ -79,7 +80,7 @@ class History {
   ir::Program original_;
   ir::Program current_;
   std::vector<Step> steps_;
-  ir::IncrementalCanonical inc_;  // canonical form of current_
+  ir::CanonicalArena canon_;  // canonical form of current_
   ir::MutationSummary last_mut_ = ir::MutationSummary::conservative();
 };
 

@@ -6,12 +6,16 @@
 // bind()/update() the maintained list is element-identical — same elements,
 // same order — to a fresh transform::allActions enumeration; a rebased arena
 // is indistinguishable column by column from a freshly bound one; and every
-// search tier makes exactly the decisions of the re-enumerating pipeline
-// whether the index and the rebase are on or off, on one thread or eight.
+// search tier makes exactly the decisions of a reference written from the
+// definitions — a fresh allActions per state, children as copies — on one
+// thread or eight. In the test names, "index off" is that reference.
 //
 // Suite names deliberately contain "ActionSet"/"Rebase" so the CI
 // ThreadSanitizer job's -R regex picks them up.
+#include <deque>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,7 +33,9 @@
 #include "support/rng.h"
 #include "support/telemetry.h"
 #include "transform/action_set.h"
+#include "transform/history.h"
 #include "transform/transform.h"
+#include "reference_search.h"
 
 namespace perfdojo::search {
 namespace {
@@ -41,13 +47,6 @@ const std::vector<const char*>& corpusLabels() {
                                                   "matmul", "mul"};
   return labels;
 }
-
-/// Restores a process-wide default on scope exit, so a failing assertion in
-/// one test cannot leak a disabled index into the rest of the binary.
-struct IndexDefaultGuard {
-  bool saved = transform::ActionSet::defaultEnabled();
-  ~IndexDefaultGuard() { transform::ActionSet::setDefaultEnabled(saved); }
-};
 
 TEST(ActionSet, MatchesFreshEnumerationAlongSeededTrajectories) {
   // The core invariant, quantified over kernels x caps profiles x seeded
@@ -193,62 +192,45 @@ TEST(Rebase, ConservativeSummaryEqualsFreshBind) {
 }
 
 TEST(Rebase, DeltaAcceptMatchesRebindOnBothBackends) {
-  // The accepted-move path: a context that rebases in place after accept()
-  // must stay bit-identical — base hash and program — to one that rebinds
-  // from scratch, for either canonical-form backend.
-  for (const bool use_arena : {true, false}) {
-    SCOPED_TRACE(use_arena ? "arena backend" : "line-cache backend");
-    ir::Program p = kernels::findKernel("softmax")->build();
-    DeltaContext fast, slow;
-    fast.setUseArena(use_arena);
-    slow.setUseArena(use_arena);
-    fast.setUseRebase(true);
-    slow.setUseRebase(false);
-    fast.bind(p);
-    slow.bind(p);
-    Rng rng(41);
-    for (int step = 0; step < 8; ++step) {
-      const auto actions = transform::allActions(p, machines::xeon().caps());
-      if (actions.empty()) break;
-      const auto& a = actions[rng.uniform(actions.size())];
-      const ir::Program& pf = fast.accept(a);
-      const ir::Program& ps = slow.accept(a);
-      ASSERT_EQ(fast.baseHash(), slow.baseHash()) << "step " << step;
-      ASSERT_EQ(fast.baseHash(), ir::canonicalHash(pf)) << "step " << step;
-      ASSERT_TRUE(ir::canonicallyEqual(pf, ps)) << "step " << step;
-      // Both contexts must keep pricing neighbors identically after the
-      // in-place rebase.
-      const auto next = transform::allActions(pf, machines::xeon().caps());
-      if (!next.empty())
-        ASSERT_EQ(fast.neighborHash(next.front()),
-                  slow.neighborHash(next.front()))
-            << "step " << step;
-      p = pf;
-    }
-    EXPECT_EQ(fast.stats().accept_rebinds, 0);
-    EXPECT_GT(slow.stats().accept_rebinds, 0);
+  // The accepted-move path through both consumers of the arena rebase: a
+  // DeltaContext's accept() and a History's push(). After every step each
+  // must be bit-identical — hash and program — to a fresh bind of the
+  // program the definition gives (a chain of copies a.apply(p)), and the
+  // context must keep pricing neighbors exactly.
+  ir::Program p = kernels::findKernel("softmax")->build();
+  DeltaContext dctx;
+  dctx.bind(p);
+  transform::History history(p);
+  Rng rng(41);
+  int step = 0;
+  for (; step < 8; ++step) {
+    const auto actions = transform::allActions(p, machines::xeon().caps());
+    if (actions.empty()) break;
+    const auto& a = actions[rng.uniform(actions.size())];
+    const ir::Program next = a.apply(p);
+    const std::uint64_t want = ir::CanonicalArena(next).hash();
+    const ir::Program& accepted = dctx.accept(a);
+    history.push(a);
+    ASSERT_EQ(dctx.baseHash(), want) << "step " << step;
+    ASSERT_EQ(history.currentHash(), want) << "step " << step;
+    ASSERT_TRUE(ir::canonicallyEqual(accepted, next)) << "step " << step;
+    ASSERT_TRUE(ir::canonicallyEqual(history.current(), next))
+        << "step " << step;
+    for (const auto& b : transform::allActions(next, machines::xeon().caps()))
+      ASSERT_EQ(dctx.neighborHash(b), ir::canonicalHash(b.apply(next)))
+          << "step " << step << ": " << b.describe(next);
+    p = next;
   }
-}
-
-/// Drops every "wall_ms" field from a JSONL trace: the only member whose
-/// value legitimately varies between bit-identical runs.
-std::string stripWallClock(std::string jsonl) {
-  const std::string key = ",\"wall_ms\":";
-  for (std::size_t at; (at = jsonl.find(key)) != std::string::npos;) {
-    std::size_t end = at + key.size();
-    while (end < jsonl.size() && jsonl[end] != ',' && jsonl[end] != '}') ++end;
-    jsonl.erase(at, end - at);
-  }
-  return jsonl;
+  EXPECT_EQ(dctx.stats().accepts, step);
+  EXPECT_GT(step, 0);
 }
 
 TEST(ActionSet, SearchTracesBitIdenticalIndexOnOffAcrossThreads) {
-  // The acceptance criterion of the action-set PR: decision sequences,
-  // traces, best cost and eval counts bit-identical with the index and the
-  // rebase on or off, threads 1 or 8. The reference is the re-enumerating
-  // pipeline (index off, rebase off).
+  // Decision sequences, traces, best cost and eval counts of the indexed
+  // annealer, threads 1 or 8, against the reference loop that re-enumerates
+  // every state with a fresh allActions.
   const auto& m = machines::xeon();
-  for (const char* label : {"softmax", "matmul"}) {
+  for (const char* label : {"layernorm_1", "mul"}) {
     const ir::Program kernel = kernels::findKernel(label)->build();
     SearchConfig base;
     base.method = SearchMethod::SimulatedAnnealing;
@@ -256,45 +238,29 @@ TEST(ActionSet, SearchTracesBitIdenticalIndexOnOffAcrossThreads) {
     base.budget = 160;
     base.max_steps = 10;
     base.seed = 7;
-
     Telemetry ref_sink;
-    SearchConfig ref_cfg = base;
-    ref_cfg.threads = 1;
-    ref_cfg.use_action_index = false;
-    ref_cfg.use_rebase = false;
-    ref_cfg.telemetry = &ref_sink;
-    const auto reference = runSearch(kernel, m, ref_cfg);
-    const std::string ref_trace = stripWallClock(ref_sink.buffered());
-    ASSERT_FALSE(ref_trace.empty());
-
+    const auto ref = reference::annealingEdges(kernel, m, base, ref_sink);
+    ASSERT_FALSE(ref_sink.buffered().empty());
     for (int threads : {1, 8}) {
-      for (bool use_index : {false, true}) {
-        for (bool use_rebase : {false, true}) {
-          if (!use_index && !use_rebase && threads == 1) continue;  // the ref
-          SCOPED_TRACE(::testing::Message()
-                       << label << " threads=" << threads
-                       << " index=" << use_index << " rebase=" << use_rebase);
-          Telemetry sink;
-          SearchConfig cfg = base;
-          cfg.threads = threads;
-          cfg.use_action_index = use_index;
-          cfg.use_rebase = use_rebase;
-          cfg.telemetry = &sink;
-          const auto r = runSearch(kernel, m, cfg);
-          EXPECT_EQ(reference.best_runtime, r.best_runtime);
-          EXPECT_EQ(reference.evals, r.evals);
-          EXPECT_TRUE(ir::canonicallyEqual(reference.best, r.best));
-          ASSERT_EQ(reference.trace.size(), r.trace.size());
-          for (std::size_t i = 0; i < reference.trace.size(); ++i)
-            ASSERT_EQ(reference.trace[i], r.trace[i]) << "at eval " << i;
-          EXPECT_EQ(stripWallClock(sink.buffered()), ref_trace);
-        }
-      }
+      SCOPED_TRACE(::testing::Message() << label << " threads=" << threads);
+      Telemetry sink;
+      SearchConfig cfg = base;
+      cfg.threads = threads;
+      cfg.telemetry = &sink;
+      const auto r = runSearch(kernel, m, cfg);
+      EXPECT_EQ(ref.best_runtime, r.best_runtime);
+      EXPECT_EQ(static_cast<int>(ref.trace.size()), r.evals);
+      EXPECT_TRUE(ir::canonicallyEqual(ref.best, r.best));
+      EXPECT_EQ(ref.trace, r.trace);
+      EXPECT_EQ(reference::eventLines(sink.buffered(), "sa_step"),
+                ref_sink.buffered());
     }
   }
 }
 
 TEST(ActionSet, RandomSamplingTracesBitIdenticalIndexOnOff) {
+  // The sampling pool binds one ActionSet per drawn parent streak; the run
+  // must match the serial reference that re-enumerates every draw.
   const auto& m = machines::xeon();
   const ir::Program kernel = kernels::findKernel("softmax")->build();
   SearchConfig base;
@@ -303,75 +269,100 @@ TEST(ActionSet, RandomSamplingTracesBitIdenticalIndexOnOff) {
   base.budget = 120;
   base.max_steps = 8;
   base.seed = 11;
-
-  SearchConfig ref_cfg = base;
-  ref_cfg.use_action_index = false;
-  const auto reference = runSearch(kernel, m, ref_cfg);
-
-  SearchConfig cfg = base;
-  cfg.use_action_index = true;
-  const auto r = runSearch(kernel, m, cfg);
-  EXPECT_EQ(reference.best_runtime, r.best_runtime);
-  EXPECT_EQ(reference.evals, r.evals);
-  EXPECT_TRUE(ir::canonicallyEqual(reference.best, r.best));
-  ASSERT_EQ(reference.trace.size(), r.trace.size());
-  for (std::size_t i = 0; i < reference.trace.size(); ++i)
-    ASSERT_EQ(reference.trace[i], r.trace[i]) << "at eval " << i;
+  const auto ref = reference::randomSamplingEdges(kernel, m, base);
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    SearchConfig cfg = base;
+    cfg.threads = threads;
+    const auto r = runSearch(kernel, m, cfg);
+    EXPECT_EQ(ref.best_runtime, r.best_runtime);
+    EXPECT_EQ(static_cast<int>(ref.trace.size()), r.evals);
+    EXPECT_TRUE(ir::canonicallyEqual(ref.best, r.best));
+    EXPECT_EQ(ref.trace, r.trace);
+    EXPECT_EQ(ref.unique_programs, r.stats.unique_programs);
+  }
 }
 
 TEST(ActionSet, GraphExpansionIdenticalIndexOnOff) {
   // The BFS graph derives each child's action set from its parent's via the
   // producing action's summary; the graph must be node- and edge-identical
-  // to the re-enumerating expansion.
-  IndexDefaultGuard guard;
+  // to the reference expansion below, which enumerates every node afresh
+  // and identifies children as copies by canonicalHash.
   const ir::Program p = kernels::findKernel("softmax")->build();
-  transform::ActionSet::setDefaultEnabled(true);
-  TransformationGraph indexed(p, machines::xeon(), /*max_depth=*/2,
-                              /*max_nodes=*/200);
-  transform::ActionSet::setDefaultEnabled(false);
-  TransformationGraph full(p, machines::xeon(), 2, 200);
+  const auto& m = machines::xeon();
+  constexpr int kDepth = 2;
+  constexpr std::size_t kMaxNodes = 200;
+  const TransformationGraph g(p, m, kDepth, kMaxNodes);
 
-  ASSERT_EQ(indexed.nodeCount(), full.nodeCount());
-  ASSERT_EQ(indexed.edgeCount(), full.edgeCount());
-  auto it = full.nodes().begin();
-  for (const auto& [hash, node] : indexed.nodes()) {
+  struct RefNode {
+    int depth;
+    double runtime;
+  };
+  std::map<std::uint64_t, RefNode> nodes;
+  std::vector<GraphEdge> edges;
+  std::deque<std::pair<std::uint64_t, ir::Program>> frontier;
+  const std::uint64_t root = ir::canonicalHash(p);
+  nodes[root] = {0, m.evaluate(p)};
+  frontier.emplace_back(root, p);
+  while (!frontier.empty() && nodes.size() < kMaxNodes) {
+    const auto [h, q] = frontier.front();
+    frontier.pop_front();
+    const int depth = nodes.at(h).depth;
+    for (const auto& a : transform::allActions(q, m.caps())) {
+      if (nodes.size() >= kMaxNodes) break;
+      ir::Program child = a.apply(q);
+      const std::uint64_t ch = ir::canonicalHash(child);
+      edges.push_back({h, ch, a.describe(q)});
+      if (nodes.count(ch)) continue;
+      nodes[ch] = {depth + 1, m.evaluate(child)};
+      if (depth + 1 < kDepth) frontier.emplace_back(ch, std::move(child));
+    }
+  }
+
+  ASSERT_EQ(g.nodeCount(), nodes.size());
+  ASSERT_EQ(g.edgeCount(), edges.size());
+  auto it = nodes.begin();
+  for (const auto& [hash, node] : g.nodes()) {
     ASSERT_EQ(hash, it->first);
     EXPECT_EQ(node.runtime, it->second.runtime);
     EXPECT_EQ(node.depth, it->second.depth);
+    EXPECT_EQ(ir::canonicalHash(node.program), hash);
     ++it;
   }
-  for (std::size_t i = 0; i < indexed.edges().size(); ++i) {
-    EXPECT_EQ(indexed.edges()[i].from, full.edges()[i].from) << "edge " << i;
-    EXPECT_EQ(indexed.edges()[i].to, full.edges()[i].to) << "edge " << i;
-    EXPECT_EQ(indexed.edges()[i].label, full.edges()[i].label) << "edge " << i;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(g.edges()[i].from, edges[i].from) << "edge " << i;
+    EXPECT_EQ(g.edges()[i].to, edges[i].to) << "edge " << i;
+    EXPECT_EQ(g.edges()[i].label, edges[i].label) << "edge " << i;
   }
-  EXPECT_EQ(indexed.best().hash, full.best().hash);
 }
 
 TEST(ActionSet, ExactCertificatesBitIdenticalIndexOnOffAcrossThreads) {
   // The exact tier's frontier re-materialization replays trajectories through
   // a copied kernel-bound index; its proof objects must not depend on that.
-  IndexDefaultGuard guard;
+  // Unpruned, it must visit exactly the reference ball; pruned, it must find
+  // the same optimum and identical certificates at threads 1 and 8.
   const ir::Program kernel = kernels::findKernel("mul")->build_small();
   const auto& m = machines::snitch();
   ExactConfig cfg;
   cfg.depth = 3;
   cfg.threads = 1;
   cfg.kernel_label = "mul";
+  const auto ball = reference::exactBall(kernel, m, cfg.depth);
 
-  transform::ActionSet::setDefaultEnabled(false);
-  const auto reference = runExact(kernel, m, cfg);
+  ExactConfig unpruned = cfg;
+  unpruned.prune = false;
+  const auto full = runExact(kernel, m, unpruned);
+  EXPECT_EQ(full.cert.states, ball.states);
+  EXPECT_EQ(full.best_cost, ball.optimum);
 
-  transform::ActionSet::setDefaultEnabled(true);
-  for (int threads : {1, 8}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ExactConfig c = cfg;
-    c.threads = threads;
-    const auto r = runExact(kernel, m, c);
-    EXPECT_EQ(r.cert.toJson(), reference.cert.toJson());
-    EXPECT_EQ(r.best_cost, reference.best_cost);
-    EXPECT_TRUE(ir::canonicallyEqual(r.best, reference.best));
-  }
+  const auto serial = runExact(kernel, m, cfg);
+  EXPECT_EQ(serial.best_cost, ball.optimum);
+  ExactConfig c = cfg;
+  c.threads = 8;
+  const auto r = runExact(kernel, m, c);
+  EXPECT_EQ(r.cert.toJson(), serial.cert.toJson());
+  EXPECT_EQ(r.best_cost, serial.best_cost);
+  EXPECT_TRUE(ir::canonicallyEqual(r.best, serial.best));
 }
 
 }  // namespace

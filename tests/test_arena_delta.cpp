@@ -1,11 +1,14 @@
 // Property and bit-identity suite for the arena-backed delta pricing path.
 //
-// The contract under test (see src/search/delta.h): for EITHER canonical-form
-// backend — the CanonicalArena and the per-node line cache it replaced —
+// The contract under test (see src/search/delta.h):
 // DeltaContext::neighborHash(a) equals ir::canonicalHash(a.apply(base))
 // bit-for-bit, a throwing action leaves the context fully resynchronized,
-// and a search run makes exactly the decisions of the copy pipeline whether
-// the arena is on or off, on one thread or eight.
+// and a search run makes exactly the decisions of the reference loop that
+// prices by copy and full render, on one thread or eight.
+//
+// "Both backends" below are the two ways a context's canonical form reaches
+// a base: a fresh bind() and an in-place rebase by accept(). Both must price
+// every neighbor exactly as the definition does.
 //
 // Suite names deliberately contain "Arena"/"Delta" so the CI ThreadSanitizer
 // job's -R regex picks them up.
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/arena.h"
 #include "ir/canonical.h"
 #include "ir/walk.h"
 #include "kernels/kernels.h"
@@ -24,6 +28,7 @@
 #include "support/common.h"
 #include "support/telemetry.h"
 #include "transform/transform.h"
+#include "reference_search.h"
 
 namespace perfdojo::search {
 namespace {
@@ -51,142 +56,135 @@ transform::Action poisonAction() {
   return a;
 }
 
+/// Brings two contexts to the same base the two ways: `rebased` binds `p`
+/// and accept()s its first action, `fresh` binds the accepted program
+/// directly. Returns false when `p` offers no action.
+bool bothBackends(const ir::Program& p, DeltaContext& fresh,
+                  DeltaContext& rebased) {
+  const auto actions = transform::allActions(p, machines::xeon().caps());
+  if (actions.empty()) return false;
+  rebased.bind(p);
+  fresh.bind(rebased.accept(actions.front()));
+  return true;
+}
+
 TEST(ArenaDelta, NeighborHashMatchesCopyHashOnBothBackends) {
   for (const auto& p : propertyCorpus()) {
-    const auto actions = transform::allActions(p, machines::xeon().caps());
+    DeltaContext fresh, rebased;
+    ASSERT_TRUE(bothBackends(p, fresh, rebased));
+    const ir::Program q = fresh.base();
+    const auto actions = transform::allActions(q, machines::xeon().caps());
     ASSERT_FALSE(actions.empty());
-    for (const bool use_arena : {true, false}) {
+    for (DeltaContext* dctx : {&fresh, &rebased}) {
       SCOPED_TRACE(::testing::Message()
-                   << (use_arena ? "arena" : "line-cache") << " backend, "
-                   << ir::nodeCount(p.root) << " nodes");
-      DeltaContext dctx;
-      dctx.setUseArena(use_arena);
-      dctx.bind(p);
-      EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(p));
+                   << (dctx == &fresh ? "bound" : "rebased") << " context, "
+                   << ir::nodeCount(q.root) << " nodes");
+      EXPECT_EQ(dctx->baseHash(), ir::canonicalHash(q));
       // Two full passes over the neighbor set: the second proves the
       // watermark undo restored the scratch state exactly after every
       // single mutation of the first.
       for (int pass = 0; pass < 2; ++pass) {
         for (const auto& a : actions)
-          ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
-              << "pass " << pass << ": " << a.describe(p);
+          ASSERT_EQ(dctx->neighborHash(a), ir::canonicalHash(a.apply(q)))
+              << "pass " << pass << ": " << a.describe(q);
       }
-      EXPECT_EQ(dctx.stats().neighbors_hashed,
-                2 * static_cast<std::int64_t>(actions.size()));
+      // The visited scratch tree is the neighbor itself.
+      for (const auto& a : actions)
+        dctx->neighborVisit(a, [&](std::uint64_t, const ir::Program& n) {
+          ASSERT_TRUE(ir::canonicallyEqual(n, a.apply(q))) << a.describe(q);
+        });
+      EXPECT_EQ(dctx->stats().neighbors_hashed,
+                3 * static_cast<std::int64_t>(actions.size()));
     }
   }
 }
 
 TEST(ArenaDelta, ThrowingActionLeavesContextBitExactOnBothBackends) {
-  // The satellite regression: a failing action must fully resynchronize the
-  // scratch tree and the canonical form, so the NEXT neighbor hashes exactly
-  // as a fresh copy-based hash would. Interleaving a poison action before
-  // every valid neighbor exercises the resync on every mutation shape the
-  // corpus offers.
+  // A failing action must fully resynchronize the scratch tree and the
+  // canonical form, so the NEXT neighbor hashes exactly as a fresh
+  // copy-based hash would. Interleaving a poison action before every valid
+  // neighbor exercises the resync on every mutation shape the corpus offers.
   const auto poison = poisonAction();
   for (const auto& p : propertyCorpus()) {
-    const auto actions = transform::allActions(p, machines::xeon().caps());
-    for (const bool use_arena : {true, false}) {
-      SCOPED_TRACE(::testing::Message()
-                   << (use_arena ? "arena" : "line-cache") << " backend");
-      DeltaContext dctx;
-      dctx.setUseArena(use_arena);
-      dctx.bind(p);
+    DeltaContext fresh, rebased;
+    ASSERT_TRUE(bothBackends(p, fresh, rebased));
+    const ir::Program q = fresh.base();
+    const auto actions = transform::allActions(q, machines::xeon().caps());
+    for (DeltaContext* dctx : {&fresh, &rebased}) {
+      SCOPED_TRACE(dctx == &fresh ? "bound context" : "rebased context");
       for (const auto& a : actions) {
-        EXPECT_THROW(dctx.neighborHash(poison), Error);
-        ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
-            << "after a throwing action: " << a.describe(p);
+        EXPECT_THROW(dctx->neighborHash(poison), Error);
+        ASSERT_EQ(dctx->neighborHash(a), ir::canonicalHash(a.apply(q)))
+            << "after a throwing action: " << a.describe(q);
       }
+      // A throwing accept leaves the old base in place, fully usable.
+      EXPECT_THROW(dctx->accept(poison), Error);
+      EXPECT_EQ(dctx->baseHash(), ir::canonicalHash(q));
+      ASSERT_TRUE(ir::canonicallyEqual(dctx->base(), q));
       // The context survives rebinding after all that abuse.
-      const ir::Program q = actions.front().apply(p);
-      dctx.bind(q);
-      EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(q));
+      const ir::Program r = actions.front().apply(q);
+      dctx->bind(r);
+      EXPECT_EQ(dctx->baseHash(), ir::canonicalHash(r));
     }
   }
 }
 
 TEST(ArenaDelta, BackendsAgreeAlongAGreedyWalk) {
-  // Rebind-per-acceptance, the shape of the annealing loop: walk a few
-  // accepted steps deep and require both backends to price every neighbor
-  // of every intermediate state identically.
+  // Accept-per-step, the shape of the annealing loop: walk a few accepted
+  // steps deep through accept() (the rebased backend) and require, at every
+  // intermediate state, the program the definition gives (a chain of
+  // copies), the hash a fresh CanonicalArena::bind gives, and every
+  // neighbor priced as canonicalHash(a.apply(p)).
   ir::Program p = kernels::findKernel("softmax")->build();
+  DeltaContext dctx;
+  dctx.bind(p);
   for (int depth = 0; depth < 6; ++depth) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
     if (actions.empty()) break;
-    DeltaContext arena, lines;
-    arena.setUseArena(true);
-    lines.setUseArena(false);
-    arena.bind(p);
-    lines.bind(p);
-    for (const auto& a : actions) {
-      const std::uint64_t h = arena.neighborHash(a);
-      ASSERT_EQ(h, lines.neighborHash(a)) << "depth " << depth;
-    }
-    // Accept the last neighbor; materialize must match the plain copy.
+    for (const auto& a : actions)
+      ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
+          << "depth " << depth << ": " << a.describe(p);
     const auto& pick = actions[static_cast<std::size_t>(depth) %
                                actions.size()];
-    const ir::Program next = arena.materialize(pick);
-    ASSERT_TRUE(ir::canonicallyEqual(next, pick.apply(p)));
+    const ir::Program next = pick.apply(p);
+    const ir::Program& accepted = dctx.accept(pick);
+    ASSERT_TRUE(ir::canonicallyEqual(accepted, next)) << "depth " << depth;
+    ASSERT_EQ(dctx.baseHash(), ir::CanonicalArena(next).hash())
+        << "depth " << depth;
     p = next;
   }
-}
-
-/// Drops every "wall_ms" field from a JSONL trace: the only member whose
-/// value legitimately varies between bit-identical runs.
-std::string stripWallClock(std::string jsonl) {
-  const std::string key = ",\"wall_ms\":";
-  for (std::size_t at; (at = jsonl.find(key)) != std::string::npos;) {
-    std::size_t end = at + key.size();
-    while (end < jsonl.size() && jsonl[end] != ',' && jsonl[end] != '}') ++end;
-    jsonl.erase(at, end - at);
-  }
-  return jsonl;
+  EXPECT_GT(dctx.stats().accepts, 0);
 }
 
 TEST(ArenaDelta, SearchTracesBitIdenticalArenaOnOffAcrossThreads) {
-  // The acceptance criterion from the arena PR: traces, best cost and memo
-  // counters bit-identical with the arena on or off, threads 1 or 8. The
-  // reference is the copy pipeline (no delta at all); every modern
-  // combination must reproduce its decisions exactly.
-  const auto& m = machines::xeon();
+  // Arena-priced runs at threads 1 and 8 against the reference loop, which
+  // never touches an arena: every neighbor is a copy hashed by full render.
+  // Traces, best cost and memo counters must be bit-identical.
   for (const char* label : {"softmax", "matmul"}) {
-    const ir::Program kernel = kernels::findKernel(label)->build();
-    SearchConfig base;
-    base.method = SearchMethod::SimulatedAnnealing;
-    base.structure = SpaceStructure::Edges;
-    base.budget = 160;
-    base.max_steps = 10;
-    base.seed = 7;
-
-    Telemetry ref_sink;
-    SearchConfig ref_cfg = base;
-    ref_cfg.threads = 1;
-    ref_cfg.use_delta = false;
-    ref_cfg.use_arena = false;
-    ref_cfg.batch_neighbors = false;
-    ref_cfg.telemetry = &ref_sink;
-    const auto reference = runSearch(kernel, m, ref_cfg);
-    const std::string ref_trace = stripWallClock(ref_sink.buffered());
-    ASSERT_FALSE(ref_trace.empty());
-
-    for (int threads : {1, 8}) {
-      for (bool use_arena : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << label << " threads=" << threads
-                                          << " arena=" << use_arena);
+    for (const auto* m : {&machines::snitch(), &machines::gh200()}) {
+      const ir::Program kernel = kernels::findKernel(label)->build();
+      SearchConfig base;
+      base.method = SearchMethod::SimulatedAnnealing;
+      base.structure = SpaceStructure::Edges;
+      base.budget = 160;
+      base.max_steps = 10;
+      base.seed = 7;
+      Telemetry ref_sink;
+      const auto ref = reference::annealingEdges(kernel, *m, base, ref_sink);
+      for (int threads : {1, 8}) {
+        SCOPED_TRACE(::testing::Message() << label << " on " << m->name()
+                                          << " threads=" << threads);
         Telemetry sink;
         SearchConfig cfg = base;
         cfg.threads = threads;
-        cfg.use_delta = true;
-        cfg.use_arena = use_arena;
         cfg.telemetry = &sink;
-        const auto r = runSearch(kernel, m, cfg);
-        EXPECT_EQ(reference.best_runtime, r.best_runtime);
-        EXPECT_EQ(reference.evals, r.evals);
-        EXPECT_TRUE(ir::canonicallyEqual(reference.best, r.best));
-        ASSERT_EQ(reference.trace.size(), r.trace.size());
-        for (std::size_t i = 0; i < reference.trace.size(); ++i)
-          ASSERT_EQ(reference.trace[i], r.trace[i]) << "at eval " << i;
-        EXPECT_EQ(stripWallClock(sink.buffered()), ref_trace);
+        const auto r = runSearch(kernel, *m, cfg);
+        EXPECT_EQ(ref.best_runtime, r.best_runtime);
+        EXPECT_TRUE(ir::canonicallyEqual(ref.best, r.best));
+        EXPECT_EQ(ref.trace, r.trace);
+        EXPECT_EQ(reference::eventLines(sink.buffered(), "sa_step"),
+                  ref_sink.buffered());
+        EXPECT_EQ(r.stats.unique_programs, ref.unique_programs);
       }
     }
   }

@@ -1,5 +1,6 @@
-// Property suite for the incremental canonical-hash machinery: after every
-// apply/undo step of any trajectory, the incrementally maintained hash must
+// Property suite for the MutationSummary contract as ir::CanonicalArena
+// consumes it: after every apply/undo step of any trajectory, both the
+// read-only probe of a mutated program and the in-place rebase onto it must
 // equal fnv1a(canonicalText(p)) — the exact value memo tables, witness files
 // and telemetry key on. Covers every Table-3 kernel crossed with every
 // applicable transform (single-step exhaustive) and with seeded random
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/arena.h"
 #include "ir/canonical.h"
 #include "ir/incremental.h"
 #include "ir/walk.h"
@@ -34,7 +36,7 @@ using transform::Transform;
 /// The ground truth the whole subsystem is measured against. Spelled out as
 /// fnv1a(canonicalText(p)) rather than canonicalHash(p) so the property does
 /// not become a tautology if canonicalHash is ever rerouted through the
-/// incremental path.
+/// arena.
 std::uint64_t groundTruth(const Program& p) {
   const std::string text = canonicalText(p);
   return fnv1a(text.data(), text.size());
@@ -46,41 +48,51 @@ const std::vector<const machines::Machine*>& profileMachines() {
   return ms;
 }
 
-TEST(IncrementalCanonical, RebuildMatchesFullRenderOnEveryKernel) {
+/// Both ways the arena consumes a summary for the mutation p -> q: the
+/// read-only probe from p's arena, and the in-place rebase onto q.
+void expectProbeAndRebase(const Program& p, const Program& q,
+                          const MutationSummary& mut, const std::string& what) {
+  CanonicalArena arena(p);
+  EXPECT_EQ(arena.probe(q, mut), groundTruth(q)) << "probe: " << what;
+  arena.rebase(q, mut);
+  EXPECT_EQ(arena.hash(), groundTruth(q)) << "rebase: " << what;
+  EXPECT_EQ(arena.text(), canonicalText(q)) << "rebase: " << what;
+}
+
+TEST(CanonicalArena, RebuildMatchesFullRenderOnEveryKernel) {
   for (const auto* cat : {&kernels::table3(), &kernels::snitchMicro()}) {
     for (const auto& k : *cat) {
       const Program p = k.build_small();
-      IncrementalCanonical inc(p);
-      EXPECT_EQ(inc.hash(), groundTruth(p)) << k.label;
-      EXPECT_EQ(inc.text(p), canonicalText(p)) << k.label;
-      EXPECT_EQ(inc.cachedLines(), nodeCount(p.root) - 1) << k.label;
+      const CanonicalArena arena(p);
+      EXPECT_EQ(arena.hash(), groundTruth(p)) << k.label;
+      EXPECT_EQ(arena.text(), canonicalText(p)) << k.label;
+      EXPECT_EQ(arena.size(), nodeCount(p.root) - 1) << k.label;
     }
   }
 }
 
-TEST(IncrementalCanonical, NoneSummaryIsAnIdentityUpdate) {
+TEST(CanonicalArena, NoneSummaryIsAnIdentityUpdate) {
   const Program p = kernels::makeSoftmax(4, 8);
-  IncrementalCanonical inc(p);
-  const std::uint64_t before = inc.hash();
-  inc.update(p, MutationSummary::none());
-  EXPECT_EQ(inc.hash(), before);
-  EXPECT_EQ(inc.hash(), groundTruth(p));
+  CanonicalArena arena(p);
+  const std::uint64_t before = arena.hash();
+  EXPECT_EQ(arena.probe(p, MutationSummary::none()), before);
+  arena.rebase(p, MutationSummary::none());
+  EXPECT_EQ(arena.hash(), before);
+  EXPECT_EQ(arena.hash(), groundTruth(p));
 }
 
-TEST(IncrementalCanonical, ConservativeSummaryRecoversFromAnyStaleness) {
+TEST(CanonicalArena, ConservativeSummaryRecoversFromAnyStaleness) {
   // A conservative summary must resynchronize even when the tree changed in
   // ways no dirty root describes (here: a whole different program).
   const Program a = kernels::makeSoftmax(4, 8);
   const Program b = kernels::makeMatmul(4, 4, 4);
-  IncrementalCanonical inc(a);
-  inc.update(b, MutationSummary::conservative());
-  EXPECT_EQ(inc.hash(), groundTruth(b));
+  expectProbeAndRebase(a, b, MutationSummary::conservative(), "a -> b");
 }
 
-TEST(IncrementalCanonical, EveryApplicableTransformSingleStep) {
+TEST(CanonicalArena, EveryApplicableTransformSingleStep) {
   // Table-3 kernels x all three caps profiles x every action the library
-  // offers on the base program: one in-place apply, one incremental update,
-  // compared against a monolithic re-render. This is the exhaustive
+  // offers on the base program: one in-place apply, then a probe and a
+  // rebase from its summary, compared against a monolithic re-render. This is the exhaustive
   // single-step core of the tentpole invariant; anything reachable deeper is
   // covered statistically by the trajectory suite below.
   std::size_t checked = 0;
@@ -91,10 +103,10 @@ TEST(IncrementalCanonical, EveryApplicableTransformSingleStep) {
         Program q = p;
         MutationSummary mut;
         a.transform->applyInPlace(q, a.loc, &mut);
-        IncrementalCanonical inc(p);
-        inc.update(q, mut);
-        ASSERT_EQ(inc.hash(), groundTruth(q))
-            << k.label << " on " << m->name() << ": " << a.describe(p);
+        expectProbeAndRebase(p, q, mut,
+                             k.label + " on " + m->name() + ": " +
+                                 a.describe(p));
+        if (::testing::Test::HasFailure()) return;
         ++checked;
       }
     }
@@ -103,7 +115,7 @@ TEST(IncrementalCanonical, EveryApplicableTransformSingleStep) {
   EXPECT_GT(checked, 500u);
 }
 
-TEST(IncrementalCanonical, HeaderOnlyMutationsRehashWithoutTreeRender) {
+TEST(CanonicalArena, HeaderOnlyMutationsRehashWithoutTreeRender) {
   // Memory transforms touch only the buffer header; their summaries say so.
   const Program p = kernels::makeSoftmax(4, 8);
   const auto& caps = machines::xeon().caps();
@@ -117,9 +129,7 @@ TEST(IncrementalCanonical, HeaderOnlyMutationsRehashWithoutTreeRender) {
       EXPECT_FALSE(mut.whole_tree) << t->name();
       EXPECT_TRUE(mut.buffers_changed) << t->name();
       EXPECT_TRUE(mut.dirty_scopes.empty()) << t->name();
-      IncrementalCanonical inc(p);
-      inc.update(q, mut);
-      EXPECT_EQ(inc.hash(), groundTruth(q)) << t->name();
+      expectProbeAndRebase(p, q, mut, t->name());
       exercised = true;
     }
   }
@@ -128,7 +138,7 @@ TEST(IncrementalCanonical, HeaderOnlyMutationsRehashWithoutTreeRender) {
 
 /// A transform that does not override applyInPlace: the base-class fallback
 /// must route it through apply() with a conservative summary, keeping every
-/// incremental consumer correct by default.
+/// summary consumer correct by default.
 class UnreportedScopeDoubler : public Transform {
  public:
   std::string name() const override { return "test_unreported_doubler"; }
@@ -152,7 +162,7 @@ class UnreportedScopeDoubler : public Transform {
   }
 };
 
-TEST(IncrementalCanonical, DefaultApplyInPlaceReportsConservatively) {
+TEST(CanonicalArena, DefaultApplyInPlaceReportsConservatively) {
   const UnreportedScopeDoubler t;
   const Program p = kernels::makeSoftmax(4, 8);
   const auto locs = t.findApplicable(p, machines::xeon().caps());
@@ -162,9 +172,7 @@ TEST(IncrementalCanonical, DefaultApplyInPlaceReportsConservatively) {
   t.applyInPlace(q, locs[0], &mut);
   EXPECT_TRUE(mut.whole_tree);
   EXPECT_TRUE(mut.buffers_changed);
-  IncrementalCanonical inc(p);
-  inc.update(q, mut);
-  EXPECT_EQ(inc.hash(), groundTruth(q));
+  expectProbeAndRebase(p, q, mut, t.name());
 }
 
 // --- Random trajectories: the 200-seed property walk per kernel ------------
@@ -209,8 +217,8 @@ TEST_P(TrajectoryHashP, IncrementalHashHoldsAcrossApplyAndUndo) {
           << k->label << " traj " << traj << " step " << step << " on "
           << m->name() << ": stale scratch after undoing "
           << a.transform->name() << ", probing " << b.transform->name();
-      // Committed view: History applies in place and updates its hash from
-      // the transform's own mutation summary.
+      // Committed view: History applies in place and rebases its canonical
+      // form from the transform's own mutation summary.
       h.push(a);
       const std::uint64_t full = groundTruth(h.current());
       ASSERT_EQ(h.currentHash(), full)

@@ -2,8 +2,8 @@
 // bit-identically, the stochastic tiers land within their recorded ratio of
 // the proven optimum (the Fig. 7 quality gate), Machine::lowerBound is
 // admissible along random trajectories, pruning and dedup never change the
-// optimum, and certificates are bit-identical across thread counts and delta
-// on/off.
+// optimum, and certificates are bit-identical across thread counts and match
+// a reference enumeration that hashes children by full render.
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -23,6 +23,7 @@
 #include "support/telemetry.h"
 #include "transform/history.h"
 #include "transform/transform.h"
+#include "reference_search.h"
 
 namespace perfdojo::search {
 namespace {
@@ -43,7 +44,7 @@ std::vector<std::string> baselineFiles() {
 /// The baselines were generated by `perfdojo certs --update` on the *small*
 /// kernel variants; recomputation must use the identical configuration.
 ExactResult recompute(const ExactCertificate& want, int threads = 0,
-                      bool use_delta = true, Telemetry* sink = nullptr) {
+                      Telemetry* sink = nullptr) {
   const auto* k = kernels::findKernel(want.kernel);
   const auto* m = machines::findMachine(want.machine);
   EXPECT_NE(k, nullptr) << want.kernel;
@@ -51,7 +52,6 @@ ExactResult recompute(const ExactCertificate& want, int threads = 0,
   ExactConfig cfg;
   cfg.depth = want.depth;
   cfg.threads = threads;
-  cfg.use_delta = use_delta;
   cfg.kernel_label = want.kernel;
   cfg.telemetry = sink;
   return runExact(k->build_small(), *m, cfg);
@@ -281,20 +281,15 @@ std::string stripField(std::string jsonl, const std::string& field) {
   return jsonl;
 }
 
-/// wall_ms is the one legitimately varying measurement; the `delta` member of
-/// exact_begin echoes the configuration under test. Everything else must be
-/// bit-identical.
-std::string normalizeTrace(const std::string& jsonl) {
-  return stripField(stripField(jsonl, "wall_ms"), "delta");
-}
-
 TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndDelta) {
-  // Mirrors Search.DeltaAndThreadsPreserveTraceBitIdentity: every
-  // {threads 1, 8} x {delta off, on} combination must produce the identical
-  // certificate JSON, state counts and telemetry stream (modulo wall_ms) as
-  // the serial copy-hashing reference. Dedup, budget and pruning decisions
-  // all run on the decision thread in a fixed order, so any divergence is a
-  // determinism bug, not noise.
+  // Mirrors Search.DeltaAndThreadsPreserveTraceBitIdentity: the frontier
+  // hashes children through DeltaContext, the reference ball hashes copies by
+  // full render. Unpruned, the tier must visit exactly the reference ball;
+  // pruned, threads 1 and 8 must produce the identical certificate JSON,
+  // state counts and telemetry stream (modulo wall_ms), at the reference
+  // optimum. Dedup, budget and pruning decisions all run on the decision
+  // thread in a fixed order, so any divergence is a determinism bug, not
+  // noise.
   for (const char* kernel : {"mul", "reducemean"}) {
     const auto* k = kernels::findKernel(kernel);
     ASSERT_NE(k, nullptr);
@@ -302,35 +297,37 @@ TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndDelta) {
     ExactConfig base_cfg;
     base_cfg.depth = 3;
     base_cfg.kernel_label = kernel;
+    const auto ball = reference::exactBall(k->build_small(), m, base_cfg.depth);
+
+    ExactConfig unpruned = base_cfg;
+    unpruned.prune = false;
+    const auto full = runExact(k->build_small(), m, unpruned);
+    EXPECT_EQ(full.cert.states, ball.states) << kernel;
+    EXPECT_EQ(full.machine_evals, ball.states) << kernel;
+    EXPECT_EQ(full.best_cost, ball.optimum) << kernel;
 
     Telemetry ref_sink;
     ExactConfig ref_cfg = base_cfg;
     ref_cfg.threads = 1;
-    ref_cfg.use_delta = false;
     ref_cfg.telemetry = &ref_sink;
     const auto ref = runExact(k->build_small(), m, ref_cfg);
     ASSERT_TRUE(ref.cert.complete) << kernel;
-    const std::string ref_trace = normalizeTrace(ref_sink.buffered());
+    EXPECT_EQ(ref.best_cost, ball.optimum) << kernel;
+    const std::string ref_trace = stripField(ref_sink.buffered(), "wall_ms");
     ASSERT_FALSE(ref_trace.empty());
 
-    for (int threads : {1, 8}) {
-      for (bool use_delta : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << kernel << " threads=" << threads
-                                          << " delta=" << use_delta);
-        Telemetry sink;
-        ExactConfig cfg = base_cfg;
-        cfg.threads = threads;
-        cfg.use_delta = use_delta;
-        cfg.telemetry = &sink;
-        const auto r = runExact(k->build_small(), m, cfg);
-        EXPECT_EQ(r.cert.toJson(), ref.cert.toJson());
-        EXPECT_EQ(r.cert.states, ref.cert.states);
-        EXPECT_EQ(r.best_cost, ref.best_cost);
-        EXPECT_EQ(r.machine_evals, ref.machine_evals);
-        EXPECT_TRUE(ir::canonicallyEqual(r.best, ref.best));
-        EXPECT_EQ(normalizeTrace(sink.buffered()), ref_trace);
-      }
-    }
+    SCOPED_TRACE(::testing::Message() << kernel << " threads=8");
+    Telemetry sink;
+    ExactConfig cfg = base_cfg;
+    cfg.threads = 8;
+    cfg.telemetry = &sink;
+    const auto r = runExact(k->build_small(), m, cfg);
+    EXPECT_EQ(r.cert.toJson(), ref.cert.toJson());
+    EXPECT_EQ(r.cert.states, ref.cert.states);
+    EXPECT_EQ(r.best_cost, ref.best_cost);
+    EXPECT_EQ(r.machine_evals, ref.machine_evals);
+    EXPECT_TRUE(ir::canonicallyEqual(r.best, ref.best));
+    EXPECT_EQ(stripField(sink.buffered(), "wall_ms"), ref_trace);
   }
 }
 

@@ -330,15 +330,15 @@ std::string stripWallClock(std::string jsonl) {
 TEST(Prior, TopkAllIsBitIdenticalToNoPrior) {
   // The escape-hatch contract: a loaded prior at topk=all (0) must leave the
   // search bit-identical to running with no prior at all — same best, same
-  // convergence trace, same telemetry stream — across threads 1/8 x
-  // delta/arena on/off. This is what lets --prior ride in every config
-  // without invalidating PR 9 baselines until -topk is set.
+  // convergence trace, same telemetry stream — at threads 1 and 8. This is
+  // what lets --prior ride in every config without invalidating recorded
+  // baselines until -topk is set.
   const auto& m = machines::xeon();
   const auto kernel = kernels::makeSoftmax(48, 24);
   const PriorModel prior = trainFromSearch(kernel, m);
   ASSERT_TRUE(prior.valid());
 
-  auto run = [&](const PriorModel* p, int threads, bool delta) {
+  auto run = [&](const PriorModel* p, int threads) {
     Telemetry sink;
     SearchConfig cfg;
     cfg.method = SearchMethod::SimulatedAnnealing;
@@ -346,8 +346,6 @@ TEST(Prior, TopkAllIsBitIdenticalToNoPrior) {
     cfg.budget = 100;
     cfg.seed = 5;
     cfg.threads = threads;
-    cfg.use_delta = delta;
-    cfg.use_arena = delta;
     cfg.telemetry = &sink;
     cfg.prior = p;
     cfg.prior_topk = search::kPriorTopkAll;
@@ -357,18 +355,15 @@ TEST(Prior, TopkAllIsBitIdenticalToNoPrior) {
                            r.stats.prior_filtered);
   };
 
-  const auto ref = run(nullptr, 1, true);
+  const auto ref = run(nullptr, 1);
   for (int threads : {1, 8}) {
-    for (bool delta : {true, false}) {
-      const auto got = run(&prior, threads, delta);
-      EXPECT_EQ(std::get<0>(got), std::get<0>(ref))
-          << "threads=" << threads << " delta=" << delta;
-      EXPECT_EQ(std::get<1>(got), std::get<1>(ref));
-      EXPECT_EQ(std::get<2>(got), std::get<2>(ref));
-      EXPECT_EQ(std::get<3>(got), 0);
-      const auto off = run(nullptr, threads, delta);
-      EXPECT_EQ(std::get<2>(off), std::get<2>(ref));
-    }
+    const auto got = run(&prior, threads);
+    EXPECT_EQ(std::get<0>(got), std::get<0>(ref)) << "threads=" << threads;
+    EXPECT_EQ(std::get<1>(got), std::get<1>(ref));
+    EXPECT_EQ(std::get<2>(got), std::get<2>(ref));
+    EXPECT_EQ(std::get<3>(got), 0);
+    const auto off = run(nullptr, threads);
+    EXPECT_EQ(std::get<2>(off), std::get<2>(ref));
   }
 }
 

@@ -14,6 +14,7 @@
 #include "support/stats.h"
 #include "support/telemetry.h"
 #include "verify/verifier.h"
+#include "reference_search.h"
 
 namespace perfdojo::search {
 namespace {
@@ -287,13 +288,14 @@ std::string stripWallClock(std::string jsonl) {
 }
 
 TEST(Search, DeltaAndThreadsPreserveTraceBitIdentity) {
-  // Regression net for the delta-candidate path: on two kernels, every
-  // combination of {threads=1, threads=8} x {delta off, delta on} must make
-  // exactly the decisions of the reference run — same best cost and winning
-  // program, same convergence trace, and a bit-identical JSONL telemetry
-  // stream (visit order, per-step runtimes, acceptance decisions, memo
-  // counters; everything except wall-clock). Any divergence means the
-  // incremental hash disagreed with the full render somewhere in the walk.
+  // Regression net for the delta pricing path: on two kernels, runs at
+  // threads=1 and threads=8 must make exactly the decisions of the reference
+  // loop, which prices every neighbor as canonicalHash(a.apply(p)) and
+  // Machine::evaluate on that copy — same best cost and winning program, same
+  // convergence trace, the same sa_step stream (visit order, per-step
+  // runtimes, acceptance decisions, memo hits) and the same memo counters.
+  // Any divergence means the incremental hash disagreed with the full render
+  // somewhere in the walk.
   const auto& m = machines::xeon();
   const std::vector<ir::Program> kernels_under_test = {
       kernels::makeSoftmax(48, 24), kernels::makeMatmul(16, 16, 16)};
@@ -307,35 +309,28 @@ TEST(Search, DeltaAndThreadsPreserveTraceBitIdentity) {
     base.use_cache = true;
 
     Telemetry ref_sink;
-    SearchConfig ref_cfg = base;
-    ref_cfg.threads = 1;
-    ref_cfg.use_delta = false;
-    ref_cfg.telemetry = &ref_sink;
-    const auto reference = runSearch(kernel, m, ref_cfg);
-    const std::string ref_trace = stripWallClock(ref_sink.buffered());
-    ASSERT_FALSE(ref_trace.empty());
+    const auto ref = reference::annealingEdges(kernel, m, base, ref_sink);
+    const std::string ref_steps = ref_sink.buffered();
+    ASSERT_FALSE(ref_steps.empty());
 
     for (int threads : {1, 8}) {
-      for (bool use_delta : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                          << " delta=" << use_delta);
-        Telemetry sink;
-        SearchConfig cfg = base;
-        cfg.threads = threads;
-        cfg.use_delta = use_delta;
-        cfg.telemetry = &sink;
-        const auto r = runSearch(kernel, m, cfg);
-        EXPECT_EQ(reference.best_runtime, r.best_runtime);
-        EXPECT_EQ(reference.evals, r.evals);
-        EXPECT_TRUE(ir::canonicallyEqual(reference.best, r.best));
-        ASSERT_EQ(reference.trace.size(), r.trace.size());
-        for (std::size_t i = 0; i < reference.trace.size(); ++i)
-          ASSERT_EQ(reference.trace[i], r.trace[i]) << "at eval " << i;
-        // The memo counters in search_end are part of the compared stream:
-        // delta may not change how often the table hits, only what a hit
-        // costs.
-        EXPECT_EQ(stripWallClock(sink.buffered()), ref_trace);
-      }
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      Telemetry sink;
+      SearchConfig cfg = base;
+      cfg.threads = threads;
+      cfg.telemetry = &sink;
+      const auto r = runSearch(kernel, m, cfg);
+      EXPECT_EQ(ref.best_runtime, r.best_runtime);
+      EXPECT_EQ(static_cast<int>(ref.trace.size()), r.evals);
+      EXPECT_TRUE(ir::canonicallyEqual(ref.best, r.best));
+      ASSERT_EQ(ref.trace.size(), r.trace.size());
+      for (std::size_t i = 0; i < ref.trace.size(); ++i)
+        ASSERT_EQ(ref.trace[i], r.trace[i]) << "at eval " << i;
+      EXPECT_EQ(reference::eventLines(sink.buffered(), "sa_step"), ref_steps);
+      EXPECT_EQ(r.stats.unique_programs, ref.unique_programs);
+      EXPECT_EQ(r.stats.machine_evals, ref.unique_programs);
+      EXPECT_EQ(r.stats.cache_hits + r.stats.machine_evals,
+                r.stats.evals_requested);
     }
   }
 }
@@ -396,7 +391,6 @@ TEST(Search, EdgesTracesPinned) {
       cfg.max_steps = 12;
       cfg.seed = 5;
       cfg.threads = threads;
-      cfg.batch_neighbors = false;
       cfg.telemetry = &sink;
       const auto r = runSearch(k->build_small(), *m, cfg);
       std::string trace = stripWallClock(sink.buffered());
@@ -471,7 +465,9 @@ TEST(Search, HeuristicTracesPinned) {
   // pinned to fingerprints recorded from the implementation that replayed
   // every candidate sequence from the kernel: best cost, the evaluation
   // counters and an fnv1a hash of the telemetry stream without wall-clock
-  // (every proposal, runtime and acceptance decision). A change to how
+  // (every proposal, runtime and acceptance decision). The hashes are of
+  // that recording with the always-zero primed_evals removed from
+  // search_end. A change to how
   // candidate sequences are replayed must keep all of them.
   struct Pin {
     const char* kernel;
@@ -486,24 +482,24 @@ TEST(Search, HeuristicTracesPinned) {
   constexpr auto kSA = SearchMethod::SimulatedAnnealing;
   constexpr auto kRS = SearchMethod::RandomSampling;
   const Pin pins[] = {
-      {"softmax", "snitch", kSA, 0x1.cfdb417c18a1bp-22, 150, 18, 132, 0xfcff8e28b9a86b53ull},
-      {"softmax", "snitch", kRS, 0x1.cfdb417c18a1bp-22, 150, 25, 125, 0xe7865a867a64f54cull},
-      {"softmax", "xeon", kSA, 0x1.37e57cbcc1193p-23, 150, 13, 137, 0x9eccf6299879f304ull},
-      {"softmax", "xeon", kRS, 0x1.a3454727b3d65p-23, 150, 30, 120, 0x5570f7cdabeacd98ull},
-      {"softmax", "gh200", kSA, 0x1.e9485d58ccfep-25, 150, 10, 140, 0x24c49852e18fa4cdull},
-      {"softmax", "gh200", kRS, 0x1.fa766940f3d49p-25, 150, 42, 108, 0x0ee41c903880e40aull},
-      {"matmul", "snitch", kSA, 0x1.9c511dc3a41dfp-23, 150, 128, 22, 0xe961b31c96c1ab29ull},
-      {"matmul", "snitch", kRS, 0x1.9c511dc3a41dfp-23, 150, 108, 42, 0xca0c7df2e36748a2ull},
-      {"matmul", "xeon", kSA, 0x1.bddbc74beff1ap-23, 150, 80, 70, 0x41770ad49efe6fafull},
-      {"matmul", "xeon", kRS, 0x1.bbd03397eb52p-23, 150, 90, 60, 0x813cc9e51eede0aeull},
-      {"matmul", "gh200", kSA, 0x1.630cf61322a8p-24, 150, 71, 79, 0xdbc04631de03b4e8ull},
-      {"matmul", "gh200", kRS, 0x1.630cf61322a8p-24, 150, 93, 57, 0x8bf9bd34a917ee3aull},
-      {"layernorm_1", "snitch", kSA, 0x1.f237594c664eep-22, 150, 10, 140, 0x28d226de1639773cull},
-      {"layernorm_1", "snitch", kRS, 0x1.f237594c664eep-22, 150, 24, 126, 0x5d67b194f3cb14d2ull},
-      {"layernorm_1", "xeon", kSA, 0x1.6a011f7732606p-23, 150, 9, 141, 0xa933f742c37246aaull},
-      {"layernorm_1", "xeon", kRS, 0x1.a3454727b3d65p-23, 150, 29, 121, 0x208364b58b77da32ull},
-      {"layernorm_1", "gh200", kSA, 0x1.1842cc7af475fp-24, 150, 7, 143, 0xe9abd1595c1187b9ull},
-      {"layernorm_1", "gh200", kRS, 0x1.15af177e883c3p-24, 150, 32, 118, 0xa42c0f61aa9e1e96ull},
+      {"softmax", "snitch", kSA, 0x1.cfdb417c18a1bp-22, 150, 18, 132, 0xfca6799cf6627c76ull},
+      {"softmax", "snitch", kRS, 0x1.cfdb417c18a1bp-22, 150, 25, 125, 0xbd52e0a86b37876bull},
+      {"softmax", "xeon", kSA, 0x1.37e57cbcc1193p-23, 150, 13, 137, 0xd56936642f5463f9ull},
+      {"softmax", "xeon", kRS, 0x1.a3454727b3d65p-23, 150, 30, 120, 0xd6b3d046e12f19b1ull},
+      {"softmax", "gh200", kSA, 0x1.e9485d58ccfep-25, 150, 10, 140, 0x58236951e2fd3782ull},
+      {"softmax", "gh200", kRS, 0x1.fa766940f3d49p-25, 150, 42, 108, 0xbfe4bba9595d75efull},
+      {"matmul", "snitch", kSA, 0x1.9c511dc3a41dfp-23, 150, 128, 22, 0xa4f050ac9d64a8e2ull},
+      {"matmul", "snitch", kRS, 0x1.9c511dc3a41dfp-23, 150, 108, 42, 0xc6177b74356bc253ull},
+      {"matmul", "xeon", kSA, 0x1.bddbc74beff1ap-23, 150, 80, 70, 0xc0200bae725385c6ull},
+      {"matmul", "xeon", kRS, 0x1.bbd03397eb52p-23, 150, 90, 60, 0xd5b64ea5645d1d3bull},
+      {"matmul", "gh200", kSA, 0x1.630cf61322a8p-24, 150, 71, 79, 0x728ba031efc92f71ull},
+      {"matmul", "gh200", kRS, 0x1.630cf61322a8p-24, 150, 93, 57, 0x960d84ef27ae3bc7ull},
+      {"layernorm_1", "snitch", kSA, 0x1.f237594c664eep-22, 150, 10, 140, 0x58c7e596276cf891ull},
+      {"layernorm_1", "snitch", kRS, 0x1.f237594c664eep-22, 150, 24, 126, 0x4e97eb96e820c40bull},
+      {"layernorm_1", "xeon", kSA, 0x1.6a011f7732606p-23, 150, 9, 141, 0x9b5f00951d7085a1ull},
+      {"layernorm_1", "xeon", kRS, 0x1.a3454727b3d65p-23, 150, 29, 121, 0x11dabf8036074219ull},
+      {"layernorm_1", "gh200", kSA, 0x1.1842cc7af475fp-24, 150, 7, 143, 0x8bd1608228df7e9cull},
+      {"layernorm_1", "gh200", kRS, 0x1.15af177e883c3p-24, 150, 32, 118, 0x0c946bf145f95389ull},
   };
   for (const Pin& pin : pins) {
     const auto* k = kernels::findKernel(pin.kernel);
