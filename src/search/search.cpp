@@ -291,9 +291,9 @@ struct Tracker {
     emitEval(runtime, [&] { return ir::canonicalText(p); });
   }
 
-  /// Record an evaluation whose program is materialized lazily — used by the
-  /// memoized annealing path, where a repeated candidate cannot improve on
-  /// the best (its first evaluation already set best_runtime <= runtime).
+  /// Record an evaluation whose program is materialized lazily, only if it
+  /// becomes the best — used by the edges annealer, which prices candidates
+  /// without copying them.
   void record(double runtime, const std::function<ir::Program()>& make) {
     ++evals;
     if (!admissible(runtime)) {

@@ -340,9 +340,8 @@ TEST(Search, EdgesTracesPinned) {
   // threads 1 and 8 to fingerprints of the single-pricing-path behaviour:
   // best cost, the evaluation counters and an fnv1a hash of the telemetry
   // stream without wall-clock (every candidate, runtime, memo hit and
-  // acceptance decision). primed_evals is 0 without batched neighbor
-  // priming and is left out of the hash. A change to how neighbors are
-  // priced, accepted or enumerated must keep all of them.
+  // acceptance decision). A change to how neighbors are priced, accepted or
+  // enumerated must keep all of them.
   struct Pin {
     const char* kernel;
     const char* machine;
@@ -376,7 +375,6 @@ TEST(Search, EdgesTracesPinned) {
       {"layernorm_1", "gh200", kSA, 0x1.0b8c3e8c9a47dp-24, 300, 7, 293, 293, 0x1201918bab9f9dfbull},
       {"layernorm_1", "gh200", kRS, 0x1.139f538164dacp-24, 300, 4, 296, 296, 0x03fb5c627ccdb0caull},
   };
-  const std::string primed = ",\"primed_evals\":0";
   for (const Pin& pin : pins) {
     const auto* k = kernels::findKernel(pin.kernel);
     const auto* m = machines::findMachine(pin.machine);
@@ -393,10 +391,7 @@ TEST(Search, EdgesTracesPinned) {
       cfg.threads = threads;
       cfg.telemetry = &sink;
       const auto r = runSearch(k->build_small(), *m, cfg);
-      std::string trace = stripWallClock(sink.buffered());
-      for (std::size_t at; (at = trace.find(primed)) != std::string::npos;)
-        trace.erase(at, primed.size());
-      const std::uint64_t trace_hash = fnv1a(trace);
+      const std::uint64_t trace_hash = fnv1a(stripWallClock(sink.buffered()));
       // The observed fingerprint, printed in the table's own syntax.
       char row[256];
       std::snprintf(
