@@ -8,8 +8,7 @@ namespace perfdojo::ir {
 
 IndexExpr IndexExpr::constant(std::int64_t v) {
   IndexExpr e;
-  e.kind_ = Kind::Const;
-  e.value_ = v;
+  e.u_.value = v;
   return e;
 }
 
@@ -17,82 +16,91 @@ IndexExpr IndexExpr::iter(NodeId scope) {
   require(scope != kInvalidNode, "IndexExpr::iter: invalid scope id");
   IndexExpr e;
   e.kind_ = Kind::Iter;
-  e.iter_ = scope;
+  e.u_.iter = scope;
   return e;
 }
-
-namespace {
-IndexExpr makeBinary(IndexExpr::Kind k, IndexExpr a, IndexExpr b) {
-  return IndexExpr::binary(k, std::move(a), std::move(b));
-}
-}  // namespace
 
 IndexExpr IndexExpr::binary(Kind k, IndexExpr a, IndexExpr b) {
+  require(k > Kind::Iter, "IndexExpr::binary: leaf kind");
   IndexExpr e;
+  e.u_.pair = new Pair;
+  e.u_.pair->kid[0] = std::move(a);
+  e.u_.pair->kid[1] = std::move(b);
   e.kind_ = k;
-  e.kids_.reserve(2);
-  e.kids_.push_back(std::move(a));
-  e.kids_.push_back(std::move(b));
   return e;
 }
 
-IndexExpr IndexExpr::add(IndexExpr a, IndexExpr b) { return makeBinary(Kind::Add, std::move(a), std::move(b)); }
-IndexExpr IndexExpr::sub(IndexExpr a, IndexExpr b) { return makeBinary(Kind::Sub, std::move(a), std::move(b)); }
-IndexExpr IndexExpr::mul(IndexExpr a, IndexExpr b) { return makeBinary(Kind::Mul, std::move(a), std::move(b)); }
-IndexExpr IndexExpr::div(IndexExpr a, IndexExpr b) { return makeBinary(Kind::Div, std::move(a), std::move(b)); }
-IndexExpr IndexExpr::mod(IndexExpr a, IndexExpr b) { return makeBinary(Kind::Mod, std::move(a), std::move(b)); }
+IndexExpr IndexExpr::add(IndexExpr a, IndexExpr b) { return binary(Kind::Add, std::move(a), std::move(b)); }
+IndexExpr IndexExpr::sub(IndexExpr a, IndexExpr b) { return binary(Kind::Sub, std::move(a), std::move(b)); }
+IndexExpr IndexExpr::mul(IndexExpr a, IndexExpr b) { return binary(Kind::Mul, std::move(a), std::move(b)); }
+IndexExpr IndexExpr::div(IndexExpr a, IndexExpr b) { return binary(Kind::Div, std::move(a), std::move(b)); }
+IndexExpr IndexExpr::mod(IndexExpr a, IndexExpr b) { return binary(Kind::Mod, std::move(a), std::move(b)); }
 
 std::int64_t IndexExpr::constValue() const {
   require(kind_ == Kind::Const, "IndexExpr::constValue on non-const");
-  return value_;
+  return u_.value;
 }
 
 NodeId IndexExpr::iterScope() const {
   require(kind_ == Kind::Iter, "IndexExpr::iterScope on non-iter");
-  return iter_;
+  return u_.iter;
 }
 
 const IndexExpr& IndexExpr::lhs() const {
-  require(kids_.size() == 2, "IndexExpr::lhs on leaf");
-  return kids_[0];
+  require(isBinary(), "IndexExpr::lhs on leaf");
+  return u_.pair->kid[0];
 }
 
 const IndexExpr& IndexExpr::rhs() const {
-  require(kids_.size() == 2, "IndexExpr::rhs on leaf");
-  return kids_[1];
+  require(isBinary(), "IndexExpr::rhs on leaf");
+  return u_.pair->kid[1];
+}
+
+bool IndexExpr::sameNode(const IndexExpr& o) const {
+  if (kind_ != o.kind_) return false;
+  switch (kind_) {
+    case Kind::Const: return u_.value == o.u_.value;
+    case Kind::Iter: return u_.iter == o.u_.iter;
+    default: return u_.pair == o.u_.pair;
+  }
 }
 
 void IndexExpr::collectIters(std::vector<NodeId>& out) const {
   if (kind_ == Kind::Iter) {
-    if (std::find(out.begin(), out.end(), iter_) == out.end()) out.push_back(iter_);
+    if (std::find(out.begin(), out.end(), u_.iter) == out.end()) out.push_back(u_.iter);
     return;
   }
-  for (const auto& k : kids_) k.collectIters(out);
+  if (!isBinary()) return;
+  u_.pair->kid[0].collectIters(out);
+  u_.pair->kid[1].collectIters(out);
 }
 
 bool IndexExpr::usesIter(NodeId scope) const {
-  if (kind_ == Kind::Iter) return iter_ == scope;
-  for (const auto& k : kids_)
-    if (k.usesIter(scope)) return true;
-  return false;
+  if (kind_ == Kind::Iter) return u_.iter == scope;
+  if (!isBinary()) return false;
+  return u_.pair->kid[0].usesIter(scope) || u_.pair->kid[1].usesIter(scope);
 }
 
 IndexExpr IndexExpr::substitute(NodeId from, const IndexExpr& repl) const {
-  if (kind_ == Kind::Iter) return iter_ == from ? repl : *this;
+  if (kind_ == Kind::Iter) return u_.iter == from ? repl : *this;
   if (kind_ == Kind::Const) return *this;
-  IndexExpr e = *this;
-  e.kids_[0] = kids_[0].substitute(from, repl);
-  e.kids_[1] = kids_[1].substitute(from, repl);
-  return e;
+  const IndexExpr& l = u_.pair->kid[0];
+  const IndexExpr& r = u_.pair->kid[1];
+  IndexExpr a = l.substitute(from, repl);
+  IndexExpr b = r.substitute(from, repl);
+  if (a.sameNode(l) && b.sameNode(r)) return *this;
+  return binary(kind_, std::move(a), std::move(b));
 }
 
 IndexExpr IndexExpr::simplified() const {
-  if (kids_.empty()) return *this;
-  IndexExpr a = kids_[0].simplified();
-  IndexExpr b = kids_[1].simplified();
+  if (!isBinary()) return *this;
+  const IndexExpr& l = u_.pair->kid[0];
+  const IndexExpr& r = u_.pair->kid[1];
+  IndexExpr a = l.simplified();
+  IndexExpr b = r.simplified();
   if (a.isConst() && b.isConst()) {
-    const std::int64_t x = a.value_;
-    const std::int64_t y = b.value_;
+    const std::int64_t x = a.u_.value;
+    const std::int64_t y = b.u_.value;
     switch (kind_) {
       case Kind::Add: return constant(x + y);
       case Kind::Sub: return constant(x - y);
@@ -103,45 +111,43 @@ IndexExpr IndexExpr::simplified() const {
     }
   }
   if (kind_ == Kind::Add) {
-    if (a.isConst() && a.value_ == 0) return b;
-    if (b.isConst() && b.value_ == 0) return a;
+    if (a.isConst() && a.u_.value == 0) return b;
+    if (b.isConst() && b.u_.value == 0) return a;
   }
-  if (kind_ == Kind::Sub && b.isConst() && b.value_ == 0) return a;
+  if (kind_ == Kind::Sub && b.isConst() && b.u_.value == 0) return a;
   if (kind_ == Kind::Mul) {
-    if (a.isConst() && a.value_ == 1) return b;
-    if (b.isConst() && b.value_ == 1) return a;
-    if ((a.isConst() && a.value_ == 0) || (b.isConst() && b.value_ == 0))
+    if (a.isConst() && a.u_.value == 1) return b;
+    if (b.isConst() && b.u_.value == 1) return a;
+    if ((a.isConst() && a.u_.value == 0) || (b.isConst() && b.u_.value == 0))
       return constant(0);
   }
-  if (kind_ == Kind::Div && b.isConst() && b.value_ == 1) return a;
-  IndexExpr e = *this;
-  e.kids_[0] = std::move(a);
-  e.kids_[1] = std::move(b);
-  return e;
+  if (kind_ == Kind::Div && b.isConst() && b.u_.value == 1) return a;
+  if (a.sameNode(l) && b.sameNode(r)) return *this;
+  return binary(kind_, std::move(a), std::move(b));
 }
 
 bool IndexExpr::asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) const {
   switch (kind_) {
     case Kind::Const:
-      offset += value_;
+      offset += u_.value;
       return true;
     case Kind::Iter: {
       for (auto& t : terms) {
-        if (t.scope == iter_) {
+        if (t.scope == u_.iter) {
           t.coef += 1;
           return true;
         }
       }
-      terms.push_back({iter_, 1});
+      terms.push_back({u_.iter, 1});
       return true;
     }
     case Kind::Add:
-      return kids_[0].asAffine(terms, offset) && kids_[1].asAffine(terms, offset);
+      return u_.pair->kid[0].asAffine(terms, offset) && u_.pair->kid[1].asAffine(terms, offset);
     case Kind::Sub: {
-      if (!kids_[0].asAffine(terms, offset)) return false;
+      if (!u_.pair->kid[0].asAffine(terms, offset)) return false;
       std::vector<AffineTerm> neg;
       std::int64_t noff = 0;
-      if (!kids_[1].asAffine(neg, noff)) return false;
+      if (!u_.pair->kid[1].asAffine(neg, noff)) return false;
       offset -= noff;
       for (const auto& t : neg) {
         bool found = false;
@@ -159,23 +165,24 @@ bool IndexExpr::asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) c
     case Kind::Mul: {
       const IndexExpr* c = nullptr;
       const IndexExpr* other = nullptr;
-      if (kids_[0].isConst()) { c = &kids_[0]; other = &kids_[1]; }
-      else if (kids_[1].isConst()) { c = &kids_[1]; other = &kids_[0]; }
+      const IndexExpr* kid = u_.pair->kid;
+      if (kid[0].isConst()) { c = &kid[0]; other = &kid[1]; }
+      else if (kid[1].isConst()) { c = &kid[1]; other = &kid[0]; }
       else return false;
       std::vector<AffineTerm> sub;
       std::int64_t soff = 0;
       if (!other->asAffine(sub, soff)) return false;
-      offset += soff * c->value_;
+      offset += soff * c->u_.value;
       for (const auto& t : sub) {
         bool found = false;
         for (auto& u : terms) {
           if (u.scope == t.scope) {
-            u.coef += t.coef * c->value_;
+            u.coef += t.coef * c->u_.value;
             found = true;
             break;
           }
         }
-        if (!found) terms.push_back({t.scope, t.coef * c->value_});
+        if (!found) terms.push_back({t.scope, t.coef * c->u_.value});
       }
       return true;
     }
@@ -189,10 +196,12 @@ bool IndexExpr::asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) c
 bool IndexExpr::operator==(const IndexExpr& other) const {
   if (kind_ != other.kind_) return false;
   switch (kind_) {
-    case Kind::Const: return value_ == other.value_;
-    case Kind::Iter: return iter_ == other.iter_;
+    case Kind::Const: return u_.value == other.u_.value;
+    case Kind::Iter: return u_.iter == other.u_.iter;
     default:
-      return kids_[0] == other.kids_[0] && kids_[1] == other.kids_[1];
+      if (u_.pair == other.u_.pair) return true;
+      return u_.pair->kid[0] == other.u_.pair->kid[0] &&
+             u_.pair->kid[1] == other.u_.pair->kid[1];
   }
 }
 

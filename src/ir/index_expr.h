@@ -5,10 +5,20 @@
 // renders them as `{depth}` relative to the accessing operation, exactly as
 // in the paper. Keeping ids internal makes transformations (which restructure
 // the scope tree) robust: moving a scope does not invalidate references.
+//
+// An IndexExpr is an immutable 16-byte value: a kind byte plus one payload
+// word holding the constant, the scope id, or a pointer to a shared,
+// atomically refcounted pair of children. Copying, moving and destroying an
+// expression therefore cost at most one refcount update, and rewrites
+// (`substitute`, `simplified`) share every subtree they leave untouched.
+// Shared pairs are never written after construction, so copies may be read,
+// copied and dropped from any number of threads.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace perfdojo::ir {
@@ -20,7 +30,28 @@ class IndexExpr {
  public:
   enum class Kind : std::uint8_t { Const, Iter, Add, Sub, Mul, Div, Mod };
 
-  IndexExpr() : kind_(Kind::Const), value_(0) {}
+  /// The constant 0. A moved-from expression is left in this state.
+  IndexExpr() noexcept : kind_(Kind::Const), u_{} {}
+  IndexExpr(const IndexExpr& o) noexcept : kind_(o.kind_), u_(o.u_) {
+    if (isBinary()) retain(u_.pair);
+  }
+  IndexExpr(IndexExpr&& o) noexcept : kind_(o.kind_), u_(o.u_) {
+    o.kind_ = Kind::Const;
+    o.u_.value = 0;
+  }
+  IndexExpr& operator=(const IndexExpr& o) noexcept {
+    IndexExpr copy(o);
+    swap(copy);
+    return *this;
+  }
+  IndexExpr& operator=(IndexExpr&& o) noexcept {
+    IndexExpr taken(std::move(o));
+    swap(taken);
+    return *this;
+  }
+  ~IndexExpr() {
+    if (isBinary()) release(u_.pair);
+  }
 
   static IndexExpr constant(std::int64_t v);
   static IndexExpr iter(NodeId scope);
@@ -42,32 +73,24 @@ class IndexExpr {
 
   /// True if this is exactly `iter(scope)`.
   bool isIterOf(NodeId scope) const {
-    return kind_ == Kind::Iter && iter_ == scope;
+    return kind_ == Kind::Iter && u_.iter == scope;
   }
 
   /// Collects every scope id referenced anywhere in the expression.
   void collectIters(std::vector<NodeId>& out) const;
   bool usesIter(NodeId scope) const;
 
-  /// Replaces every occurrence of `iter(from)` with `repl` (deep).
+  /// Replaces every occurrence of `iter(from)` with `repl` (deep). Subtrees
+  /// without `iter(from)` are shared, not copied; returns `*this` when the
+  /// iterator does not occur.
   IndexExpr substitute(NodeId from, const IndexExpr& repl) const;
 
   /// Evaluates given the current value of each iterator (lookup callback).
   template <typename Lookup>
-  std::int64_t eval(const Lookup& lookup) const {
-    switch (kind_) {
-      case Kind::Const: return value_;
-      case Kind::Iter: return lookup(iter_);
-      case Kind::Add: return kids_[0].eval(lookup) + kids_[1].eval(lookup);
-      case Kind::Sub: return kids_[0].eval(lookup) - kids_[1].eval(lookup);
-      case Kind::Mul: return kids_[0].eval(lookup) * kids_[1].eval(lookup);
-      case Kind::Div: return kids_[0].eval(lookup) / kids_[1].eval(lookup);
-      case Kind::Mod: return kids_[0].eval(lookup) % kids_[1].eval(lookup);
-    }
-    return 0;
-  }
+  std::int64_t eval(const Lookup& lookup) const;
 
-  /// Constant-folds trivial identities (x*1, x+0, c⊕c, ...).
+  /// Constant-folds trivial identities (x*1, x+0, c⊕c, ...). Returns `*this`
+  /// when nothing folds.
   IndexExpr simplified() const;
 
   /// If the expression is affine in its iterators, i.e. sum of coef*iter plus
@@ -82,10 +105,54 @@ class IndexExpr {
   bool operator==(const IndexExpr& other) const;
 
  private:
+  struct Pair;
+
+  bool isBinary() const { return kind_ > Kind::Iter; }
+  /// True if `o` is this very node: an equal leaf, or the same shared pair.
+  bool sameNode(const IndexExpr& o) const;
+  void swap(IndexExpr& o) noexcept {
+    std::swap(kind_, o.kind_);
+    std::swap(u_, o.u_);
+  }
+  static void retain(Pair* p) noexcept;
+  static void release(Pair* p) noexcept;
+
   Kind kind_;
-  std::int64_t value_ = 0;  // Const
-  NodeId iter_ = kInvalidNode;  // Iter
-  std::vector<IndexExpr> kids_;  // binary ops: exactly 2
+  union Payload {
+    std::int64_t value;  // Const
+    NodeId iter;         // Iter
+    Pair* pair;          // Add, Sub, Mul, Div, Mod
+  } u_;
 };
+
+/// The children of a binary node, freed by the last IndexExpr that drops it.
+struct IndexExpr::Pair {
+  std::atomic<std::uint32_t> refs{1};
+  IndexExpr kid[2];
+};
+
+static_assert(sizeof(IndexExpr) == 16, "IndexExpr is a kind byte plus one payload word");
+
+inline void IndexExpr::retain(Pair* p) noexcept {
+  p->refs.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline void IndexExpr::release(Pair* p) noexcept {
+  if (p->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete p;
+}
+
+template <typename Lookup>
+std::int64_t IndexExpr::eval(const Lookup& lookup) const {
+  switch (kind_) {
+    case Kind::Const: return u_.value;
+    case Kind::Iter: return lookup(u_.iter);
+    case Kind::Add: return u_.pair->kid[0].eval(lookup) + u_.pair->kid[1].eval(lookup);
+    case Kind::Sub: return u_.pair->kid[0].eval(lookup) - u_.pair->kid[1].eval(lookup);
+    case Kind::Mul: return u_.pair->kid[0].eval(lookup) * u_.pair->kid[1].eval(lookup);
+    case Kind::Div: return u_.pair->kid[0].eval(lookup) / u_.pair->kid[1].eval(lookup);
+    case Kind::Mod: return u_.pair->kid[0].eval(lookup) % u_.pair->kid[1].eval(lookup);
+  }
+  return 0;
+}
 
 }  // namespace perfdojo::ir

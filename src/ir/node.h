@@ -97,9 +97,10 @@ struct Operand {
 
 enum class NodeKind : std::uint8_t { Scope, Op };
 
-/// Tree node with value semantics: copying a Program deep-copies the tree
-/// while preserving stable NodeIds, so transformation Locations remain valid
-/// across the copy that `Transform::apply` performs.
+/// Tree node with value semantics: copying a Program deep-copies scopes and
+/// ops, shares index-expression subtrees, and preserves stable NodeIds, so
+/// transformation Locations remain valid across the copy that
+/// `Transform::apply` performs.
 struct Node {
   NodeKind kind = NodeKind::Scope;
   NodeId id = kInvalidNode;

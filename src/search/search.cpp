@@ -802,7 +802,6 @@ SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
                              static_cast<double>(tr.prior_pred.size());
     r.stats.prior_spearman = spearman(tr.prior_pred, tr.prior_exact);
   }
-  r.stats.best_trace = r.trace;
   r.stats.wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start)

@@ -109,9 +109,6 @@ struct SearchStats {
   double prior_spearman = 0;
   int threads_used = 1;
   double wall_ms = 0;                // wall-clock of the whole search
-  /// Best-so-far runtime after each requested evaluation (the convergence
-  /// curves of Figure 12); identical to SearchResult::trace.
-  std::vector<double> best_trace;
 };
 
 struct SearchResult {
