@@ -1,6 +1,9 @@
 // Tree-walking utilities: lookup by id, parent maps, ancestor chains,
-// op enumeration. All lookups are O(tree) — program trees are small
-// (tens to hundreds of nodes), and simplicity keeps transformations honest.
+// op enumeration. All lookups are O(tree) — fine for one-off questions
+// (applying one transform, describing a location). Hot paths that ask many
+// questions about one program state, above all the transforms' applicable
+// action enumeration, read an ir::ProgramIndex (ir/program_index.h)
+// instead: one pre-order walk per state, then O(1) lookups.
 #pragma once
 
 #include <functional>
@@ -42,7 +45,8 @@ std::vector<Node*> collectScopes(Node& root);
 /// Scope nodes in pre-order within the subtree rooted at `id`, including the
 /// subtree root itself when it is a scope other than the root container —
 /// exactly the subsequence of collectScopes(root) lying inside that subtree.
-/// Empty if `id` is absent. Scoped transform enumeration builds on this.
+/// Empty if `id` is absent. The reference ProgramIndex::forEachScope is
+/// checked against.
 std::vector<const Node*> collectScopesWithin(const Node& root, NodeId id);
 
 /// Visits every node (pre-order, including root).

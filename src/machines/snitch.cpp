@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "ir/program_index.h"
 #include "ir/walk.h"
 #include "support/common.h"
-#include "transform/deps.h"
 
 namespace perfdojo::machines {
 
@@ -123,8 +123,8 @@ class Analyzer {
     // unless an SSR stream covers this op. A loop-invariant accumulator is
     // register-allocated by any compiler, so its per-iteration load and
     // store are free (matching the paper's compiled naive baselines).
-    const auto acc_info = transform::opInfo(op);
-    const bool reg_acc = acc_info.is_accumulation && !enclosing.empty() &&
+    const bool accumulates = ir::isAccumulation(op);
+    const bool reg_acc = accumulates && !enclosing.empty() &&
                          !op.out.usesIter(enclosing.back().id);
     if (!streamed) {
       for (const auto& in : op.ins) {
@@ -145,7 +145,7 @@ class Analyzer {
     // innermost repetition loop stall to the pipeline latency divided by the
     // number of independent chains interleaved by enclosed unrolling.
     double fp = 1.0;
-    if (acc_info.is_accumulation) {
+    if (accumulates) {
       // Find the innermost enclosing scope whose iterator the output does
       // not use: that loop carries the dependence chain.
       int chain_depth = -1;

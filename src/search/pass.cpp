@@ -2,11 +2,11 @@
 
 #include <algorithm>
 
+#include "ir/program_index.h"
 #include "ir/walk.h"
 #include "search/evalcache.h"
 #include "support/common.h"
 #include "support/telemetry.h"
-#include "transform/deps.h"
 
 namespace perfdojo::search {
 
@@ -172,8 +172,7 @@ bool containsChainedAccum(const ir::Program& p, ir::NodeId s) {
   const ir::Node* scope = ir::findNode(p.root, s);
   if (!scope) return false;
   for (const ir::Node* op : ir::collectOps(*scope)) {
-    const auto info = transform::opInfo(*op);
-    if (!info.is_accumulation || !info.write.usesIter(s)) continue;
+    if (!ir::isAccumulation(*op) || !op->out.usesIter(s)) continue;
     const auto chain = ir::enclosingScopes(p.root, op->id);
     bool below = false;
     for (ir::NodeId a : chain) {
@@ -181,7 +180,7 @@ bool containsChainedAccum(const ir::Program& p, ir::NodeId s) {
         below = true;
         continue;
       }
-      if (below && !info.write.usesIter(a)) return true;
+      if (below && !op->out.usesIter(a)) return true;
     }
   }
   return false;

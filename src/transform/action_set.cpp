@@ -4,12 +4,9 @@
 #include <unordered_set>
 
 #include "ir/incremental.h"
-#include "ir/walk.h"
 #include "support/common.h"
 
 namespace perfdojo::transform {
-
-namespace {
 
 /// How one transform's applicable sites react to a reported mutation. The
 /// soundness argument per field:
@@ -40,20 +37,7 @@ namespace {
 ///   * always_full: the predicate is program-wide (reuse_dims scans every
 ///     access AND the driving scope's annotation), or the transform is
 ///     unknown (fuzzer-injected): re-enumerate fully on every update.
-struct Policy {
-  bool always_full = false;
-  bool header_only = false;
-  bool buffers_full = false;
-  bool widen_to_parent = false;
-  bool recheck_ancestors = false;
-  bool recheck_prev_siblings = false;
-  /// reorder_ops sites are owned by the parent whose child list they
-  /// permute (loc.node is the left child); splice membership, recheck and
-  /// merge keys all use that owner.
-  bool owner_is_parent = false;
-};
-
-Policy policyFor(const std::string& name) {
+ActionSet::Policy ActionSet::policyFor(const std::string& name) {
   Policy q;
   // Reads only the site's own line (anno/extent): dirt stays in-subtree.
   if (name == "split_scope" || name == "unroll") return q;
@@ -114,35 +98,6 @@ Policy policyFor(const std::string& name) {
   return q;
 }
 
-}  // namespace
-
-void ActionSet::flatten(const ir::Program& p, Flat& f) {
-  ir::NodeId max_id = p.root.id;
-  ir::visit(p.root, [&](const ir::Node& n) { max_id = std::max(max_id, n.id); });
-  f.pos.assign(max_id + 1, -1);
-  f.end.assign(max_id + 1, -1);
-  f.parent.assign(max_id + 1, ir::kInvalidNode);
-  f.prev_sib.assign(max_id + 1, ir::kInvalidNode);
-  f.child_idx.assign(max_id + 1, -1);
-  f.root_id = p.root.id;
-  std::int32_t counter = 0;
-  auto walk = [&](auto&& self, const ir::Node& n, ir::NodeId parent,
-                  ir::NodeId prev, std::int32_t cidx) -> void {
-    f.pos[n.id] = counter++;
-    f.parent[n.id] = parent;
-    f.prev_sib[n.id] = prev;
-    f.child_idx[n.id] = cidx;
-    ir::NodeId prev_child = ir::kInvalidNode;
-    for (std::size_t i = 0; i < n.children.size(); ++i) {
-      self(self, n.children[i], n.id, prev_child, static_cast<std::int32_t>(i));
-      prev_child = n.children[i].id;
-    }
-    f.end[n.id] = counter;
-  };
-  walk(walk, p.root, ir::kInvalidNode, ir::kInvalidNode, -1);
-  f.node_count = static_cast<std::size_t>(counter);
-}
-
 void ActionSet::bind(const ir::Program& p, const MachineCaps& caps) {
   bind(p, caps, allTransforms());
 }
@@ -150,17 +105,20 @@ void ActionSet::bind(const ir::Program& p, const MachineCaps& caps) {
 void ActionSet::bind(const ir::Program& p, const MachineCaps& caps,
                      const std::vector<const Transform*>& transforms) {
   transforms_ = transforms;
+  policies_.clear();
+  for (const Transform* t : transforms_) policies_.push_back(policyFor(t->name()));
   caps_ = caps;
   ++stats_.binds;
-  rebuildAll(p);
+  ir::ProgramIndex ix(p);
+  rebuildAll(ix);
+  shape_ = ix.releaseShape();
   bound_ = true;
 }
 
-void ActionSet::rebuildAll(const ir::Program& p) {
+void ActionSet::rebuildAll(const ir::ProgramIndex& ix) {
   locs_.assign(transforms_.size(), {});
   for (std::size_t t = 0; t < transforms_.size(); ++t)
-    locs_[t] = transforms_[t]->findApplicable(p, caps_);
-  flatten(p, flat_);
+    locs_[t] = transforms_[t]->findApplicable(ix, caps_);
   rebuildActions();
 }
 
@@ -176,45 +134,35 @@ void ActionSet::rebuildActions() {
 void ActionSet::update(const ir::Program& p, const ir::MutationSummary& mut) {
   require(bound_, "ActionSet: bind() a program first");
   ++stats_.updates;
+  // One index of the new state, shared by every transform below.
+  ir::ProgramIndex next(p);
+  // Dirty roots must exist in the old state, below the root container, and
+  // survive the mutation (the MutationSummary contract); a report naming
+  // one that did not is conservative in disguise.
   bool fallback = mut.whole_tree;
-  for (ir::NodeId d : mut.dirty_scopes) {
-    if (fallback) break;
-    if (!flat_.known(d) || d == flat_.root_id) fallback = true;
-  }
+  for (ir::NodeId d : mut.dirty_scopes)
+    if (!shape_.known(d) || d == shape_.root || !next.known(d)) fallback = true;
   if (fallback) {
     ++stats_.full_rebuilds;
-    rebuildAll(p);
-    return;
+    rebuildAll(next);
+  } else {
+    for (std::size_t t = 0; t < transforms_.size(); ++t)
+      updateTransform(t, next, mut);
+    rebuildActions();
   }
-
-  Flat next;
-  flatten(p, next);
-  // Dirty roots must survive the mutation (the MutationSummary contract);
-  // a report naming one that did not is conservative in disguise.
-  for (ir::NodeId d : mut.dirty_scopes) {
-    if (!next.known(d)) {
-      ++stats_.full_rebuilds;
-      rebuildAll(p);
-      return;
-    }
-  }
-
-  for (std::size_t t = 0; t < transforms_.size(); ++t)
-    updateTransform(t, p, mut, next);
-
-  flat_ = std::move(next);
-  rebuildActions();
+  shape_ = next.releaseShape();
 }
 
-void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
-                                const ir::MutationSummary& mut,
-                                const Flat& next) {
+void ActionSet::updateTransform(std::size_t ti, const ir::ProgramIndex& next,
+                                const ir::MutationSummary& mut) {
   const Transform* t = transforms_[ti];
-  const Policy pol = policyFor(t->name());
+  const Policy& pol = policies_[ti];
+  const ir::ProgramIndex::Shape& old = shape_;
+  const ir::ProgramIndex::Shape& now = next.shape();
   if (pol.always_full ||
       (mut.buffers_changed && (pol.buffers_full || pol.header_only))) {
     ++stats_.transform_full_enums;
-    locs_[ti] = t->findApplicable(p, caps_);
+    locs_[ti] = t->findApplicable(next, caps_);
     return;
   }
   if (pol.header_only || mut.dirty_scopes.empty()) return;  // untouched
@@ -224,38 +172,38 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
   std::vector<ir::NodeId> roots;
   roots.reserve(mut.dirty_scopes.size());
   for (ir::NodeId d : mut.dirty_scopes)
-    roots.push_back(pol.widen_to_parent ? flat_.parent[d] : d);
+    roots.push_back(pol.widen_to_parent ? old[d].parent : d);
   std::sort(roots.begin(), roots.end(), [&](ir::NodeId a, ir::NodeId b) {
-    return flat_.pos[a] < flat_.pos[b];
+    return old[a].pre < old[b].pre;
   });
   std::vector<ir::NodeId> kept;
   std::int32_t covered_end = -1;
   for (ir::NodeId r : roots) {
-    if (flat_.pos[r] < covered_end) continue;
+    if (old[r].pre < covered_end) continue;
     kept.push_back(r);
-    covered_end = flat_.end[r];
+    covered_end = old[r].end;
   }
-  if (kept.front() == flat_.root_id) {
+  if (kept.front() == old.root) {
     // Widening reached the root container: the splice IS the full tree.
     ++stats_.transform_full_enums;
-    locs_[ti] = t->findApplicable(p, caps_);
+    locs_[ti] = t->findApplicable(next, caps_);
     return;
   }
 
   // Single-node recheck set: the spine (each splice root + its proper
   // ancestors, root container excluded) filtered per policy. Ancestor
   // chains and sibling lists outside the dirty subtrees are unchanged by
-  // the contract, so the post-mutation flatten describes both sides.
+  // the contract, so the post-mutation index describes both sides.
   std::unordered_set<ir::NodeId> recheck;
   if (pol.recheck_ancestors || pol.recheck_prev_siblings) {
     for (ir::NodeId r : kept) {
-      for (ir::NodeId x = r; x != ir::kInvalidNode && x != next.root_id;
-           x = next.parent[x]) {
+      for (ir::NodeId x = r; x != ir::kInvalidNode && x != now.root;
+           x = now[x].parent) {
         if (x != r && pol.recheck_ancestors) recheck.insert(x);
-        if (pol.recheck_prev_siblings) {
-          const ir::NodeId ps = next.prev_sib[x];
-          if (ps != ir::kInvalidNode) recheck.insert(ps);
-        }
+        if (pol.recheck_prev_siblings && now[x].child > 0)
+          recheck.insert(next.parent(x)
+                             ->children[static_cast<std::size_t>(now[x].child) - 1]
+                             .id);
       }
     }
   }
@@ -264,15 +212,14 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
   // interval (covers nodes the mutation destroyed) or is re-checked.
   auto inKeptOld = [&](std::int32_t pos) {
     for (ir::NodeId r : kept)
-      if (pos >= flat_.pos[r] && pos < flat_.end[r]) return true;
+      if (pos >= old[r].pre && pos < old[r].end) return true;
     return false;
   };
   std::vector<Location> retained;
   retained.reserve(locs_[ti].size());
   for (auto& loc : locs_[ti]) {
-    const ir::NodeId owner =
-        pol.owner_is_parent ? flat_.parent[loc.node] : loc.node;
-    if (inKeptOld(flat_.pos[owner]) || recheck.count(owner) != 0) continue;
+    const ir::NodeId owner = pol.owner_is_parent ? old[loc.node].parent : loc.node;
+    if (inKeptOld(old[owner].pre) || recheck.count(owner) != 0) continue;
     retained.push_back(std::move(loc));
   }
 
@@ -283,19 +230,17 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
   // sites; a stable sort keeps each owner's parameter order.
   auto keyOf = [&](const Location& loc) -> std::uint64_t {
     if (pol.owner_is_parent) {
-      const ir::NodeId par = next.parent[loc.node];
-      return (static_cast<std::uint64_t>(
-                  static_cast<std::uint32_t>(next.pos[par]))
+      const ir::NodeId par = now[loc.node].parent;
+      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(now[par].pre))
               << 32) |
-             static_cast<std::uint32_t>(next.child_idx[loc.node]);
+             static_cast<std::uint32_t>(now[loc.node].child);
     }
-    return static_cast<std::uint64_t>(
-               static_cast<std::uint32_t>(next.pos[loc.node]))
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(now[loc.node].pre))
            << 32;
   };
   auto inKeptNew = [&](ir::NodeId x) {
     for (ir::NodeId r : kept)
-      if (next.pos[x] >= next.pos[r] && next.pos[x] < next.end[r]) return true;
+      if (next.within(x, r)) return true;
     return false;
   };
   struct Keyed {
@@ -305,13 +250,13 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
   std::vector<Keyed> fresh;
   for (ir::NodeId r : kept) {
     ++stats_.transform_splices;
-    for (auto& loc : t->findApplicable(p, caps_, r))
+    for (auto& loc : t->findApplicable(next, caps_, r))
       fresh.push_back({keyOf(loc), std::move(loc)});
   }
   for (ir::NodeId x : recheck) {
     if (inKeptNew(x)) continue;
     ++stats_.nodes_rechecked;
-    for (auto& loc : t->findApplicableAt(p, caps_, x))
+    for (auto& loc : t->findApplicableAt(next, caps_, x))
       fresh.push_back({keyOf(loc), std::move(loc)});
   }
   std::stable_sort(fresh.begin(), fresh.end(),

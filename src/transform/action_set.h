@@ -22,6 +22,15 @@
 //   * conservative summaries (whole_tree, unknown ids, the root container
 //     as a dirty root) fall back to a full rebuild.
 //
+// Every enumeration of one state — the full rebuild, or each transform's
+// splices and rechecks — reads the one ir::ProgramIndex that bind()/update()
+// builds for that state, so the ~20 transforms share one analysis instead
+// of each walking the tree. The index lives only for the call that built
+// it; between calls the set keeps only the pointer-free, id-keyed
+// ir::ProgramIndex::Shape of the last state. A copied set therefore holds no
+// pointer into any program and can be updated against a different Program
+// object (the exact tier copies one kernel-bound set into every worker).
+//
 // Retained and fresh entries are stable-merged by the owning node's
 // post-mutation pre-order position, so the maintained list satisfies the
 // non-negotiable invariant the search tiers key on:
@@ -39,6 +48,7 @@
 #include <vector>
 
 #include "ir/program.h"
+#include "ir/program_index.h"
 #include "transform/transform.h"
 
 namespace perfdojo::ir {
@@ -93,33 +103,35 @@ class ActionSet {
   const ActionSetStats& stats() const { return stats_; }
 
  private:
-  /// Dense-by-NodeId flatten of the indexed program: enough structure to
-  /// splice location lists by pre-order position without rendering anything.
-  struct Flat {
-    std::vector<std::int32_t> pos;       // pre-order index; -1 = absent id
-    std::vector<std::int32_t> end;       // exclusive subtree end (pre-order)
-    std::vector<ir::NodeId> parent;      // kInvalidNode for the root
-    std::vector<ir::NodeId> prev_sib;    // kInvalidNode for first children
-    std::vector<std::int32_t> child_idx; // index within parent.children
-    ir::NodeId root_id = ir::kInvalidNode;
-    std::size_t node_count = 0;
-
-    bool known(ir::NodeId id) const {
-      return id < pos.size() && pos[id] >= 0;
-    }
+  /// How one transform's applicable sites react to a reported mutation; the
+  /// classification table and its soundness argument are in action_set.cpp.
+  struct Policy {
+    bool always_full = false;
+    bool header_only = false;
+    bool buffers_full = false;
+    bool widen_to_parent = false;
+    bool recheck_ancestors = false;
+    bool recheck_prev_siblings = false;
+    /// reorder_ops sites are owned by the parent whose child list they
+    /// permute (loc.node is the left child); splice membership, recheck and
+    /// merge keys all use that owner.
+    bool owner_is_parent = false;
   };
+  static Policy policyFor(const std::string& name);
 
-  void rebuildAll(const ir::Program& p);
+  void rebuildAll(const ir::ProgramIndex& ix);
   void rebuildActions();
-  void updateTransform(std::size_t ti, const ir::Program& p,
-                       const ir::MutationSummary& mut, const Flat& next);
-  static void flatten(const ir::Program& p, Flat& f);
+  void updateTransform(std::size_t ti, const ir::ProgramIndex& next,
+                       const ir::MutationSummary& mut);
 
   std::vector<const Transform*> transforms_;
+  std::vector<Policy> policies_;             // parallel to transforms_
   MachineCaps caps_;
   std::vector<std::vector<Location>> locs_;  // parallel to transforms_
   std::vector<Action> actions_;              // concatenation cache
-  Flat flat_;                                // of the indexed program
+  /// Id-keyed structure of the indexed program: what update() needs of the
+  /// previous state. Pointer-free, so copies of the set stay valid.
+  ir::ProgramIndex::Shape shape_;
   ActionSetStats stats_;
   bool bound_ = false;
 };

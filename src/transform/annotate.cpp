@@ -13,6 +13,8 @@
 
 namespace perfdojo::transform {
 
+using ir::AnnoMask;
+using ir::annoBit;
 using ir::LoopAnno;
 using ir::Node;
 using ir::NodeId;
@@ -21,80 +23,15 @@ using ir::Program;
 
 namespace {
 
-/// Enumerates scope locations passing `ok` within the subtree at `r`
-/// (p.root.id = the full program; exact order-preserving subsequence).
-template <typename Ok>
-std::vector<Location> scopeLocationsWithin(const Program& p, NodeId r, Ok&& ok) {
-  std::vector<Location> out;
-  for (const Node* s : ir::collectScopesWithin(p.root, r)) {
-    Location loc;
-    loc.node = s->id;
-    if (ok(loc)) out.push_back(loc);
-  }
-  return out;
-}
-
-/// The single-node variant: the location at exactly `node`, if it passes.
-template <typename Ok>
-std::vector<Location> scopeLocationAt(const Program& p, NodeId node, Ok&& ok) {
-  std::vector<Location> out;
-  const Node* s = ir::findNode(p.root, node);
-  if (s != nullptr && s->id != p.root.id && s->isScope()) {
-    Location loc;
-    loc.node = node;
-    if (ok(loc)) out.push_back(loc);
-  }
-  return out;
-}
-
-/// True if `id` lies beneath a scope carrying any of the given annotations.
-bool nestedUnderAnno(const Program& p, NodeId id,
-                     std::initializer_list<LoopAnno> annos) {
-  for (NodeId a : ir::enclosingScopes(p.root, id)) {
-    const Node* s = ir::findNode(p.root, a);
-    if (s && std::find(annos.begin(), annos.end(), s->anno) != annos.end())
-      return true;
-  }
-  return false;
-}
-
-/// True if any scope in the subtree under `n` (inclusive) has one of annos.
-bool containsAnno(const Node& n, std::initializer_list<LoopAnno> annos) {
-  bool found = false;
-  ir::visit(n, [&](const Node& c) {
-    if (c.isScope() && std::find(annos.begin(), annos.end(), c.anno) != annos.end())
-      found = true;
-  });
-  return found;
-}
-
-class SetAnnoBase : public CheckedTransform {
- public:
-  // All annotation transforms enumerate the same way — every scope passing a
-  // caps gate plus a per-scope predicate — so the full/scoped/single-node
-  // triple lives here once and subclasses only override capsGate/okWithCaps.
-  std::vector<Location> findApplicable(const Program& p,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
-                                       ir::NodeId subtree_root) const override {
-    if (!capsGate(caps)) return {};
-    return scopeLocationsWithin(p, subtree_root, [&](const Location& loc) {
-      return okWithCaps(p, caps, loc);
-    });
-  }
-
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
-                                         ir::NodeId node) const override {
-    if (!capsGate(caps)) return {};
-    return scopeLocationAt(p, node, [&](const Location& loc) {
-      return okWithCaps(p, caps, loc);
-    });
-  }
-
+class SetAnnoBase : public ScopeSiteTransform {
  protected:
+  // All annotation transforms enumerate the same way — every scope passing a
+  // caps gate plus a per-scope predicate — so subclasses only override
+  // capsGate/okWithCaps.
+  void emitAt(const ir::ProgramIndex& ix, const MachineCaps& caps,
+              const Node& s, std::vector<Location>& out) const final {
+    if (capsGate(caps) && okWithCaps(ix, caps, s)) out.push_back(at(s.id));
+  }
   void applyChecked(Program& q, const Location& loc) const override {
     // Only the scope's own line (the anno suffix) changes.
     reportDirtySubtree(loc.node);
@@ -102,34 +39,65 @@ class SetAnnoBase : public CheckedTransform {
   }
   virtual LoopAnno target() const = 0;
   /// Machine-level gate: false means this transform offers nothing at all on
-  /// these caps (no per-scope work done).
+  /// these caps.
   virtual bool capsGate(const MachineCaps&) const { return true; }
-  /// Per-scope predicate including caps-dependent parameter limits; defaults
-  /// to the semantic check alone.
-  virtual bool okWithCaps(const Program& p, const MachineCaps&,
-                          const Location& loc) const {
-    return isApplicable(p, loc);
+  /// Predicate on an enumerated scope, including caps-dependent parameter
+  /// limits.
+  virtual bool okWithCaps(const ir::ProgramIndex& ix, const MachineCaps& caps,
+                          const Node& s) const = 0;
+};
+
+/// Annotation transforms whose predicate reads only the scope's subtree:
+/// isApplicable finds the scope by a walk, enumeration takes it from the
+/// index, and both ask the same predicate.
+class LocalAnnoBase : public SetAnnoBase {
+ public:
+  bool isApplicable(const Program& p, const Location& loc) const override {
+    const Node* s = scopeSite(p, loc);
+    return s != nullptr && legal(*s);
+  }
+
+ protected:
+  virtual bool legal(const Node& s) const = 0;
+  bool okWithCaps(const ir::ProgramIndex&, const MachineCaps&,
+                  const Node& s) const override {
+    return legal(s);
+  }
+};
+
+/// Annotation transforms whose predicate needs more of the program than the
+/// scope's own subtree (enclosing annotations, resolved buffers): one
+/// predicate over the index serves both isApplicable and the enumeration.
+class IndexedAnnoBase : public SetAnnoBase {
+ public:
+  bool isApplicable(const Program& p, const Location& loc) const override {
+    const ir::ProgramIndex ix(p);
+    const Node* s = ix.scope(loc.node);
+    return s != nullptr && legal(ix, *s);
+  }
+
+ protected:
+  virtual bool legal(const ir::ProgramIndex& ix, const Node& s) const = 0;
+  bool okWithCaps(const ir::ProgramIndex& ix, const MachineCaps&,
+                  const Node& s) const override {
+    return legal(ix, s);
   }
 };
 
 // ---------------------------------------------------------------------------
 
-class Unroll final : public SetAnnoBase {
+class Unroll final : public LocalAnnoBase {
  public:
   std::string name() const override { return "unroll"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    return s->extent <= 64;  // hard sanity bound; caps tighten in enumeration
-  }
-
  protected:
-  bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    return ir::findNode(p.root, loc.node)->extent <= caps.max_unroll;
+  bool legal(const Node& s) const override {
+    // Hard sanity bound; caps tighten in enumeration.
+    return s.anno == LoopAnno::None && s.extent <= 64;
+  }
+  bool okWithCaps(const ir::ProgramIndex&, const MachineCaps& caps,
+                  const Node& s) const override {
+    return legal(s) && s.extent <= caps.max_unroll;
   }
   LoopAnno target() const override { return LoopAnno::Unroll; }
 };
@@ -172,49 +140,42 @@ bool vectorizableBody(const Node& s) {
   return true;
 }
 
-class Vectorize final : public SetAnnoBase {
+class Vectorize final : public LocalAnnoBase {
  public:
   std::string name() const override { return "vectorize"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
+ protected:
+  bool legal(const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
     static const std::int64_t common_widths[] = {2, 4, 8, 16, 32, 64};
     if (std::find(std::begin(common_widths), std::end(common_widths),
-                  s->extent) == std::end(common_widths))
+                  s.extent) == std::end(common_widths))
       return false;
-    return vectorizableBody(*s);
+    return vectorizableBody(s);
   }
-
- protected:
-  bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    const Node* s = ir::findNode(p.root, loc.node);
-    return std::find(caps.vector_widths.begin(), caps.vector_widths.end(),
-                     s->extent) != caps.vector_widths.end();
+  bool okWithCaps(const ir::ProgramIndex&, const MachineCaps& caps,
+                  const Node& s) const override {
+    return legal(s) &&
+           std::find(caps.vector_widths.begin(), caps.vector_widths.end(),
+                     s.extent) != caps.vector_widths.end();
   }
   LoopAnno target() const override { return LoopAnno::Vector; }
 };
 
 // ---------------------------------------------------------------------------
 
-class Parallelize final : public SetAnnoBase {
+class Parallelize final : public IndexedAnnoBase {
  public:
   std::string name() const override { return "parallelize"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    // One level of CPU parallelism: not nested under or above another :p.
-    if (nestedUnderAnno(p, s->id, {LoopAnno::Parallel})) return false;
-    if (containsAnno(*s, {LoopAnno::Parallel})) return false;
-    return iterationsIndependent(p, *s);
-  }
-
  protected:
+  bool legal(const ir::ProgramIndex& ix, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    // One level of CPU parallelism: not nested under or above another :p.
+    const AnnoMask par = annoBit(LoopAnno::Parallel);
+    if (ix.nestedUnder(s.id, par) || ix.subtreeHas(s.id, par)) return false;
+    return iterationsIndependent(ix.ops(s.id), s.id);
+  }
   bool capsGate(const MachineCaps& caps) const override {
     return caps.has_parallel && !caps.is_gpu;
   }
@@ -223,70 +184,60 @@ class Parallelize final : public SetAnnoBase {
 
 // ---------------------------------------------------------------------------
 
-class GpuMapGrid final : public SetAnnoBase {
+class GpuMapGrid final : public IndexedAnnoBase {
  public:
   std::string name() const override { return "gpu_map_grid"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
+ protected:
+  bool legal(const ir::ProgramIndex& ix, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
     // Multi-dimensional grids nest :g under :g; thread-level scopes may not
     // spawn grids.
-    if (nestedUnderAnno(p, s->id, {LoopAnno::GpuBlock, LoopAnno::GpuWarp}))
+    if (ix.nestedUnder(s.id, annoBit(LoopAnno::GpuBlock) |
+                                 annoBit(LoopAnno::GpuWarp)))
       return false;
-    return iterationsIndependent(p, *s);
+    return iterationsIndependent(ix.ops(s.id), s.id);
   }
-
- protected:
   bool capsGate(const MachineCaps& caps) const override { return caps.is_gpu; }
   LoopAnno target() const override { return LoopAnno::GpuGrid; }
 };
 
-class GpuMapBlock final : public SetAnnoBase {
+class GpuMapBlock final : public IndexedAnnoBase {
  public:
   std::string name() const override { return "gpu_map_block"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    // Block scopes nest inside the grid mapping.
-    if (!nestedUnderAnno(p, s->id, {LoopAnno::GpuGrid})) return false;
-    if (nestedUnderAnno(p, s->id, {LoopAnno::GpuWarp})) return false;
-    if (s->extent > 1024) return false;
-    return iterationsIndependent(p, *s);
-  }
-
  protected:
+  bool legal(const ir::ProgramIndex& ix, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    // Block scopes nest inside the grid mapping.
+    if (!ix.nestedUnder(s.id, annoBit(LoopAnno::GpuGrid))) return false;
+    if (ix.nestedUnder(s.id, annoBit(LoopAnno::GpuWarp))) return false;
+    if (s.extent > 1024) return false;
+    return iterationsIndependent(ix.ops(s.id), s.id);
+  }
   bool capsGate(const MachineCaps& caps) const override { return caps.is_gpu; }
-  bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    return ir::findNode(p.root, loc.node)->extent <= caps.max_block_threads;
+  bool okWithCaps(const ir::ProgramIndex& ix, const MachineCaps& caps,
+                  const Node& s) const override {
+    return legal(ix, s) && s.extent <= caps.max_block_threads;
   }
   LoopAnno target() const override { return LoopAnno::GpuBlock; }
 };
 
-class GpuMapWarp final : public SetAnnoBase {
+class GpuMapWarp final : public IndexedAnnoBase {
  public:
   std::string name() const override { return "gpu_map_warp"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    if (!nestedUnderAnno(p, s->id, {LoopAnno::GpuBlock})) return false;
-    if (s->extent > 64) return false;  // at most one wavefront of lanes
-    return iterationsIndependent(p, *s);
-  }
-
  protected:
+  bool legal(const ir::ProgramIndex& ix, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    if (!ix.nestedUnder(s.id, annoBit(LoopAnno::GpuBlock))) return false;
+    if (s.extent > 64) return false;  // at most one wavefront of lanes
+    return iterationsIndependent(ix.ops(s.id), s.id);
+  }
   bool capsGate(const MachineCaps& caps) const override { return caps.is_gpu; }
-  bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    return ir::findNode(p.root, loc.node)->extent <= caps.warp_size;
+  bool okWithCaps(const ir::ProgramIndex& ix, const MachineCaps& caps,
+                  const Node& s) const override {
+    return legal(ix, s) && s.extent <= caps.warp_size;
   }
   LoopAnno target() const override { return LoopAnno::GpuWarp; }
 };
@@ -311,15 +262,14 @@ const Node* streamableOp(const Node& s) {
 /// Snitch SSR: operand fetch via stream semantic registers. Requires a
 /// single-op (possibly unrolled) body with affine strides and at most three
 /// streamed arrays (Snitch exposes three SSR data movers).
-class SsrStream final : public SetAnnoBase {
+class SsrStream final : public LocalAnnoBase {
  public:
   std::string name() const override { return "ssr_stream"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    const Node* body = streamableOp(*s);
+ protected:
+  bool legal(const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    const Node* body = streamableOp(s);
     if (!body) return false;
     const Node& op = *body;
     int streams = 0;
@@ -334,7 +284,7 @@ class SsrStream final : public SetAnnoBase {
     // An accumulator held constant across the streamed loop lives in an FP
     // register, not an SSR stream: only operands whose address varies with
     // the streamed iteration occupy one of Snitch's three data movers.
-    auto isStream = [&](const ir::Access& a) { return a.usesIter(s->id); };
+    auto isStream = [&](const ir::Access& a) { return a.usesIter(s.id); };
     if (!affineAccess(op.out)) return false;
     if (isStream(op.out)) ++streams;
     for (const auto& in : op.ins) {
@@ -347,8 +297,6 @@ class SsrStream final : public SetAnnoBase {
     }
     return streams <= 3;
   }
-
- protected:
   bool capsGate(const MachineCaps& caps) const override { return caps.has_ssr; }
   LoopAnno target() const override { return LoopAnno::Ssr; }
 };
@@ -357,19 +305,16 @@ class SsrStream final : public SetAnnoBase {
 /// upgrade of an SSR-streamed loop (operands must already come from streams),
 /// mirroring the paper's insistence that composite optimizations decompose
 /// into atomic, individually-checkable steps.
-class Frep final : public SetAnnoBase {
+class Frep final : public LocalAnnoBase {
  public:
   std::string name() const override { return "frep"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope()) return false;
-    if (s->anno != LoopAnno::Ssr) return false;
-    const Node* op = streamableOp(*s);
+ protected:
+  bool legal(const Node& s) const override {
+    if (s.anno != LoopAnno::Ssr) return false;
+    const Node* op = streamableOp(s);
     return op != nullptr && ir::opIsFloatingPoint(op->op);
   }
-
- protected:
   bool capsGate(const MachineCaps& caps) const override { return caps.has_frep; }
   LoopAnno target() const override { return LoopAnno::Frep; }
 };

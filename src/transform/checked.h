@@ -14,6 +14,8 @@
 
 #include "ir/incremental.h"
 #include "ir/program.h"
+#include "ir/program_index.h"
+#include "ir/walk.h"
 #include "support/common.h"
 #include "transform/transform.h"
 
@@ -98,8 +100,8 @@ class CheckedTransform : public Transform {
   void applyInPlace(ir::Program& q, const Location& loc,
                     ir::MutationSummary* mut,
                     bool validate = true) const final {
-    require(isApplicable(q, loc),
-            name() + ": location not applicable to this program");
+    if (!isApplicable(q, loc))
+      fail(name() + ": location not applicable to this program");
     detail::ReportScope scope(mut);
     applyChecked(q, loc);
     if (validate) q.validate();
@@ -111,6 +113,54 @@ class CheckedTransform : public Transform {
 
  protected:
   virtual void applyChecked(ir::Program& q, const Location& loc) const = 0;
+};
+
+/// The scope site `loc` names in `p` — a scope other than the root
+/// container — or nullptr.
+inline const ir::Node* scopeSite(const ir::Program& p, const Location& loc) {
+  const ir::Node* s = ir::findNode(p.root, loc.node);
+  return s != nullptr && s->isScope() && s->id != p.root.id ? s : nullptr;
+}
+
+/// Transforms whose sites are scopes (the location is the scope plus
+/// parameters). The full, scoped and single-node enumerations are all the
+/// same pre-order scope walk over the index, so they live here once and
+/// subclasses only say which locations one scope offers.
+class ScopeSiteTransform : public CheckedTransform {
+ public:
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps& caps) const override {
+    return findApplicable(ix, caps, ix.rootId());
+  }
+
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps& caps,
+                                       ir::NodeId subtree_root) const override {
+    std::vector<Location> out;
+    ix.forEachScope(subtree_root,
+                    [&](const ir::Node& s) { emitAt(ix, caps, s, out); });
+    return out;
+  }
+
+  std::vector<Location> findApplicableAt(const ir::ProgramIndex& ix,
+                                         const MachineCaps& caps,
+                                         ir::NodeId node) const override {
+    std::vector<Location> out;
+    if (const ir::Node* s = ix.scope(node)) emitAt(ix, caps, *s, out);
+    return out;
+  }
+
+ protected:
+  /// Appends the applicable locations at scope `s`, in enumeration order.
+  virtual void emitAt(const ir::ProgramIndex& ix, const MachineCaps& caps,
+                      const ir::Node& s, std::vector<Location>& out) const = 0;
+
+  static Location at(ir::NodeId node, std::int64_t param = 0) {
+    Location loc;
+    loc.node = node;
+    loc.param = param;
+    return loc;
+  }
 };
 
 }  // namespace perfdojo::transform

@@ -10,31 +10,10 @@ using ir::Buffer;
 using ir::IndexExpr;
 using ir::Node;
 using ir::NodeId;
-using ir::Program;
 
-OpInfo opInfo(const Node& op) {
-  require(op.isOp(), "opInfo: not an op node");
-  OpInfo info;
-  info.op = &op;
-  info.write = op.out;
-  for (const auto& in : op.ins)
-    if (in.kind == ir::Operand::Kind::Array) info.reads.push_back(in.access);
-  if (ir::opIsAssociativeCommutative(op.op)) {
-    for (const auto& r : info.reads)
-      if (r == op.out) info.is_accumulation = true;
-  } else if (op.op == ir::OpCode::Fma) {
-    // out = a*b + out is a sum-of-products reduction (associative +
-    // commutative over the additive accumulator).
-    const auto& c = op.ins[2];
-    if (c.kind == ir::Operand::Kind::Array && c.access == op.out)
-      info.is_accumulation = true;
-  }
-  return info;
-}
-
-std::vector<OpInfo> collectOpInfos(const Node& root) {
+std::vector<OpInfo> collectOpInfos(const ir::Program& p, const Node& root) {
   std::vector<OpInfo> out;
-  for (const Node* op : ir::collectOps(root)) out.push_back(opInfo(*op));
+  for (const Node* op : ir::collectOps(root)) out.push_back(ir::opInfo(p, *op));
   return out;
 }
 
@@ -54,33 +33,32 @@ bool affineNonzeroIn(const IndexExpr& e, NodeId iter) {
 
 }  // namespace
 
-bool mayAlias(const Program& p, const Access& a, const Access& b) {
-  const Buffer* ba = p.bufferOfArray(a.array);
-  const Buffer* bb = p.bufferOfArray(b.array);
-  require(ba && bb, "mayAlias: unknown array");
-  if (ba != bb) return false;
-  if (a.array != b.array) return true;  // distinct arrays sharing storage
-  for (std::size_t d = 0; d < ba->materialized.size(); ++d) {
-    if (!ba->materialized[d]) continue;
-    const IndexExpr& ea = a.idx[d];
-    const IndexExpr& eb = b.idx[d];
+bool mayAlias(const AccessRef& a, const AccessRef& b) {
+  require(a.buffer && b.buffer, "mayAlias: unknown array");
+  if (a.buffer != b.buffer) return false;
+  if (a.access->array != b.access->array) return true;  // shared storage
+  const Buffer* buf = a.buffer;
+  for (std::size_t d = 0; d < buf->materialized.size(); ++d) {
+    if (!buf->materialized[d]) continue;
+    const IndexExpr& ea = a.access->idx[d];
+    const IndexExpr& eb = b.access->idx[d];
     if (ea.isConst() && eb.isConst() && ea.constValue() != eb.constValue())
       return false;  // provably distinct elements
   }
   return true;
 }
 
-bool sameElementUnderIterMap(const Program& p, const Access& a, NodeId iter_a,
-                             const Access& b, NodeId iter_b) {
-  if (a.array != b.array) return false;
-  const Buffer* ba = p.bufferOfArray(a.array);
-  require(ba != nullptr, "deps: unknown array '" + a.array + "'");
+bool sameElementUnderIterMap(const AccessRef& a, NodeId iter_a,
+                             const AccessRef& b, NodeId iter_b) {
+  if (a.access->array != b.access->array) return false;
+  const Buffer* ba = a.buffer;
+  require(ba != nullptr, "deps: unknown array '" + a.access->array + "'");
   const IndexExpr unified = IndexExpr::iter(iter_a);
   bool uses_iter_injectively = false;
   for (std::size_t d = 0; d < ba->materialized.size(); ++d) {
     if (!ba->materialized[d]) continue;
-    const IndexExpr& ea = a.idx[d];
-    const IndexExpr eb = b.idx[d].substitute(iter_b, unified).simplified();
+    const IndexExpr& ea = a.access->idx[d];
+    const IndexExpr eb = b.access->idx[d].substitute(iter_b, unified).simplified();
     if (!(ea == eb)) return false;
     if (affineNonzeroIn(ea, iter_a)) uses_iter_injectively = true;
   }
@@ -91,29 +69,20 @@ bool sameElementUnderIterMap(const Program& p, const Access& a, NodeId iter_a,
   return uses_iter_injectively;
 }
 
-bool fusionLegal(const Program& p, const std::vector<Node>& body_a,
-                 NodeId iter_a, const std::vector<Node>& body_b, NodeId iter_b) {
-  std::vector<OpInfo> a_ops;
-  std::vector<OpInfo> b_ops;
-  for (const auto& n : body_a) {
-    auto more = collectOpInfos(n);
-    a_ops.insert(a_ops.end(), more.begin(), more.end());
-  }
-  for (const auto& n : body_b) {
-    auto more = collectOpInfos(n);
-    b_ops.insert(b_ops.end(), more.begin(), more.end());
-  }
-  auto crossOk = [&](const Access& wa, NodeId wi, const Access& ab, NodeId bi) {
-    if (!mayAlias(p, wa, ab)) return true;
-    return sameElementUnderIterMap(p, wa, wi, ab, bi);
+bool fusionLegal(std::span<const OpInfo> ops_a, NodeId iter_a,
+                 std::span<const OpInfo> ops_b, NodeId iter_b) {
+  auto crossOk = [&](const AccessRef& wa, NodeId wi, const AccessRef& ab,
+                     NodeId bi) {
+    if (!mayAlias(wa, ab)) return true;
+    return sameElementUnderIterMap(wa, wi, ab, bi);
   };
-  for (const auto& oa : a_ops) {
-    for (const auto& ob : b_ops) {
+  for (const auto& oa : ops_a) {
+    for (const auto& ob : ops_b) {
       // write(A) vs read(B)
-      for (const auto& rb : ob.reads)
+      for (const auto& rb : ob.reads())
         if (!crossOk(oa.write, iter_a, rb, iter_b)) return false;
       // read(A) vs write(B)
-      for (const auto& ra : oa.reads)
+      for (const auto& ra : oa.reads())
         if (!crossOk(ob.write, iter_b, ra, iter_a)) return false;
       // write vs write
       if (!crossOk(oa.write, iter_a, ob.write, iter_b)) return false;
@@ -122,82 +91,77 @@ bool fusionLegal(const Program& p, const std::vector<Node>& body_a,
   return true;
 }
 
-bool opsSwappable(const Program& p, const Node& a, const Node& b) {
-  if (!a.isOp() || !b.isOp()) return false;
-  const OpInfo ia = opInfo(a);
-  const OpInfo ib = opInfo(b);
-  for (const auto& r : ib.reads)
-    if (mayAlias(p, ia.write, r)) return false;
-  for (const auto& r : ia.reads)
-    if (mayAlias(p, ib.write, r)) return false;
-  if (mayAlias(p, ia.write, ib.write)) return false;
+bool opsSwappable(std::span<const OpInfo> ops_a, std::span<const OpInfo> ops_b) {
+  for (const auto& oa : ops_a) {
+    for (const auto& ob : ops_b) {
+      if (mayAlias(oa.write, ob.write)) return false;
+      for (const auto& r : ob.reads())
+        if (mayAlias(oa.write, r)) return false;
+      for (const auto& r : oa.reads())
+        if (mayAlias(ob.write, r)) return false;
+    }
+  }
   return true;
 }
 
-bool interchangeLegal(const Program& p, const Node& outer, const Node& inner) {
-  const auto ops = collectOpInfos(inner);  // nest body lives under inner
+bool interchangeLegal(std::span<const OpInfo> ops, NodeId outer, NodeId inner) {
   // Group accesses per written array and apply the per-write rule.
   for (const auto& w : ops) {
-    const bool uses_outer = w.write.usesIter(outer.id);
-    const bool uses_inner = w.write.usesIter(inner.id);
-    if (uses_outer && uses_inner) {
-      // Every aliasing read must match the write exactly (distance 0).
-      for (const auto& o : ops) {
-        for (const auto& r : o.reads) {
-          if (!mayAlias(p, w.write, r)) continue;
-          if (!(r == w.write)) return false;
-        }
-      }
+    const Access& wa = *w.write.access;
+    // Every aliasing read must match the write exactly (distance 0).
+    auto readsMatch = [&] {
+      for (const auto& o : ops)
+        for (const auto& r : o.reads())
+          if (mayAlias(w.write, r) && !(*r.access == wa)) return false;
+      return true;
+    };
+    if (wa.usesIter(outer) && wa.usesIter(inner)) {
+      if (!readsMatch()) return false;
     } else {
       // Reduction over one (or both) of the swapped loops: only legal for
       // associative+commutative accumulation, and the only aliasing reads
       // must be the accumulation's own operand.
       if (!w.is_accumulation) return false;
-      for (const auto& o : ops) {
-        for (const auto& r : o.reads) {
-          if (!mayAlias(p, w.write, r)) continue;
-          if (!(r == w.write)) return false;
-        }
-      }
+      if (!readsMatch()) return false;
       // Aliasing writes from other ops would interleave differently.
       for (const auto& o : ops) {
         if (o.op == w.op) continue;
-        if (mayAlias(p, w.write, o.write) && !(o.write == w.write)) return false;
+        if (mayAlias(w.write, o.write) && !(*o.write.access == wa)) return false;
       }
     }
   }
   return true;
 }
 
-bool iterationsIndependent(const Program& p, const Node& scope) {
-  const auto ops = collectOpInfos(scope);
+bool iterationsIndependent(std::span<const OpInfo> ops, NodeId scope) {
   // Per written buffer: collect all accesses to it within the subtree.
   for (const auto& w : ops) {
-    const Buffer* wb = p.bufferOfArray(w.write.array);
-    require(wb != nullptr, "deps: unknown array '" + w.write.array + "'");
+    const Access& wa = *w.write.access;
+    const Buffer* wb = w.write.buffer;
+    require(wb != nullptr, "deps: unknown array '" + wa.array + "'");
     // Dimensions (materialized) in which the write uses the scope iterator.
     std::vector<std::size_t> iter_dims;
     bool injective = false;
     for (std::size_t d = 0; d < wb->materialized.size(); ++d) {
       if (!wb->materialized[d]) continue;
-      if (w.write.idx[d].usesIter(scope.id)) {
+      if (wa.idx[d].usesIter(scope)) {
         iter_dims.push_back(d);
-        if (affineNonzeroIn(w.write.idx[d], scope.id)) injective = true;
+        if (affineNonzeroIn(wa.idx[d], scope)) injective = true;
       }
     }
     if (iter_dims.empty() || !injective) return false;  // reduction over scope
     // Every access (read or write) in the subtree that may alias this write
     // must agree with it syntactically on those dimensions.
-    auto agree = [&](const Access& a) {
-      if (p.bufferOfArray(a.array) != wb) return true;  // different storage
-      if (a.array != w.write.array) return false;       // shared-buffer alias
+    auto agree = [&](const AccessRef& a) {
+      if (a.buffer != wb) return true;                 // different storage
+      if (a.access->array != wa.array) return false;  // shared-buffer alias
       for (std::size_t d : iter_dims)
-        if (!(a.idx[d] == w.write.idx[d])) return false;
+        if (!(a.access->idx[d] == wa.idx[d])) return false;
       return true;
     };
     for (const auto& o : ops) {
       if (!agree(o.write)) return false;
-      for (const auto& r : o.reads)
+      for (const auto& r : o.reads())
         if (!agree(r)) return false;
     }
   }

@@ -24,87 +24,35 @@ void substituteInChildren(std::vector<Node>& children, NodeId from,
   for (auto& c : children) ir::substituteIter(c, from, repl);
 }
 
-// Shared scoped-enumeration shape for transforms whose candidate sites are
-// exactly the scope nodes (one parameterless location per applicable scope):
-// the subsequence of the full collectScopes enumeration inside a subtree,
-// and the single-node recheck.
-template <typename T>
-std::vector<Location> scopeLocationsWithin(const T& t, const Program& p,
-                                           NodeId subtree_root) {
-  std::vector<Location> out;
-  for (const Node* s : ir::collectScopesWithin(p.root, subtree_root)) {
-    Location loc;
-    loc.node = s->id;
-    if (t.isApplicable(p, loc)) out.push_back(loc);
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<Location> scopeLocationAt(const T& t, const Program& p, NodeId node) {
-  std::vector<Location> out;
-  const Node* s = ir::findNode(p.root, node);
-  if (s != nullptr && s->id != p.root.id && s->isScope()) {
-    Location loc;
-    loc.node = node;
-    if (t.isApplicable(p, loc)) out.push_back(loc);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 
-class SplitScope final : public CheckedTransform {
+class SplitScope final : public ScopeSiteTransform {
  public:
   std::string name() const override { return "split_scope"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    const std::int64_t f = loc.param;
-    return f >= 2 && f < s->extent && s->extent % f == 0;
-  }
-
-  std::vector<Location> findApplicable(const Program& p,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
-                                       ir::NodeId subtree_root) const override {
-    std::vector<Location> out;
-    for (const Node* s : ir::collectScopesWithin(p.root, subtree_root))
-      emitAt(p, caps, *s, out);
-    return out;
-  }
-
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
-                                         ir::NodeId node) const override {
-    std::vector<Location> out;
-    const Node* s = ir::findNode(p.root, node);
-    if (s != nullptr && s->id != p.root.id && s->isScope())
-      emitAt(p, caps, *s, out);
-    return out;
+    const Node* s = scopeSite(p, loc);
+    return s != nullptr && splits(*s, loc.param);
   }
 
  private:
-  void emitAt(const Program& p, const MachineCaps& caps, const Node& s,
-              std::vector<Location>& out) const {
+  static bool splits(const Node& s, std::int64_t f) {
+    return s.anno == LoopAnno::None && f >= 2 && f < s.extent &&
+           s.extent % f == 0;
+  }
+
+ protected:
+  void emitAt(const ir::ProgramIndex&, const MachineCaps& caps, const Node& s,
+              std::vector<Location>& out) const override {
     if (s.anno != LoopAnno::None) return;
     std::set<std::int64_t> factors(caps.split_factors.begin(),
                                    caps.split_factors.end());
     for (std::int64_t w : caps.vector_widths) factors.insert(w);
     if (caps.is_gpu) factors.insert(caps.warp_size);
-    for (std::int64_t f : factors) {
-      Location loc;
-      loc.node = s.id;
-      loc.param = f;
-      if (isApplicable(p, loc)) out.push_back(loc);
-    }
+    for (std::int64_t f : factors)
+      if (splits(s, f)) out.push_back(at(s.id, f));
   }
 
- protected:
   void applyChecked(Program& q, const Location& loc) const override {
     Node* s = ir::findNode(q.root, loc.node);
     // `s` keeps its id and stays in place: all text changes are inside it.
@@ -127,34 +75,28 @@ class SplitScope final : public CheckedTransform {
 
 // ---------------------------------------------------------------------------
 
-class CollapseScopes final : public CheckedTransform {
+/// An unannotated scope whose only child is an unannotated scope: the nest
+/// collapse_scopes merges and interchange_scopes swaps.
+bool plainNest(const Node& s) {
+  return s.anno == LoopAnno::None && s.children.size() == 1 &&
+         s.children[0].isScope() && s.children[0].anno == LoopAnno::None;
+}
+
+class CollapseScopes final : public ScopeSiteTransform {
  public:
   std::string name() const override { return "collapse_scopes"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    if (s->children.size() != 1 || !s->children[0].isScope()) return false;
-    return s->children[0].anno == LoopAnno::None;
-  }
-
-  std::vector<Location> findApplicable(const Program& p,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps&,
-                                       ir::NodeId subtree_root) const override {
-    return scopeLocationsWithin(*this, p, subtree_root);
-  }
-
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps&,
-                                         ir::NodeId node) const override {
-    return scopeLocationAt(*this, p, node);
+    const Node* s = scopeSite(p, loc);
+    return s != nullptr && plainNest(*s);
   }
 
  protected:
+  void emitAt(const ir::ProgramIndex&, const MachineCaps&, const Node& s,
+              std::vector<Location>& out) const override {
+    if (plainNest(s)) out.push_back(at(s.id));
+  }
+
   void applyChecked(Program& q, const Location& loc) const override {
     // The collapsed scope changes its own id, so the stable dirty root is
     // its parent (the root container when collapsing a top-level nest).
@@ -178,36 +120,29 @@ class CollapseScopes final : public CheckedTransform {
 
 // ---------------------------------------------------------------------------
 
-class InterchangeScopes final : public CheckedTransform {
+class InterchangeScopes final : public ScopeSiteTransform {
  public:
   std::string name() const override { return "interchange_scopes"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* outer = ir::findNode(p.root, loc.node);
-    if (!outer || !outer->isScope() || outer->id == p.root.id) return false;
-    if (outer->anno != LoopAnno::None) return false;
-    if (outer->children.size() != 1 || !outer->children[0].isScope()) return false;
-    const Node& inner = outer->children[0];
-    if (inner.anno != LoopAnno::None) return false;
-    return interchangeLegal(p, *outer, inner);
+    const ir::ProgramIndex ix(p);
+    const Node* s = ix.scope(loc.node);
+    return s != nullptr && legal(ix, *s);
   }
 
-  std::vector<Location> findApplicable(const Program& p,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps&,
-                                       ir::NodeId subtree_root) const override {
-    return scopeLocationsWithin(*this, p, subtree_root);
-  }
-
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps&,
-                                         ir::NodeId node) const override {
-    return scopeLocationAt(*this, p, node);
+ private:
+  static bool legal(const ir::ProgramIndex& ix, const Node& outer) {
+    if (!plainNest(outer)) return false;
+    const Node& inner = outer.children[0];
+    return interchangeLegal(ix.ops(inner.id), outer.id, inner.id);
   }
 
  protected:
+  void emitAt(const ir::ProgramIndex& ix, const MachineCaps&, const Node& s,
+              std::vector<Location>& out) const override {
+    if (legal(ix, s)) out.push_back(at(s.id));
+  }
+
   void applyChecked(Program& q, const Location& loc) const override {
     // Both nests swap ids, so neither is a stable dirty root; the parent is.
     reportDirtySubtree(ir::findParent(q.root, loc.node)->id);
@@ -223,39 +158,34 @@ class InterchangeScopes final : public CheckedTransform {
 
 // ---------------------------------------------------------------------------
 
-class JoinScopes final : public CheckedTransform {
+class JoinScopes final : public ScopeSiteTransform {
  public:
   std::string name() const override { return "join_scopes"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* parent = ir::findParent(p.root, loc.node);
-    if (!parent) return false;
-    const int i = ir::childIndex(*parent, loc.node);
-    if (i < 0 || i + 1 >= static_cast<int>(parent->children.size())) return false;
-    const Node& s = parent->children[static_cast<std::size_t>(i)];
-    const Node& t = parent->children[static_cast<std::size_t>(i) + 1];
-    if (!s.isScope() || !t.isScope()) return false;
-    if (s.extent != t.extent) return false;
+    const ir::ProgramIndex ix(p);
+    const Node* s = ix.scope(loc.node);
+    return s != nullptr && legal(ix, *s);
+  }
+
+ private:
+  /// Scope `s` fuses with its next sibling.
+  static bool legal(const ir::ProgramIndex& ix, const Node& s) {
+    const Node* parent = ix.parent(s.id);
+    const auto next = static_cast<std::size_t>(ix.childIndex(s.id)) + 1;
+    if (next >= parent->children.size()) return false;
+    const Node& t = parent->children[next];
+    if (!t.isScope() || s.extent != t.extent) return false;
     if (s.anno != LoopAnno::None || t.anno != LoopAnno::None) return false;
-    return fusionLegal(p, s.children, s.id, t.children, t.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps&,
-                                       ir::NodeId subtree_root) const override {
-    return scopeLocationsWithin(*this, p, subtree_root);
-  }
-
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps&,
-                                         ir::NodeId node) const override {
-    return scopeLocationAt(*this, p, node);
+    return fusionLegal(ix.ops(s.id), s.id, ix.ops(t.id), t.id);
   }
 
  protected:
+  void emitAt(const ir::ProgramIndex& ix, const MachineCaps&, const Node& s,
+              std::vector<Location>& out) const override {
+    if (legal(ix, s)) out.push_back(at(s.id));
+  }
+
   void applyChecked(Program& q, const Location& loc) const override {
     Node* parent = ir::findParent(q.root, loc.node);
     // The fused sibling disappears from the parent's child list.
@@ -271,57 +201,36 @@ class JoinScopes final : public CheckedTransform {
 
 // ---------------------------------------------------------------------------
 
-class FissionScope final : public CheckedTransform {
+class FissionScope final : public ScopeSiteTransform {
  public:
   std::string name() const override { return "fission_scope"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    const std::int64_t cut = loc.param;
-    if (cut < 1 || cut >= static_cast<std::int64_t>(s->children.size()))
-      return false;
-    std::vector<Node> a(s->children.begin(), s->children.begin() + cut);
-    std::vector<Node> b(s->children.begin() + cut, s->children.end());
-    // Fission is legal iff the two halves could be legally fused back.
-    return fusionLegal(p, a, s->id, b, s->id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
-                                       ir::NodeId subtree_root) const override {
-    std::vector<Location> out;
-    for (const Node* s : ir::collectScopesWithin(p.root, subtree_root))
-      emitAt(p, caps, *s, out);
-    return out;
-  }
-
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
-                                         ir::NodeId node) const override {
-    std::vector<Location> out;
-    const Node* s = ir::findNode(p.root, node);
-    if (s != nullptr && s->id != p.root.id && s->isScope())
-      emitAt(p, caps, *s, out);
-    return out;
+    const ir::ProgramIndex ix(p);
+    const Node* s = ix.scope(loc.node);
+    return s != nullptr && legal(ix, *s, loc.param);
   }
 
  private:
-  void emitAt(const Program& p, const MachineCaps&, const Node& s,
-              std::vector<Location>& out) const {
-    for (std::size_t cut = 1; cut < s.children.size(); ++cut) {
-      Location loc;
-      loc.node = s.id;
-      loc.param = static_cast<std::int64_t>(cut);
-      if (isApplicable(p, loc)) out.push_back(loc);
-    }
+  /// Scope `s` splits into children [0, cut) and [cut, end).
+  static bool legal(const ir::ProgramIndex& ix, const Node& s, std::int64_t cut) {
+    if (s.anno != LoopAnno::None) return false;
+    if (cut < 1 || cut >= static_cast<std::int64_t>(s.children.size()))
+      return false;
+    const auto c = static_cast<std::size_t>(cut);
+    // Fission is legal iff the two halves could be legally fused back.
+    return fusionLegal(ix.ops(s, 0, c), s.id, ix.ops(s, c, s.children.size()),
+                       s.id);
   }
 
  protected:
+  void emitAt(const ir::ProgramIndex& ix, const MachineCaps&, const Node& s,
+              std::vector<Location>& out) const override {
+    for (std::size_t cut = 1; cut < s.children.size(); ++cut)
+      if (legal(ix, s, static_cast<std::int64_t>(cut)))
+        out.push_back(at(s.id, static_cast<std::int64_t>(cut)));
+  }
+
   void applyChecked(Program& q, const Location& loc) const override {
     // A new sibling scope appears next to `s` in the parent's child list.
     reportDirtySubtree(ir::findParent(q.root, loc.node)->id);
@@ -345,62 +254,55 @@ class ReorderOps final : public CheckedTransform {
   std::string name() const override { return "reorder_ops"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* parent = ir::findParent(p.root, loc.node);
-    if (!parent) return false;
-    const int i = ir::childIndex(*parent, loc.node);
-    if (i < 0 || i + 1 >= static_cast<int>(parent->children.size())) return false;
-    const Node& a = parent->children[static_cast<std::size_t>(i)];
-    const Node& b = parent->children[static_cast<std::size_t>(i) + 1];
-    // Entire subtrees must be independent: no write of one may alias any
-    // access of the other.
-    const auto as = collectOpInfos(a);
-    const auto bs = collectOpInfos(b);
-    for (const auto& oa : as) {
-      for (const auto& ob : bs) {
-        if (mayAlias(p, oa.write, ob.write)) return false;
-        for (const auto& r : ob.reads)
-          if (mayAlias(p, oa.write, r)) return false;
-        for (const auto& r : oa.reads)
-          if (mayAlias(p, ob.write, r)) return false;
-      }
-    }
-    return true;
+    const ir::ProgramIndex ix(p);
+    const Node* parent = ix.parent(loc.node);
+    return parent != nullptr &&
+           legal(ix, *parent, static_cast<std::size_t>(ix.childIndex(loc.node)));
   }
 
-  std::vector<Location> findApplicable(const Program& p,
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
+    return findApplicable(ix, caps, ix.rootId());
   }
 
   // Ownership note: a reorder site is attributed to the PARENT whose child
   // list it permutes (loc.node is the left child, but the enumeration walks
   // parents). Scoped/At therefore key on the parent node; ActionSet's
   // classification table for reorder_ops matches.
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps&,
                                        ir::NodeId subtree_root) const override {
     std::vector<Location> out;
-    const Node* sub = ir::findNode(p.root, subtree_root);
-    if (sub == nullptr) return out;
-    ir::visit(*sub, [&](const Node& parent) { emitAt(p, caps, parent, out); });
+    for (const Node* parent : ix.subtree(subtree_root)) emitAt(ix, *parent, out);
     return out;
   }
 
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
+  std::vector<Location> findApplicableAt(const ir::ProgramIndex& ix,
+                                         const MachineCaps&,
                                          ir::NodeId node) const override {
     std::vector<Location> out;
-    const Node* parent = ir::findNode(p.root, node);
-    if (parent != nullptr) emitAt(p, caps, *parent, out);
+    if (const Node* parent = ix.node(node)) emitAt(ix, *parent, out);
     return out;
   }
 
  private:
-  void emitAt(const Program& p, const MachineCaps&, const Node& parent,
-              std::vector<Location>& out) const {
+  /// Children i and i+1 of `parent` swap: entire subtrees must be
+  /// independent, no write of one aliasing any access of the other.
+  static bool legal(const ir::ProgramIndex& ix, const Node& parent,
+                    std::size_t i) {
+    if (i + 1 >= parent.children.size()) return false;
+    return opsSwappable(ix.ops(parent.children[i].id),
+                        ix.ops(parent.children[i + 1].id));
+  }
+
+  static void emitAt(const ir::ProgramIndex& ix, const Node& parent,
+                     std::vector<Location>& out) {
     if (!parent.isScope()) return;
     for (std::size_t i = 0; i + 1 < parent.children.size(); ++i) {
+      if (!legal(ix, parent, i)) continue;
       Location loc;
       loc.node = parent.children[i].id;
-      if (isApplicable(p, loc)) out.push_back(loc);
+      out.push_back(loc);
     }
   }
 

@@ -102,15 +102,16 @@ class ReuseDims final : public CheckedTransform {
     }
   }
 
-  std::vector<Location> findApplicable(const Program& p,
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
-    // One walk over the tree, classifying every access by (buffer, dim),
+    // One pass over the indexed ops, classifying every access by (buffer, dim),
     // instead of isApplicable's full-tree rescan per candidate site: the
     // enumeration re-runs on every accepted search move (its predicate is
     // program-wide, so the action index cannot splice it), making it the
     // hottest findApplicable in the annealing walk. Site order (buffers in
     // declaration order, dims ascending) and the verdict per site are
     // identical to the per-site scan.
+    const Program& p = ix.program();
     struct DimState {
       std::optional<IndexExpr> common;
       bool all_same = true;
@@ -119,30 +120,23 @@ class ReuseDims final : public CheckedTransform {
     std::vector<std::vector<DimState>> state(p.buffers.size());
     for (std::size_t bi = 0; bi < p.buffers.size(); ++bi)
       state[bi].resize(p.buffers[bi].rank());
-    auto note = [&](const ir::Access& a) {
-      for (std::size_t bi = 0; bi < p.buffers.size(); ++bi) {
-        const auto& arrays = p.buffers[bi].arrays;
-        if (std::find(arrays.begin(), arrays.end(), a.array) == arrays.end())
-          continue;
-        auto& dims = state[bi];
-        const std::size_t r = std::min(dims.size(), a.idx.size());
-        for (std::size_t d = 0; d < r; ++d) {
-          DimState& ds = dims[d];
-          ++ds.accesses;
-          if (!ds.common)
-            ds.common = a.idx[d];
-          else if (ds.all_same && !(*ds.common == a.idx[d]))
-            ds.all_same = false;
-        }
-        return;  // arrays belong to exactly one buffer
+    auto note = [&](const ir::AccessRef& a) {
+      if (a.buffer == nullptr) return;
+      auto& dims = state[static_cast<std::size_t>(a.buffer - p.buffers.data())];
+      const std::size_t r = std::min(dims.size(), a.access->idx.size());
+      for (std::size_t d = 0; d < r; ++d) {
+        DimState& ds = dims[d];
+        ++ds.accesses;
+        if (!ds.common)
+          ds.common = a.access->idx[d];
+        else if (ds.all_same && !(*ds.common == a.access->idx[d]))
+          ds.all_same = false;
       }
     };
-    ir::visit(p.root, [&](const Node& n) {
-      if (!n.isOp()) return;
-      note(n.out);
-      for (const auto& in : n.ins)
-        if (in.kind == Operand::Kind::Array) note(in.access);
-    });
+    for (const ir::OpInfo& o : ix.ops(ix.rootId())) {
+      note(o.write);
+      for (const ir::AccessRef& r : o.reads()) note(r);
+    }
     std::vector<Location> out;
     for (std::size_t bi = 0; bi < p.buffers.size(); ++bi) {
       const Buffer& b = p.buffers[bi];
@@ -154,7 +148,7 @@ class ReuseDims final : public CheckedTransform {
         std::vector<NodeId> iters;
         ds.common->collectIters(iters);
         if (iters.size() != 1) continue;
-        const Node* scope = ir::findNode(p.root, iters[0]);
+        const Node* scope = ix.node(iters[0]);
         if (!scope) continue;
         switch (scope->anno) {
           case ir::LoopAnno::None:
@@ -194,8 +188,9 @@ class MaterializeDims final : public CheckedTransform {
     return !b->materialized[static_cast<std::size_t>(loc.dim)];
   }
 
-  std::vector<Location> findApplicable(const Program& p,
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
+    const Program& p = ix.program();
     std::vector<Location> out;
     for (const auto& b : p.buffers) {
       for (int d = 0; d < static_cast<int>(b.rank()); ++d) {
@@ -231,8 +226,9 @@ class ReorderDims final : public CheckedTransform {
            loc.dim != loc.dim2;
   }
 
-  std::vector<Location> findApplicable(const Program& p,
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
+    const Program& p = ix.program();
     std::vector<Location> out;
     for (const auto& b : p.buffers) {
       for (int i = 0; i < static_cast<int>(b.rank()); ++i) {
@@ -281,8 +277,9 @@ class PadDim final : public CheckedTransform {
     return loc.param > b->shape[static_cast<std::size_t>(loc.dim)];
   }
 
-  std::vector<Location> findApplicable(const Program& p,
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps& caps) const override {
+    const Program& p = ix.program();
     std::vector<Location> out;
     const std::int64_t align =
         caps.vector_widths.empty() ? 8 : caps.vector_widths.back();
@@ -333,8 +330,9 @@ class SetStorage final : public CheckedTransform {
     return false;
   }
 
-  std::vector<Location> findApplicable(const Program& p,
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps& caps) const override {
+    const Program& p = ix.program();
     std::vector<Location> out;
     std::vector<ir::MemSpace> spaces = {ir::MemSpace::Heap, ir::MemSpace::Stack,
                                         ir::MemSpace::Register};

@@ -60,70 +60,52 @@ bool reductionIdentity(OpCode op, double& identity, OpCode& combine) {
   }
 }
 
-class PartialReduce final : public CheckedTransform {
+class PartialReduce final : public ScopeSiteTransform {
  public:
   std::string name() const override { return "partial_reduce"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    if (s->children.size() != 1 || !s->children[0].isOp()) return false;
-    const Node& op = s->children[0];
-    const auto info = opInfo(op);
+    const Node* s = scopeSite(p, loc);
+    return s != nullptr && wrapsOneOp(*s) &&
+           legal(*s, ir::opInfo(p, s->children[0]), loc.param);
+  }
+
+ private:
+  static bool wrapsOneOp(const Node& s) {
+    return s.anno == LoopAnno::None && s.children.size() == 1 &&
+           s.children[0].isOp();
+  }
+
+  /// Scope `s` wrapping the single op described by `info` splits into `k`
+  /// partial accumulators.
+  static bool legal(const Node& s, const ir::OpInfo& info, std::int64_t k) {
+    const Node& op = *info.op;
     if (!info.is_accumulation) return false;
-    if (op.out.usesIter(s->id)) return false;  // must reduce over S
+    if (op.out.usesIter(s.id)) return false;  // must reduce over S
     double identity;
     OpCode combine;
     if (!reductionIdentity(op.op, identity, combine)) return false;
-    const std::int64_t k = loc.param;
-    if (k < 2 || k > 64 || s->extent % k != 0 || s->extent == k) return false;
+    if (k < 2 || k > 64 || s.extent % k != 0 || s.extent == k) return false;
     // Non-accumulator operands must not alias the accumulator.
-    for (const auto& in : op.ins) {
-      if (in.kind != Operand::Kind::Array) continue;
-      if (in.access == op.out) continue;
-      if (mayAlias(p, op.out, in.access)) return false;
+    for (const AccessRef& r : info.reads()) {
+      if (*r.access == op.out) continue;
+      if (mayAlias(info.write, r)) return false;
     }
     return true;
   }
 
-  std::vector<Location> findApplicable(const Program& p,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(p, caps, p.root.id);
-  }
-
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
-                                       ir::NodeId subtree_root) const override {
-    std::vector<Location> out;
-    for (const Node* s : ir::collectScopesWithin(p.root, subtree_root))
-      emitAt(p, caps, *s, out);
-    return out;
-  }
-
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
-                                         ir::NodeId node) const override {
-    std::vector<Location> out;
-    const Node* s = ir::findNode(p.root, node);
-    if (s != nullptr && s->id != p.root.id && s->isScope())
-      emitAt(p, caps, *s, out);
-    return out;
-  }
-
- private:
-  void emitAt(const Program& p, const MachineCaps& caps, const Node& s,
-              std::vector<Location>& out) const {
+ protected:
+  void emitAt(const ir::ProgramIndex& ix, const MachineCaps& caps, const Node& s,
+              std::vector<Location>& out) const override {
+    if (!wrapsOneOp(s)) return;
+    const ir::OpInfo& info = ix.ops(s.id).front();
     std::vector<std::int64_t> ks = {2, 4, 8, 16};
     for (std::int64_t w : caps.vector_widths)
       if (std::find(ks.begin(), ks.end(), w) == ks.end()) ks.push_back(w);
-    for (std::int64_t k : ks) {
-      Location loc;
-      loc.node = s.id;
-      loc.param = k;
-      if (isApplicable(p, loc)) out.push_back(loc);
-    }
+    for (std::int64_t k : ks)
+      if (legal(s, info, k)) out.push_back(at(s.id, k));
   }
 
- protected:
   void applyChecked(Program& q, const Location& loc) const override {
     // init/combine loops are inserted as siblings of S, and a fresh partial
     // buffer joins the header.

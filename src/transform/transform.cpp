@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "ir/incremental.h"
 #include "ir/walk.h"
@@ -19,23 +18,25 @@ void Transform::applyInPlace(ir::Program& q, const Location& loc,
 }
 
 std::vector<Location> Transform::findApplicable(const ir::Program& p,
+                                                const MachineCaps& caps) const {
+  return findApplicable(ir::ProgramIndex(p), caps);
+}
+
+std::vector<Location> Transform::findApplicable(const ir::ProgramIndex& ix,
                                                 const MachineCaps& caps,
                                                 ir::NodeId subtree_root) const {
-  const ir::Node* sub = ir::findNode(p.root, subtree_root);
-  if (sub == nullptr) return {};
-  std::unordered_set<ir::NodeId> inside;
-  ir::visit(*sub, [&](const ir::Node& n) { inside.insert(n.id); });
   std::vector<Location> out;
-  for (auto& loc : findApplicable(p, caps))
-    if (inside.count(loc.node) != 0) out.push_back(std::move(loc));
+  if (!ix.known(subtree_root)) return out;
+  for (auto& loc : findApplicable(ix, caps))
+    if (ix.within(loc.node, subtree_root)) out.push_back(std::move(loc));
   return out;
 }
 
-std::vector<Location> Transform::findApplicableAt(const ir::Program& p,
+std::vector<Location> Transform::findApplicableAt(const ir::ProgramIndex& ix,
                                                   const MachineCaps& caps,
                                                   ir::NodeId node) const {
   std::vector<Location> out;
-  for (auto& loc : findApplicable(p, caps))
+  for (auto& loc : findApplicable(ix, caps))
     if (loc.node == node) out.push_back(std::move(loc));
   return out;
 }
@@ -92,9 +93,10 @@ std::vector<Action> allActions(const ir::Program& p, const MachineCaps& caps) {
 
 std::vector<Action> allActions(const ir::Program& p, const MachineCaps& caps,
                                const std::vector<const Transform*>& transforms) {
+  const ir::ProgramIndex ix(p);
   std::vector<Action> actions;
   for (const Transform* t : transforms) {
-    auto locs = t->findApplicable(p, caps);
+    auto locs = t->findApplicable(ix, caps);
     actions.reserve(actions.size() + locs.size());
     for (auto& loc : locs) actions.push_back({t, std::move(loc)});
   }

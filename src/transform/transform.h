@@ -16,6 +16,7 @@
 
 #include "ir/dtype.h"
 #include "ir/program.h"
+#include "ir/program_index.h"
 
 namespace perfdojo::ir {
 struct MutationSummary;
@@ -66,20 +67,26 @@ class Transform {
 
   virtual std::string name() const = 0;
 
-  /// Every location at which applying this transform is semantically valid.
-  virtual std::vector<Location> findApplicable(const ir::Program& p,
+  /// Every location at which applying this transform is semantically valid,
+  /// read from `ix`, the index of the program state being enumerated. One
+  /// index serves every transform's enumeration of that state.
+  virtual std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                                const MachineCaps& caps) const = 0;
+
+  /// Same, for callers holding only the program: builds the index itself.
+  std::vector<Location> findApplicable(const ir::Program& p,
+                                       const MachineCaps& caps) const;
 
   /// Scoped enumeration: every applicable location whose *owning node* lies
   /// inside the subtree rooted at `subtree_root` (the node a fresh
   /// enumeration would attribute the location to — `loc.node` for most
   /// transforms, the parent of `loc.node` for reorder_ops). Results must be
-  /// the exact subsequence of findApplicable(p, caps) owned by that subtree,
+  /// the exact subsequence of findApplicable(ix, caps) owned by that subtree,
   /// in the same order — ActionSet's element-identity invariant rests on
   /// this. The base implementation filters the full enumeration, so
   /// unported transforms stay correct, just not fast. Ported transforms
   /// enumerate only the subtree.
-  virtual std::vector<Location> findApplicable(const ir::Program& p,
+  virtual std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                                const MachineCaps& caps,
                                                ir::NodeId subtree_root) const;
 
@@ -88,7 +95,7 @@ class Transform {
   /// subsequence of the full enumeration. Used by ActionSet to re-check
   /// nodes whose applicability can flip when a *descendant or sibling*
   /// subtree changed. Base implementation filters the full enumeration.
-  virtual std::vector<Location> findApplicableAt(const ir::Program& p,
+  virtual std::vector<Location> findApplicableAt(const ir::ProgramIndex& ix,
                                                  const MachineCaps& caps,
                                                  ir::NodeId node) const;
 

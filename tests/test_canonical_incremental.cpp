@@ -142,10 +142,11 @@ TEST(CanonicalArena, HeaderOnlyMutationsRehashWithoutTreeRender) {
 class UnreportedScopeDoubler : public Transform {
  public:
   std::string name() const override { return "test_unreported_doubler"; }
-  std::vector<Location> findApplicable(const Program& p,
+  using Transform::findApplicable;
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
     std::vector<Location> locs;
-    for (const auto& c : p.root.children)
+    for (const auto& c : ix.program().root.children)
       if (c.isScope() && c.extent % 2 == 0) {
         Location l;
         l.node = c.id;

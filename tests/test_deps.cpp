@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
+#include "ir/program_index.h"
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "transform/deps.h"
@@ -16,25 +17,25 @@ TEST(Deps, AccumulationDetection) {
   auto p = kernels::makeSum(8);
   auto ops = ir::collectOps(p.root);
   ASSERT_EQ(ops.size(), 2u);
-  EXPECT_FALSE(opInfo(*ops[0]).is_accumulation);  // init mov
-  EXPECT_TRUE(opInfo(*ops[1]).is_accumulation);   // s = add s x
+  EXPECT_FALSE(ir::isAccumulation(*ops[0]));  // init mov
+  EXPECT_TRUE(ir::isAccumulation(*ops[1]));   // s = add s x
 }
 
 TEST(Deps, FmaAccumulationDetection) {
   auto p = kernels::makeMatmul(2, 3, 4);
   auto ops = ir::collectOps(p.root);
   ASSERT_EQ(ops.size(), 2u);
-  EXPECT_TRUE(opInfo(*ops[1]).is_accumulation);
+  EXPECT_TRUE(ir::isAccumulation(*ops[1]));
 }
 
 TEST(Deps, MayAliasBufferGranularity) {
   auto p = kernels::makeAdd(4, 4);
   const auto ops = ir::collectOps(p.root);
-  const auto info = opInfo(*ops[0]);
+  const auto info = ir::opInfo(p, *ops[0]);
   // x and z are different buffers.
-  EXPECT_FALSE(mayAlias(p, info.write, info.reads[0]));
+  EXPECT_FALSE(mayAlias(info.write, info.reads()[0]));
   // z vs z same indices.
-  EXPECT_TRUE(mayAlias(p, info.write, info.write));
+  EXPECT_TRUE(mayAlias(info.write, info.write));
 }
 
 TEST(Deps, MayAliasConstDistinct) {
@@ -45,7 +46,8 @@ TEST(Deps, MayAliasConstDistinct) {
   auto p = kernels::makeSum(8);
   // Make a two-element variant for the check.
   p.findBuffer("s")->shape = {2};
-  EXPECT_FALSE(mayAlias(p, a, b));
+  const ir::Buffer* s = p.findBuffer("s");
+  EXPECT_FALSE(mayAlias({&a, s}, {&b, s}));
 }
 
 TEST(Deps, SharedBufferArraysConflict) {
@@ -65,23 +67,27 @@ TEST(Deps, SharedBufferArraysConflict) {
   rc.array = "c";
   ra.idx = {ir::IndexExpr::constant(0)};
   rc.idx = {ir::IndexExpr::constant(1)};
-  EXPECT_TRUE(mayAlias(p, ra, rc));  // conservative: same buffer
+  // Conservative: same buffer.
+  EXPECT_TRUE(mayAlias({&ra, p.bufferOfArray("a")}, {&rc, p.bufferOfArray("c")}));
 }
 
 TEST(Deps, IterationsIndependentElementwise) {
   auto p = kernels::makeAdd(4, 8);
   auto scopes = ir::collectScopes(p.root);
-  EXPECT_TRUE(iterationsIndependent(p, *scopes[0]));
-  EXPECT_TRUE(iterationsIndependent(p, *scopes[1]));
+  const ir::ProgramIndex ix(p);
+  EXPECT_TRUE(iterationsIndependent(ix.ops(scopes[0]->id), scopes[0]->id));
+  EXPECT_TRUE(iterationsIndependent(ix.ops(scopes[1]->id), scopes[1]->id));
 }
 
 TEST(Deps, IterationsNotIndependentForReduction) {
   auto p = kernels::makeReduceMean(4, 8);
   auto scopes = ir::collectScopes(p.root);
+  const ir::ProgramIndex ix(p);
   // The inner d-loop accumulates into m[i]: not parallelizable.
   bool found_dependent = false;
   for (const auto* s : scopes) {
-    if (s->extent == 8 && !iterationsIndependent(p, *s)) found_dependent = true;
+    if (s->extent == 8 && !iterationsIndependent(ix.ops(s->id), s->id))
+      found_dependent = true;
   }
   EXPECT_TRUE(found_dependent);
 }
@@ -90,7 +96,8 @@ TEST(Deps, InterchangeLegalForMatmulOuterPair) {
   auto p = kernels::makeMatmul(4, 5, 6);
   auto scopes = ir::collectScopes(p.root);
   // m-scope (extent 4) has single child n-scope (extent 6).
-  EXPECT_TRUE(interchangeLegal(p, *scopes[0], *scopes[1]));
+  const ir::ProgramIndex ix(p);
+  EXPECT_TRUE(interchangeLegal(ix.ops(scopes[1]->id), scopes[0]->id, scopes[1]->id));
 }
 
 TEST(Deps, FusionLegalSameIndex) {
@@ -108,9 +115,8 @@ TEST(Deps, FusionLegalSameIndex) {
        {Builder::arr(b.atDepths("t", {0})), Builder::cst(1.0)});
   b.endScope();
   auto p = b.finish();
-  const ir::Node* n1 = ir::findNode(p.root, s1);
-  const ir::Node* n2 = ir::findNode(p.root, s2);
-  EXPECT_TRUE(fusionLegal(p, n1->children, s1, n2->children, s2));
+  const ir::ProgramIndex ix(p);
+  EXPECT_TRUE(fusionLegal(ix.ops(s1), s1, ix.ops(s2), s2));
 }
 
 TEST(Deps, FusionIllegalScalarCarried) {
@@ -130,9 +136,8 @@ TEST(Deps, FusionIllegalScalarCarried) {
         Builder::arr(b.at("s", {ir::IndexExpr::constant(0)}))});
   b.endScope();
   auto p = b.finish();
-  const ir::Node* n1 = ir::findNode(p.root, s1);
-  const ir::Node* n2 = ir::findNode(p.root, s2);
-  EXPECT_FALSE(fusionLegal(p, n1->children, s1, n2->children, s2));
+  const ir::ProgramIndex ix(p);
+  EXPECT_FALSE(fusionLegal(ix.ops(s1), s1, ix.ops(s2), s2));
 }
 
 TEST(Deps, FusionIllegalShiftedIndex) {
@@ -149,9 +154,8 @@ TEST(Deps, FusionIllegalShiftedIndex) {
        {Builder::arr(b.at("t", {ir::IndexExpr::add(b.it(0), ir::IndexExpr::constant(1))}))});
   b.endScope();
   auto p = b.finish();
-  const ir::Node* n1 = ir::findNode(p.root, s1);
-  const ir::Node* n2 = ir::findNode(p.root, s2);
-  EXPECT_FALSE(fusionLegal(p, n1->children, s1, n2->children, s2));
+  const ir::ProgramIndex ix(p);
+  EXPECT_FALSE(fusionLegal(ix.ops(s1), s1, ix.ops(s2), s2));
 }
 
 TEST(Deps, OpsSwappableIndependent) {
@@ -165,7 +169,8 @@ TEST(Deps, OpsSwappableIndependent) {
   b.endScope();
   auto p = b.finish();
   auto ops = ir::collectOps(p.root);
-  EXPECT_TRUE(opsSwappable(p, *ops[0], *ops[1]));
+  const ir::ProgramIndex ix(p);
+  EXPECT_TRUE(opsSwappable(ix.ops(ops[0]->id), ix.ops(ops[1]->id)));
 }
 
 TEST(Deps, OpsNotSwappableWhenChained) {
@@ -180,7 +185,8 @@ TEST(Deps, OpsNotSwappableWhenChained) {
   b.endScope();
   auto p = b.finish();
   auto ops = ir::collectOps(p.root);
-  EXPECT_FALSE(opsSwappable(p, *ops[0], *ops[1]));
+  const ir::ProgramIndex ix(p);
+  EXPECT_FALSE(opsSwappable(ix.ops(ops[0]->id), ix.ops(ops[1]->id)));
 }
 
 }  // namespace

@@ -37,10 +37,11 @@ using transform::Transform;
 class EvilMulToAdd : public Transform {
  public:
   std::string name() const override { return "evil_mul_to_add"; }
-  std::vector<Location> findApplicable(const ir::Program& p,
+  using Transform::findApplicable;
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
     std::vector<Location> locs;
-    for (const auto* op : ir::collectOps(p.root))
+    for (const auto* op : ir::collectOps(ix.program().root))
       if (op->op == ir::OpCode::Mul) {
         Location l;
         l.node = op->id;
@@ -63,10 +64,11 @@ class EvilMulToAdd : public Transform {
 class EvilOfferThenThrow : public Transform {
  public:
   std::string name() const override { return "evil_offer_then_throw"; }
-  std::vector<Location> findApplicable(const ir::Program& p,
+  using Transform::findApplicable;
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
     Location l;
-    l.node = p.root.id;
+    l.node = ix.rootId();
     return {l};
   }
   ir::Program apply(const ir::Program&, const Location&) const override {
@@ -81,10 +83,11 @@ class EvilOfferThenThrow : public Transform {
 class EvilSilentAnnotate : public Transform {
  public:
   std::string name() const override { return "evil_silent_annotate"; }
-  std::vector<Location> findApplicable(const ir::Program& p,
+  using Transform::findApplicable;
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
     std::vector<Location> locs;
-    collect(p.root, locs);
+    collect(ix.program().root, locs);
     return locs;
   }
   ir::Program apply(const ir::Program& p, const Location& loc) const override {
@@ -129,10 +132,11 @@ class EvilSilentAnnotate : public Transform {
 class EvilRenumberScope : public Transform {
  public:
   std::string name() const override { return "evil_renumber_scope"; }
-  std::vector<Location> findApplicable(const ir::Program& p,
+  using Transform::findApplicable;
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps&) const override {
     std::vector<Location> locs;
-    collect(p.root, locs);
+    collect(ix.program().root, locs);
     return locs;
   }
   ir::Program apply(const ir::Program& p, const Location& loc) const override {

@@ -79,6 +79,29 @@ TEST(SplitScope, ApplyRejectsForgedLocation) {
   EXPECT_THROW(splitScope().apply(p, bad), Error);
 }
 
+TEST(CollapseScopes, StaleLocationThrowsExactMessage) {
+  // Collapsing gives the merged scope a fresh id, so the location that was
+  // applied names no node of the result: re-applying it must fail with the
+  // transform's name and the fixed message, on both apply paths.
+  const Program p = kernels::makeAdd(8, 16);
+  const Location loc = firstLoc(collapseScopes(), p, cpuCaps());
+  Program q = collapseScopes().apply(p, loc);
+  const std::string want =
+      "collapse_scopes: location not applicable to this program";
+  try {
+    collapseScopes().applyInPlace(q, loc, nullptr);
+    FAIL() << "stale location applied in place";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+  try {
+    (void)collapseScopes().apply(q, loc);
+    FAIL() << "stale location applied";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+}
+
 TEST(CollapseScopes, InverseOfSplitSemantics) {
   const Program p = kernels::makeAdd(8, 16);
   Location loc = firstLoc(splitScope(), p, cpuCaps());
