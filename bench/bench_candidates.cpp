@@ -35,7 +35,6 @@
 //
 //   bench_candidates [--out BENCH_candidates.json]
 //                    [--check bench/BENCH_candidates_baseline.json]
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -44,12 +43,14 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
 #include "search/evalcache.h"
 #include "search/search.h"
 #include "support/rng.h"
+#include "support/stats.h"
 #include "support/telemetry.h"
 #include "transform/action_set.h"
 
@@ -58,12 +59,6 @@ namespace {
 
 constexpr int kReps = 5;
 constexpr int kBudget = 2000;
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-}
 
 search::SearchConfig modernConfig() {
   search::SearchConfig cfg;
@@ -335,17 +330,8 @@ int check(const Measurement& m, const std::string& baseline_path) {
 }  // namespace perfdojo
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_candidates.json";
-  std::string baseline;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    if (key == "--out") out = argv[i + 1];
-    else if (key == "--check") baseline = argv[i + 1];
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", key.c_str());
-      return 2;
-    }
-  }
+  const auto args =
+      perfdojo::bench::parseGateArgs(argc, argv, "BENCH_candidates.json");
   const auto m = perfdojo::measure();
   std::printf("candidates=%lld (per pipeline, %zu kernels)\n",
               static_cast<long long>(m.candidates), m.kernels.size());
@@ -363,7 +349,7 @@ int main(int argc, char** argv) {
                   : 0,
               m.enumSpeedup());
   const std::string json = perfdojo::toJson(m);
-  std::ofstream(out) << json;
-  std::printf("wrote %s: %s", out.c_str(), json.c_str());
-  return baseline.empty() ? 0 : perfdojo::check(m, baseline);
+  std::ofstream(args.out) << json;
+  std::printf("wrote %s: %s", args.out.c_str(), json.c_str());
+  return args.baseline.empty() ? 0 : perfdojo::check(m, args.baseline);
 }

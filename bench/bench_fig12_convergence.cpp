@@ -187,17 +187,7 @@ int checkPrior(const PriorMeasurement& pm, const std::string& baseline_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_prior.json";
-  std::string baseline;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    if (key == "--out") out = argv[i + 1];
-    else if (key == "--check") baseline = argv[i + 1];
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", key.c_str());
-      return 2;
-    }
-  }
+  const auto args = bench::parseGateArgs(argc, argv, "BENCH_prior.json");
   bench::header("Figure 12: search convergence (method x space structure)",
                 "heuristic-structured spaces converge decisively faster than "
                 "edges-structured ones, for both methods");
@@ -284,7 +274,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(pm.prior_filtered), pm.hit_rate,
               pm.rank_corr);
   const std::string json = priorJson(pm);
-  std::ofstream(out) << json;
-  std::printf("wrote %s: %s", out.c_str(), json.c_str());
-  return baseline.empty() ? 0 : checkPrior(pm, baseline);
+  std::ofstream(args.out) << json;
+  std::printf("wrote %s: %s", args.out.c_str(), json.c_str());
+  return args.baseline.empty() ? 0 : checkPrior(pm, args.baseline);
 }

@@ -5,7 +5,7 @@
 //   full         — the definition: q = action.apply(p); canonicalHash(q)
 //   delta        — DeltaContext::neighborHash: in-place apply, splice probe
 //                  over the arena's SoA line slab, watermark undo (what the
-//                  edges-annealer, graph expansion and exact tier do)
+//                  edges-annealer and exact tier do)
 //
 // Timing discipline: one warm-up sweep, then the median of kReps interleaved
 // repetitions per path. A single wall-clock run flakes under CI noise (a
@@ -18,7 +18,6 @@
 // timings on the same machine, so the gate is host-speed independent.
 //
 //   bench_micro_hash [--out BENCH_hash.json] [--check bench/BENCH_hash_baseline.json]
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -26,12 +25,14 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "ir/canonical.h"
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
 #include "search/delta.h"
 #include "search/pass.h"
+#include "support/stats.h"
 #include "support/telemetry.h"
 #include "transform/transform.h"
 
@@ -44,12 +45,6 @@ constexpr int kReps = 5;
 
 double nsPer(Clock::time_point t0, Clock::time_point t1, int iters) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 /// The deepest scheduled Table-3 program: schedules add splits/annotations,
@@ -168,17 +163,8 @@ int check(const Measurement& m, const std::string& baseline_path) {
 }  // namespace perfdojo
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_hash.json";
-  std::string baseline;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    if (key == "--out") out = argv[i + 1];
-    else if (key == "--check") baseline = argv[i + 1];
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", key.c_str());
-      return 2;
-    }
-  }
+  const auto args =
+      perfdojo::bench::parseGateArgs(argc, argv, "BENCH_hash.json");
   const auto m = perfdojo::measure();
   std::printf("kernel=%s nodes=%zu actions=%zu\n", m.kernel.c_str(), m.nodes,
               m.actions);
@@ -188,7 +174,7 @@ int main(int argc, char** argv) {
               m.delta_ns);
   std::printf("speedup %.2fx\n", m.speedup());
   const std::string json = perfdojo::toJson(m);
-  std::ofstream(out) << json;
-  std::printf("wrote %s: %s", out.c_str(), json.c_str());
-  return baseline.empty() ? 0 : perfdojo::check(m, baseline);
+  std::ofstream(args.out) << json;
+  std::printf("wrote %s: %s", args.out.c_str(), json.c_str());
+  return args.baseline.empty() ? 0 : perfdojo::check(m, args.baseline);
 }

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "machines/machine.h"
@@ -29,6 +31,39 @@ inline double budgetScale() {
 inline int scaled(int base) {
   const double v = base * budgetScale();
   return v < 1 ? 1 : static_cast<int>(v);
+}
+
+/// Command line of a gated bench:
+/// `[--out <file.json>] [--check <baseline.json>]`.
+struct GateArgs {
+  std::string out;       // where the measured JSON is written
+  std::string baseline;  // empty: measure only, no gate
+};
+
+/// Parses a gated bench's flags. A flag without a value or an unknown flag
+/// prints a diagnostic and exits 2: a gate must never be skipped because its
+/// command line was malformed.
+inline GateArgs parseGateArgs(int argc, char** argv, std::string default_out) {
+  GateArgs args{std::move(default_out), {}};
+  auto reject = [&](const std::string& why) {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--out <file.json>] "
+                 "[--check <baseline.json>]\n",
+                 argv[0], why.c_str(), argv[0]);
+    std::exit(2);
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string key = argv[i];
+    std::string* value = key == "--out"     ? &args.out
+                         : key == "--check" ? &args.baseline
+                                            : nullptr;
+    if (value == nullptr) reject("unknown flag " + key);
+    const std::string_view next = i + 1 < argc ? argv[i + 1] : "";
+    if (next.empty() || next.starts_with("--"))
+      reject("missing value for " + key);
+    *value = argv[++i];
+  }
+  return args;
 }
 
 inline void header(const std::string& title, const std::string& paper_claim) {

@@ -117,10 +117,6 @@ std::string printNodeLine(const Node& n, int depth,
   return out + "\n";
 }
 
-std::string printIndexExpr(const IndexExpr& e, const std::vector<NodeId>& chain) {
-  return exprStr(e, chain);
-}
-
 std::string printTree(const Program& p) {
   std::string out;
   std::vector<NodeId> chain;

@@ -27,10 +27,6 @@ std::string printProgram(const Program& p);
 /// Tree only (no buffer header); useful for diffs and embeddings.
 std::string printTree(const Program& p);
 
-/// One index expression with depths resolved against `chain` (the op's
-/// enclosing scope ids, outermost first).
-std::string printIndexExpr(const IndexExpr& e, const std::vector<NodeId>& chain);
-
 /// One node's own line, newline-terminated, with `chain` = the ids of the
 /// scopes enclosing `n` (outermost first, excluding `n` itself). printTree is
 /// exactly the pre-order concatenation of these lines; the incremental

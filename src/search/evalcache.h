@@ -1,12 +1,11 @@
 // Shared memoized evaluation (the evaluation layer of the search machinery).
 //
-// Every search method — random sampling, simulated annealing, the
-// transformation-graph expansion and the deterministic passes — prices
-// thousands of candidate programs against the same deterministic machine
-// models. Canonically identical programs (same program modulo NodeId
-// renaming) are reached again and again along different transformation
-// paths, so the memo table keyed by ir::canonicalHash turns the dominant
-// cost of search from "evaluations" into "unique programs".
+// Every search method — random sampling, simulated annealing and the
+// deterministic passes — prices thousands of candidate programs against the
+// same deterministic machine models. Canonically identical programs (same
+// program modulo NodeId renaming) are reached again and again along different
+// transformation paths, so the memo table keyed by ir::canonicalHash turns
+// the dominant cost of search from "evaluations" into "unique programs".
 //
 // Thread-safety: the table is guarded by a mutex and the counters are
 // atomics, so worker threads of a ParallelEvaluator may call every method

@@ -5,8 +5,8 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
-#include "search/evalcache.h"
 #include "support/common.h"
 
 namespace perfdojo::search {
@@ -162,16 +162,6 @@ void ParallelEvaluator::forEach(std::size_t n,
     impl_->error = nullptr;
     std::rethrow_exception(e);
   }
-}
-
-std::vector<double> ParallelEvaluator::evaluateBatch(
-    const machines::Machine& m, const std::vector<ir::Program>& programs,
-    EvalCache* cache) {
-  std::vector<double> out(programs.size(), 0.0);
-  forEach(programs.size(), [&](std::size_t i) {
-    out[i] = cache ? cache->evaluate(m, programs[i]) : m.evaluate(programs[i]);
-  });
-  return out;
 }
 
 }  // namespace perfdojo::search

@@ -14,14 +14,8 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
-
-#include "ir/program.h"
-#include "machines/machine.h"
 
 namespace perfdojo::search {
-
-class EvalCache;
 
 class ParallelEvaluator {
  public:
@@ -39,12 +33,6 @@ class ParallelEvaluator {
   /// be re-entrant. The first exception thrown by any index is rethrown
   /// after the batch drains. Not itself re-entrant: one batch at a time.
   void forEach(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Prices every program (memoized when `cache` is non-null), preserving
-  /// order: result[i] is the cost of programs[i].
-  std::vector<double> evaluateBatch(const machines::Machine& m,
-                                    const std::vector<ir::Program>& programs,
-                                    EvalCache* cache = nullptr);
 
  private:
   struct Impl;

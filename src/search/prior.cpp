@@ -69,10 +69,6 @@ double PriorModel::predict(const std::vector<double>& f) const {
   return out;
 }
 
-double PriorModel::predictRuntime(const std::vector<double>& f) const {
-  return std::exp(target_mean_ + target_std_ * predict(f));
-}
-
 std::vector<std::size_t> PriorModel::topK(const std::vector<double>& scores,
                                           std::size_t k) {
   std::vector<std::size_t> idx(scores.size());

@@ -59,9 +59,6 @@ class PriorModel {
   /// predicted seconds. Pure and thread-safe (no forward caches).
   double predict(const std::vector<double>& f) const;
 
-  /// Predicted runtime in seconds (the de-standardized, exponentiated score).
-  double predictRuntime(const std::vector<double>& f) const;
-
   /// Indices of the k smallest predictions, returned in ascending index
   /// order (so downstream uniform draws over the kept set are deterministic
   /// and order-independent of the ranking pass). Ties keep the lower index.

@@ -52,37 +52,4 @@ std::optional<ir::Program> History::replay(const ir::Program& base,
   return p;
 }
 
-History::ReplayResult History::tryAdopt(std::vector<Step> steps) {
-  ReplayResult r;
-  auto p = replay(original_, steps, r);
-  if (!p) return r;
-  current_ = std::move(*p);
-  canon_.bind(current_);
-  last_mut_ = ir::MutationSummary::conservative();
-  steps_ = std::move(steps);
-  return r;
-}
-
-History::ReplayResult History::eraseStep(std::size_t index) {
-  require(index < steps_.size(), "History::eraseStep: index out of range");
-  std::vector<Step> edited = steps_;
-  edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(index));
-  return tryAdopt(std::move(edited));
-}
-
-History::ReplayResult History::replaceStep(std::size_t index, const Action& a) {
-  require(index < steps_.size(), "History::replaceStep: index out of range");
-  std::vector<Step> edited = steps_;
-  edited[index] = {a.transform, a.loc};
-  return tryAdopt(std::move(edited));
-}
-
-History::ReplayResult History::insertStep(std::size_t index, const Action& a) {
-  require(index <= steps_.size(), "History::insertStep: index out of range");
-  std::vector<Step> edited = steps_;
-  edited.insert(edited.begin() + static_cast<std::ptrdiff_t>(index),
-                {a.transform, a.loc});
-  return tryAdopt(std::move(edited));
-}
-
 }  // namespace perfdojo::transform

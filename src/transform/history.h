@@ -1,9 +1,10 @@
 // Non-destructive transformation history (Section 2's "non-destructive
 // transformations" requirement): the original specification is never lost.
-// Undo of any prefix — or surgical removal/replacement of a single step, as
-// the heuristic-based search of Section 4.2.1 requires — is implemented by
-// replaying the remaining steps from the original program. A step that
-// becomes inapplicable after an edit is reported, not silently dropped.
+// Undo of the last step is implemented by replaying the remaining prefix from
+// the original program, and replay() reports the first step that no longer
+// applies instead of silently dropping it. Editing a sequence at an arbitrary
+// point, as the heuristic-based search of Section 4.2.1 requires, lives in
+// search::PrefixReplayer, which keeps the shared prefix of parent and child.
 #pragma once
 
 #include <optional>
@@ -33,15 +34,14 @@ class History {
 
   /// ir::canonicalHash(current()), maintained incrementally: push() rebases
   /// the canonical form from the applied transform's mutation summary
-  /// instead of re-rendering the whole program (sequence edits re-bind). The deterministic passes and
-  /// the memoized evaluation layer key on this value.
+  /// instead of re-rendering the whole program (undo re-binds). The
+  /// deterministic passes and the memoized evaluation layer key on this value.
   std::uint64_t currentHash() const { return canon_.hash(); }
 
   /// Mutation summary of the last push() — the report currentHash() was
   /// updated from — so callers can splice their own per-state indices (the
   /// Dojo's move list) off the same mutation. Conservative (whole_tree)
-  /// after any other editing operation (undo, erase/replace/insert), which
-  /// replays and rebuilds.
+  /// after undo(), which replays and rebuilds.
   const ir::MutationSummary& lastMutation() const { return last_mut_; }
 
   /// Applies an action and records it. Throws if inapplicable.
@@ -50,23 +50,12 @@ class History {
   /// Removes the last step (replay of the prefix).
   void undo();
 
-  /// Result of editing the sequence at an arbitrary point.
+  /// Outcome of replay(): on failure, the first step that no longer applies.
   struct ReplayResult {
     bool ok = true;
     std::size_t failed_step = 0;  // index of first inapplicable step
     std::string message;
   };
-
-  /// Removes the step at `index`, replaying the suffix. On failure the
-  /// history is left unchanged and the result describes the first step that
-  /// no longer applies.
-  ReplayResult eraseStep(std::size_t index);
-
-  /// Replaces the step at `index` with a new action, replaying the suffix.
-  ReplayResult replaceStep(std::size_t index, const Action& a);
-
-  /// Inserts an action before `index`, replaying the suffix.
-  ReplayResult insertStep(std::size_t index, const Action& a);
 
   /// Replays `steps` from `base`; returns the final program or nullopt with
   /// diagnostics in `result`.
@@ -75,8 +64,6 @@ class History {
                                            ReplayResult& result);
 
  private:
-  ReplayResult tryAdopt(std::vector<Step> steps);
-
   ir::Program original_;
   ir::Program current_;
   std::vector<Step> steps_;

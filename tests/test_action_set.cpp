@@ -12,8 +12,6 @@
 //
 // Suite names deliberately contain "ActionSet"/"Rebase" so the CI
 // ThreadSanitizer job's -R regex picks them up.
-#include <deque>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,7 +26,6 @@
 #include "machines/machine.h"
 #include "search/delta.h"
 #include "search/exact.h"
-#include "search/graph.h"
 #include "search/search.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
@@ -280,59 +277,6 @@ TEST(ActionSet, RandomSamplingTracesBitIdenticalIndexOnOff) {
     EXPECT_TRUE(ir::canonicallyEqual(ref.best, r.best));
     EXPECT_EQ(ref.trace, r.trace);
     EXPECT_EQ(ref.unique_programs, r.stats.unique_programs);
-  }
-}
-
-TEST(ActionSet, GraphExpansionIdenticalIndexOnOff) {
-  // The BFS graph derives each child's action set from its parent's via the
-  // producing action's summary; the graph must be node- and edge-identical
-  // to the reference expansion below, which enumerates every node afresh
-  // and identifies children as copies by canonicalHash.
-  const ir::Program p = kernels::findKernel("softmax")->build();
-  const auto& m = machines::xeon();
-  constexpr int kDepth = 2;
-  constexpr std::size_t kMaxNodes = 200;
-  const TransformationGraph g(p, m, kDepth, kMaxNodes);
-
-  struct RefNode {
-    int depth;
-    double runtime;
-  };
-  std::map<std::uint64_t, RefNode> nodes;
-  std::vector<GraphEdge> edges;
-  std::deque<std::pair<std::uint64_t, ir::Program>> frontier;
-  const std::uint64_t root = ir::canonicalHash(p);
-  nodes[root] = {0, m.evaluate(p)};
-  frontier.emplace_back(root, p);
-  while (!frontier.empty() && nodes.size() < kMaxNodes) {
-    const auto [h, q] = frontier.front();
-    frontier.pop_front();
-    const int depth = nodes.at(h).depth;
-    for (const auto& a : transform::allActions(q, m.caps())) {
-      if (nodes.size() >= kMaxNodes) break;
-      ir::Program child = a.apply(q);
-      const std::uint64_t ch = ir::canonicalHash(child);
-      edges.push_back({h, ch, a.describe(q)});
-      if (nodes.count(ch)) continue;
-      nodes[ch] = {depth + 1, m.evaluate(child)};
-      if (depth + 1 < kDepth) frontier.emplace_back(ch, std::move(child));
-    }
-  }
-
-  ASSERT_EQ(g.nodeCount(), nodes.size());
-  ASSERT_EQ(g.edgeCount(), edges.size());
-  auto it = nodes.begin();
-  for (const auto& [hash, node] : g.nodes()) {
-    ASSERT_EQ(hash, it->first);
-    EXPECT_EQ(node.runtime, it->second.runtime);
-    EXPECT_EQ(node.depth, it->second.depth);
-    EXPECT_EQ(ir::canonicalHash(node.program), hash);
-    ++it;
-  }
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    EXPECT_EQ(g.edges()[i].from, edges[i].from) << "edge " << i;
-    EXPECT_EQ(g.edges()[i].to, edges[i].to) << "edge " << i;
-    EXPECT_EQ(g.edges()[i].label, edges[i].label) << "edge " << i;
   }
 }
 

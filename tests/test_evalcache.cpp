@@ -102,19 +102,6 @@ TEST(ParallelEvaluator, PropagatesWorkerExceptions) {
   EXPECT_EQ(n.load(), 8);
 }
 
-TEST(ParallelEvaluator, BatchMatchesSerialEvaluation) {
-  const auto& m = machines::xeon();
-  std::vector<ir::Program> programs = {kernels::makeSoftmax(8, 8),
-                                       kernels::makeAdd(4, 4),
-                                       kernels::makeReduceMean(4, 8)};
-  EvalCache cache;
-  ParallelEvaluator pool(4);
-  const auto costs = pool.evaluateBatch(m, programs, &cache);
-  ASSERT_EQ(costs.size(), programs.size());
-  for (std::size_t i = 0; i < programs.size(); ++i)
-    EXPECT_EQ(costs[i], m.evaluate(programs[i]));
-}
-
 TEST(EvalCache, ConcurrentInsertStress) {
   // Many workers hammer a small key set concurrently: every result must be
   // the model's cost, and the table must end up with exactly one entry per

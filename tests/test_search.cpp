@@ -7,8 +7,6 @@
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
-#include "search/graph.h"
-#include "search/evalcache.h"
 #include "search/pass.h"
 #include "search/search.h"
 #include "support/stats.h"
@@ -410,48 +408,6 @@ TEST(Search, EdgesTracesPinned) {
       EXPECT_EQ(r.stats.unique_programs, pin.unique_programs);
       EXPECT_EQ(trace_hash, pin.trace_hash);
     }
-  }
-  // One TransformationGraph expansion per kernel: every node's (hash,
-  // depth, runtime) and every edge's (from, to, label), folded in order.
-  struct GraphPin {
-    const char* kernel;
-    std::size_t nodes;
-    std::size_t edges;
-    std::uint64_t hash;
-  };
-  const GraphPin graph_pins[] = {
-      {"softmax", 600, 625, 0x2d3696a5b1182b94ull},
-      {"matmul", 131, 168, 0x685f3f796f6724c1ull},
-      {"layernorm_1", 600, 613, 0xfcafbf324c834b49ull},
-  };
-  for (const GraphPin& pin : graph_pins) {
-    const auto* k = kernels::findKernel(pin.kernel);
-    ASSERT_NE(k, nullptr);
-    EvalCache cache;
-    const TransformationGraph g(k->build_small(), machines::xeon(), 2, 600,
-                                &cache);
-    std::uint64_t h = fnv1a(std::string());
-    auto fold = [&h](const void* data, std::size_t n) {
-      h = fnv1a(data, n, h);
-    };
-    for (const auto& [nh, node] : g.nodes()) {
-      fold(&nh, sizeof nh);
-      fold(&node.depth, sizeof node.depth);
-      fold(&node.runtime, sizeof node.runtime);
-    }
-    for (const auto& e : g.edges()) {
-      fold(&e.from, sizeof e.from);
-      fold(&e.to, sizeof e.to);
-      fold(e.label.data(), e.label.size());
-    }
-    char row[128];
-    std::snprintf(row, sizeof row, "{\"%s\", %zu, %zu, 0x%016llxull},",
-                  pin.kernel, g.nodeCount(), g.edgeCount(),
-                  static_cast<unsigned long long>(h));
-    SCOPED_TRACE(row);
-    EXPECT_EQ(g.nodeCount(), pin.nodes);
-    EXPECT_EQ(g.edgeCount(), pin.edges);
-    EXPECT_EQ(h, pin.hash);
   }
 }
 
