@@ -1,3 +1,9 @@
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ir/canonical.h"
@@ -18,6 +24,222 @@ TEST(Printer, SoftmaxTextShape) {
   EXPECT_NE(text.find("mx[{0}] = max mx[{0}] x[{0},{1}]"), std::string::npos);
   EXPECT_NE(text.find("mx[{0}] = mov -inf"), std::string::npos);
   EXPECT_NE(text.find("| "), std::string::npos);
+}
+
+// --- Golden bytes -----------------------------------------------------------
+// The canonical text keys every memo table, witness and certificate, so the
+// printer's exact bytes are pinned here; a parse round-trip alone would pass
+// even if the parenthesization changed.
+
+using K = IndexExpr::Kind;
+
+IndexExpr it(NodeId s) { return IndexExpr::iter(s); }
+IndexExpr cst(std::int64_t v) { return IndexExpr::constant(v); }
+IndexExpr bin(K k, IndexExpr a, IndexExpr b) {
+  return IndexExpr::binary(k, std::move(a), std::move(b));
+}
+
+/// One op line `o[e] = mov 0` under scopes 1, 2, 3 ({0}, {1}, {2}), with the
+/// depth prefix stripped, so each case reads as the expression alone.
+std::string exprLine(IndexExpr e) {
+  const Node n = Node::opNode(9, OpCode::Mov, Access{"o", {std::move(e)}},
+                              {Operand::constant(0.0)});
+  const std::string line = printNodeLine(n, 3, {1, 2, 3});
+  const std::string prefix = "| | | o[";
+  const std::string suffix = "] = mov 0\n";
+  EXPECT_EQ(line.substr(0, prefix.size()), prefix) << line;
+  EXPECT_EQ(line.substr(line.size() - suffix.size()), suffix) << line;
+  return line.substr(prefix.size(),
+                     line.size() - prefix.size() - suffix.size());
+}
+
+TEST(PrinterGolden, Parenthesization) {
+  // A looser child is parenthesized on either side.
+  EXPECT_EQ(exprLine(bin(K::Mul, bin(K::Add, it(1), it(2)), it(3))),
+            "({0}+{1})*{2}");
+  EXPECT_EQ(exprLine(bin(K::Mul, it(3), bin(K::Add, it(1), it(2)))),
+            "{2}*({0}+{1})");
+  EXPECT_EQ(exprLine(bin(K::Div, bin(K::Sub, it(1), it(2)), cst(4))),
+            "({0}-{1})/4");
+  EXPECT_EQ(exprLine(bin(K::Mod, it(1), bin(K::Sub, it(2), cst(1)))),
+            "{0}%({1}-1)");
+  // A tighter child never is.
+  EXPECT_EQ(exprLine(bin(K::Add, bin(K::Mul, it(1), cst(4)), it(2))),
+            "{0}*4+{1}");
+  EXPECT_EQ(exprLine(bin(K::Sub, it(1), bin(K::Mod, it(2), cst(3)))),
+            "{0}-{1}%3");
+  // Equal precedence on the left: never parenthesized.
+  EXPECT_EQ(exprLine(bin(K::Sub, bin(K::Sub, it(1), it(2)), it(3))),
+            "{0}-{1}-{2}");
+  EXPECT_EQ(exprLine(bin(K::Div, bin(K::Mul, it(1), it(2)), it(3))),
+            "{0}*{1}/{2}");
+  // Equal precedence on the right: parenthesized under -, /, %.
+  EXPECT_EQ(exprLine(bin(K::Sub, it(1), bin(K::Sub, it(2), it(3)))),
+            "{0}-({1}-{2})");
+  EXPECT_EQ(exprLine(bin(K::Sub, it(1), bin(K::Add, it(2), it(3)))),
+            "{0}-({1}+{2})");
+  EXPECT_EQ(exprLine(bin(K::Div, it(1), bin(K::Mul, it(2), it(3)))),
+            "{0}/({1}*{2})");
+  EXPECT_EQ(exprLine(bin(K::Mod, it(1), bin(K::Div, it(2), it(3)))),
+            "{0}%({1}/{2})");
+  EXPECT_EQ(exprLine(bin(K::Div, it(1), bin(K::Mod, it(2), it(3)))),
+            "{0}/({1}%{2})");
+  // ... and not under + or *, whatever the child's operator.
+  EXPECT_EQ(exprLine(bin(K::Add, it(1), bin(K::Add, it(2), it(3)))),
+            "{0}+{1}+{2}");
+  EXPECT_EQ(exprLine(bin(K::Add, it(1), bin(K::Sub, it(2), it(3)))),
+            "{0}+{1}-{2}");
+  EXPECT_EQ(exprLine(bin(K::Mul, it(1), bin(K::Mul, it(2), it(3)))),
+            "{0}*{1}*{2}");
+  EXPECT_EQ(exprLine(bin(K::Mul, it(1), bin(K::Div, it(2), it(3)))),
+            "{0}*{1}/{2}");
+  EXPECT_EQ(exprLine(bin(K::Mul, it(1), bin(K::Mod, it(2), it(3)))),
+            "{0}*{1}%{2}");
+  // Nesting composes.
+  EXPECT_EQ(exprLine(bin(K::Mod,
+                         bin(K::Add, bin(K::Mul, it(1), cst(8)), it(2)),
+                         bin(K::Sub, cst(16), bin(K::Div, it(3), cst(2))))),
+            "({0}*8+{1})%(16-{2}/2)");
+}
+
+TEST(PrinterGolden, IndexConstants) {
+  EXPECT_EQ(exprLine(cst(0)), "0");
+  EXPECT_EQ(exprLine(cst(-3)), "-3");
+  EXPECT_EQ(exprLine(bin(K::Add, it(1), cst(-3))), "{0}+-3");
+  EXPECT_EQ(exprLine(bin(K::Sub, cst(-1), cst(-2))), "-1--2");
+  EXPECT_EQ(exprLine(cst(std::numeric_limits<std::int64_t>::min())),
+            "-9223372036854775808");
+  EXPECT_EQ(exprLine(cst(std::numeric_limits<std::int64_t>::max())),
+            "9223372036854775807");
+  EXPECT_EQ(exprLine(bin(K::Mul, cst(1234567890123), it(3))),
+            "1234567890123*{2}");
+}
+
+TEST(PrinterGolden, OperandsAndOps) {
+  const std::vector<NodeId> chain = {1, 2};
+  auto line = [&](OpCode op, std::vector<Operand> ins) {
+    return printNodeLine(
+        Node::opNode(9, op, Access{"y", {it(1), it(2)}}, std::move(ins)), 2,
+        chain);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(line(OpCode::Mov, {Operand::constant(-inf)}),
+            "| | y[{0},{1}] = mov -inf\n");
+  EXPECT_EQ(line(OpCode::Min, {Operand::constant(inf),
+                               Operand::array(Access{"x", {it(2)}})}),
+            "| | y[{0},{1}] = min inf x[{1}]\n");
+  EXPECT_EQ(line(OpCode::Mul, {Operand::constant(0.1),
+                               Operand::constant(1.0 / 3.0)}),
+            "| | y[{0},{1}] = mul 0.10000000000000001 0.33333333333333331\n");
+  EXPECT_EQ(line(OpCode::Add, {Operand::constant(2.0),
+                               Operand::constant(-0.5)}),
+            "| | y[{0},{1}] = add 2 -0.5\n");
+  EXPECT_EQ(line(OpCode::Fma, {Operand::constant(1e300),
+                               Operand::constant(1e-7),
+                               Operand::constant(-0.0)}),
+            "| | y[{0},{1}] = fma 1.0000000000000001e+300 9.9999999999999995e-08 "
+            "-0\n");
+  // Iterator-value operands print as bare expressions, parenthesized by the
+  // same rules as indices.
+  EXPECT_EQ(line(OpCode::Mul, {Operand::array(Access{"x", {it(1)}}),
+                               Operand::iter(it(2))}),
+            "| | y[{0},{1}] = mul x[{0}] {1}\n");
+  EXPECT_EQ(line(OpCode::Add,
+                 {Operand::iter(bin(K::Mul, bin(K::Add, it(1), cst(1)), it(2))),
+                  Operand::iter(cst(-7))}),
+            "| | y[{0},{1}] = add ({0}+1)*{1} -7\n");
+  // A scalar (rank-0) access and a unary op.
+  EXPECT_EQ(printNodeLine(Node::opNode(9, OpCode::Exp, Access{"s", {}},
+                                       {Operand::array(Access{"t", {}})}),
+                          0, {}),
+            "s[] = exp t[]\n");
+}
+
+TEST(PrinterGolden, ScopeLinesAndDepthPrefixes) {
+  EXPECT_EQ(printNodeLine(Node::scope(1, 64), 0, {}), "64\n");
+  EXPECT_EQ(printNodeLine(Node::scope(1, 8, LoopAnno::Parallel), 1, {}),
+            "| 8:p\n");
+  EXPECT_EQ(printNodeLine(Node::scope(1, 4, LoopAnno::Vector), 2, {}),
+            "| | 4:v\n");
+  const std::pair<LoopAnno, const char*> annos[] = {
+      {LoopAnno::Unroll, ":u"},  {LoopAnno::GpuGrid, ":g"},
+      {LoopAnno::GpuBlock, ":b"}, {LoopAnno::GpuWarp, ":w"},
+      {LoopAnno::Ssr, ":s"},     {LoopAnno::Frep, ":f"}};
+  for (const auto& [anno, suffix] : annos)
+    EXPECT_EQ(printNodeLine(Node::scope(1, 16, anno), 3, {}),
+              std::string("| | | 16") + suffix + "\n");
+  EXPECT_EQ(printNodeLine(Node::scope(1, 9223372036854775807LL), 0, {}),
+            "9223372036854775807\n");
+}
+
+TEST(PrinterGolden, WholeProgram) {
+  Program p = makeProgram("k");
+  Buffer x;
+  x.name = "x";
+  x.shape = {4, 8};
+  x.materialized = {true, true};
+  x.arrays = {"x"};
+  Buffer t;
+  t.name = "t";
+  t.dtype = DType::F64;
+  t.shape = {4, 8};
+  t.materialized = {true, false};
+  t.space = MemSpace::Stack;
+  t.arrays = {"a", "b"};
+  p.buffers = {x, t};
+  p.inputs = {"x"};
+  p.outputs = {"b"};
+  Node outer = Node::scope(p.freshId(), 4, LoopAnno::Parallel);
+  Node inner = Node::scope(p.freshId(), 8, LoopAnno::Vector);
+  inner.children.push_back(Node::opNode(
+      p.freshId(), OpCode::Mov, Access{"a", {it(outer.id), it(inner.id)}},
+      {Operand::array(Access{"x", {it(outer.id), it(inner.id)}})}));
+  inner.children.push_back(Node::opNode(
+      p.freshId(), OpCode::Mul, Access{"b", {it(outer.id), it(inner.id)}},
+      {Operand::array(Access{"a", {it(outer.id), it(inner.id)}}),
+       Operand::iter(bin(K::Add, it(outer.id), it(inner.id)))}));
+  outer.children.push_back(std::move(inner));
+  p.root.children.push_back(std::move(outer));
+  p.root.children.push_back(Node::opNode(
+      p.freshId(), OpCode::Mov, Access{"b", {cst(0), cst(0)}},
+      {Operand::constant(1.5)}));
+  const std::string tree =
+      "4:p\n"
+      "| 8:v\n"
+      "| | a[{0},{1}] = mov x[{0},{1}]\n"
+      "| | b[{0},{1}] = mul a[{0},{1}] {0}+{1}\n"
+      "b[0,0] = mov 1.5\n";
+  EXPECT_EQ(printTree(p), tree);
+  EXPECT_EQ(printProgram(p),
+            "kernel k\n"
+            "buffer x f32 [4, 8] heap\n"
+            "buffer t f64 [4, 8:N] stack -> a, b\n"
+            "in x\n"
+            "out b\n"
+            "\n" +
+                tree);
+  // The canonical text sorts buffers by name; the tree bytes are the same.
+  EXPECT_EQ(canonicalText(p),
+            "kernel k\n"
+            "buffer t f64 [4, 8:N] stack -> a, b\n"
+            "buffer x f32 [4, 8] heap\n"
+            "in x\n"
+            "out b\n"
+            "\n" +
+                tree);
+}
+
+TEST(PrinterGolden, IteratorOutsideTheChainNamesTheScope) {
+  const Node n = Node::opNode(9, OpCode::Mov, Access{"o", {it(9999)}},
+                              {Operand::constant(0.0)});
+  try {
+    printNodeLine(n, 1, {1});
+    ADD_FAILURE() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "printProgram: iterator references scope 9999 that is not "
+                 "an ancestor of the operation");
+  }
 }
 
 TEST(Parser, RoundTripsEveryTable3Kernel) {
