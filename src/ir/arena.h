@@ -1,5 +1,6 @@
-// Arena-flattened canonical form of one program: the allocation-free way
-// the canonical hash is maintained across in-place mutations.
+// Arena-flattened canonical form of one program: the way the canonical
+// hash is maintained across in-place mutations without re-rendering clean
+// subtrees.
 //
 // FNV-1a is sequential over bytes, so the canonical hash cannot be composed
 // from independent child hashes while staying bit-identical to
@@ -11,15 +12,22 @@
 //     storage: per-slot NodeId, subtree interval, parent slot, depth, and the
 //     scope fields the cost models and renderer touch (extent, annotation,
 //     kind). NodeId -> slot is a dense vector (ids are small, monotonically
-//     allocated), not a hash map.
-//   * the canonical tree text lives in ONE contiguous slab (`text_`), with
-//     per-slot byte offsets. Because slots are pre-order, the bytes of any
-//     subtree are one contiguous range: [line_begin(s), line_begin(subtree_end(s))).
+//     allocated), not a hash map. Node lines are appended straight into the
+//     slab by ir::appendNodeLine.
+//   * the canonical tree text lives in ONE contiguous slab, with per-slot
+//     byte offsets. Because slots are pre-order, the bytes of any subtree
+//     are one contiguous range: [line_begin(s), line_begin(subtree_end(s))).
 //   * probe() SPLICES instead of walking: clean regions between dirty
-//     subtrees are hashed as single fnv1a calls over slab byte ranges; only
-//     the reported-dirty subtrees of the mutated tree are rendered (into a
-//     reused scratch buffer — zero steady-state allocation). The walk visits
-//     only the ancestor spine of the dirty roots, never the clean interior.
+//     subtrees are hashed as single fnv1a calls over slab byte ranges; each
+//     reported-dirty subtree of the mutated tree is rendered into a reused
+//     scratch buffer and hashed in one call. The walk visits only the
+//     ancestor spine of the dirty roots, never the clean interior. Once the
+//     scratch buffers have grown to size, a probe whose summary names dirty
+//     roots and leaves the buffers unchanged makes no allocation
+//     (tests/test_probe_alloc.cpp checks this).
+//   * rebase() builds the new columns into a spare set kept from the
+//     previous rebase and swaps the two, so an accepted move reuses the
+//     storage of the one before.
 //
 // The invariant is the same non-negotiable one the whole evaluation layer
 // keys on, enforced by the property suite and the fuzzer's incremental-hash
@@ -29,6 +37,10 @@
 //   probe(q, mut) == fnv1a(canonicalText(q))   for any adequately-reported
 //                                              mutation p -> q
 //   hash() == fnv1a(canonicalText(q))          after rebase(q, mut)
+//
+// A bind() or rebase() that throws (a tree that does not render, such as an
+// iterator naming a scope that does not enclose it) leaves the arena
+// unbound: probe() then renders in full and rebase() binds afresh.
 //
 // The arena is strictly read-only after bind(): probe() commits nothing, so
 // a caller that mutates-probes-undoes (search::DeltaContext) never has to
@@ -80,22 +92,22 @@ class CanonicalArena {
 
   // --- SoA accessors (slot = dense pre-order index, excluding the root) ---
 
-  std::size_t size() const { return id_.size(); }
-  NodeId idOf(std::size_t slot) const { return id_[slot]; }
+  std::size_t size() const { return cols_.id.size(); }
+  NodeId idOf(std::size_t slot) const { return cols_.id[slot]; }
   /// Exclusive end of the subtree rooted at `slot` (pre-order interval).
-  std::size_t subtreeEnd(std::size_t slot) const { return subtree_end_[slot]; }
+  std::size_t subtreeEnd(std::size_t slot) const {
+    return cols_.subtree_end[slot];
+  }
   /// Parent slot; -1 for children of the root container.
-  std::int32_t parentOf(std::size_t slot) const { return parent_[slot]; }
-  int depthOf(std::size_t slot) const { return depth_[slot]; }
-  bool isScope(std::size_t slot) const { return is_scope_[slot] != 0; }
-  std::int64_t extentOf(std::size_t slot) const { return extent_[slot]; }
+  std::int32_t parentOf(std::size_t slot) const { return cols_.parent[slot]; }
+  int depthOf(std::size_t slot) const { return cols_.depth[slot]; }
+  bool isScope(std::size_t slot) const { return cols_.is_scope[slot] != 0; }
+  std::int64_t extentOf(std::size_t slot) const { return cols_.extent[slot]; }
   LoopAnno annoOf(std::size_t slot) const {
-    return static_cast<LoopAnno>(anno_[slot]);
+    return static_cast<LoopAnno>(cols_.anno[slot]);
   }
   /// Slot of a NodeId; -1 if the id is not part of the bound program.
-  std::int32_t slotOf(NodeId id) const {
-    return id < slot_of_id_.size() ? slot_of_id_[id] : -1;
-  }
+  std::int32_t slotOf(NodeId id) const { return cols_.slotOf(id); }
   /// Enclosing-scope id chain of `slot` (outermost first), rebuilt from the
   /// parent column. O(depth); writes into `out` without allocating when its
   /// capacity suffices.
@@ -103,37 +115,55 @@ class CanonicalArena {
 
   /// The slab bytes of one subtree (testing aid; printTree fragment).
   std::string subtreeText(std::size_t slot) const {
-    return text_.substr(line_begin_[slot],
-                        line_begin_[subtree_end_[slot]] - line_begin_[slot]);
+    const auto& lb = cols_.line_begin;
+    return cols_.text.substr(lb[slot], lb[cols_.subtree_end[slot]] - lb[slot]);
   }
   /// Full canonical text reassembled from the slab (testing aid).
-  std::string text() const { return header_ + text_; }
+  std::string text() const { return header_ + cols_.text; }
 
  private:
-  std::uint64_t fullRender(const Program& q) const;
-
-  // SoA columns, all indexed by pre-order slot. line_begin_ has one extra
-  // sentinel entry (== text_.size()) so subtree byte ranges need no special
+  // SoA columns, all indexed by pre-order slot. line_begin has one extra
+  // sentinel entry (== text.size()) so subtree byte ranges need no special
   // casing.
-  std::vector<NodeId> id_;
-  std::vector<std::uint32_t> subtree_end_;
-  std::vector<std::uint32_t> line_begin_;
-  std::vector<std::int32_t> parent_;
-  std::vector<std::uint16_t> depth_;
-  std::vector<std::uint8_t> is_scope_;
-  std::vector<std::uint8_t> anno_;
-  std::vector<std::int64_t> extent_;
-  std::vector<std::int32_t> slot_of_id_;  // dense NodeId -> slot, -1 = absent
+  struct Columns {
+    std::vector<NodeId> id;
+    std::vector<std::uint32_t> subtree_end;
+    std::vector<std::uint32_t> line_begin;
+    std::vector<std::int32_t> parent;
+    std::vector<std::uint16_t> depth;
+    std::vector<std::uint8_t> is_scope;
+    std::vector<std::uint8_t> anno;
+    std::vector<std::int64_t> extent;
+    std::vector<std::int32_t> slot_of_id;  // dense NodeId -> slot, -1 = absent
+    std::string text;  // pre-order concatenation of node lines (== printTree)
 
+    std::int32_t slotOf(NodeId id) const {
+      return id < slot_of_id.size() ? slot_of_id[id] : -1;
+    }
+    /// Empties every column, keeping its capacity.
+    void clear();
+    /// Appends the column entries of node `n` (its line not yet rendered;
+    /// subtree end patched by the caller) and returns its slot.
+    std::int32_t push(const Node& n, std::int32_t parent, int depth);
+    /// Appends the sentinel line offset and rebuilds the NodeId -> slot map.
+    void finish(NodeId next_id);
+  };
+
+  std::uint64_t fullRender(const Program& q) const;
+  /// Appends the subtree rooted at `n` to cols_, rendering every line.
+  void flatten(const Node& n, std::int32_t parent, int depth);
+  void rehash();
+
+  Columns cols_;   // the bound program
+  Columns spare_;  // rebase()'s previous columns, kept for their capacity
   std::string header_;
-  std::string text_;  // pre-order concatenation of node lines (== printTree)
   std::uint64_t hash_ = 0;
   bool bound_ = false;
 
-  // Reused per-probe scratch (rendered dirty lines, dirty slot list, iterator
-  // chains). probe() is logically const; these make it allocation-free in
-  // steady state. A CanonicalArena is not safe for concurrent probes — each
-  // thread owns its own instance (matching DeltaContext's contract).
+  // Reused scratch: rendered dirty lines, dirty slot list, iterator chains.
+  // probe() is logically const; these make it allocation-free in steady
+  // state. A CanonicalArena is not safe for concurrent probes — each thread
+  // owns its own instance (matching DeltaContext's contract).
   mutable std::string render_buf_;
   mutable std::vector<std::uint32_t> dirty_slots_;
   mutable std::vector<NodeId> chain_buf_;

@@ -1,30 +1,21 @@
 #include "ir/canonical.h"
 
-#include <algorithm>
-
 #include "ir/printer.h"
 #include "support/common.h"
-#include "support/strings.h"
 
 namespace perfdojo::ir {
 
 std::string canonicalHeaderText(const Program& p) {
-  // Sort buffer *indices* by name: no Program (or even Buffer) copies.
-  std::vector<std::size_t> order(p.buffers.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return p.buffers[a].name < p.buffers[b].name;
-  });
-  std::string out = "kernel " + p.name + "\n";
-  for (std::size_t i : order) out += printBufferLine(p.buffers[i]);
-  if (!p.inputs.empty()) out += "in " + join(p.inputs, " ") + "\n";
-  if (!p.outputs.empty()) out += "out " + join(p.outputs, " ") + "\n";
-  out += "\n";
+  std::string out;
+  appendHeader(out, p, /*sort_buffers=*/true);
   return out;
 }
 
 std::string canonicalText(const Program& p) {
-  return canonicalHeaderText(p) + printTree(p);
+  std::string out;
+  appendHeader(out, p, /*sort_buffers=*/true);
+  appendTree(out, p);
+  return out;
 }
 
 std::uint64_t canonicalHash(const Program& p) { return fnv1a(canonicalText(p)); }

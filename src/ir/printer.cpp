@@ -1,9 +1,8 @@
 #include "ir/printer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 
 #include "support/common.h"
 #include "support/strings.h"
@@ -34,118 +33,188 @@ int precedence(IndexExpr::Kind k) {
   }
 }
 
-std::string exprStr(const IndexExpr& e, const std::vector<NodeId>& chain) {
+char opChar(IndexExpr::Kind k) {
+  switch (k) {
+    case IndexExpr::Kind::Add: return '+';
+    case IndexExpr::Kind::Sub: return '-';
+    case IndexExpr::Kind::Mul: return '*';
+    case IndexExpr::Kind::Div: return '/';
+    case IndexExpr::Kind::Mod: return '%';
+    default: fail("appendExpr: bad kind");
+  }
+}
+
+void appendInt(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+void appendExpr(std::string& out, const IndexExpr& e,
+                const std::vector<NodeId>& chain);
+
+void appendSide(std::string& out, const IndexExpr& e, bool parens,
+                const std::vector<NodeId>& chain) {
+  if (parens) out += '(';
+  appendExpr(out, e, chain);
+  if (parens) out += ')';
+}
+
+void appendExpr(std::string& out, const IndexExpr& e,
+                const std::vector<NodeId>& chain) {
   switch (e.kind()) {
     case IndexExpr::Kind::Const:
-      return std::to_string(e.constValue());
+      appendInt(out, e.constValue());
+      return;
     case IndexExpr::Kind::Iter:
-      return "{" + std::to_string(depthOf(e.iterScope(), chain)) + "}";
+      out += '{';
+      appendInt(out, depthOf(e.iterScope(), chain));
+      out += '}';
+      return;
     default:
       break;
   }
-  const char* op = nullptr;
-  switch (e.kind()) {
-    case IndexExpr::Kind::Add: op = "+"; break;
-    case IndexExpr::Kind::Sub: op = "-"; break;
-    case IndexExpr::Kind::Mul: op = "*"; break;
-    case IndexExpr::Kind::Div: op = "/"; break;
-    case IndexExpr::Kind::Mod: op = "%"; break;
-    default: fail("exprStr: bad kind");
-  }
-  const int p = precedence(e.kind());
-  auto side = [&](const IndexExpr& k, bool right) {
-    std::string s = exprStr(k, chain);
-    const int kp = precedence(k.kind());
-    // Parenthesize when the child binds more loosely, or equally on the
-    // right of a non-commutative operator.
-    const bool need = kp < p || (kp == p && right &&
-                                 e.kind() != IndexExpr::Kind::Add &&
-                                 e.kind() != IndexExpr::Kind::Mul);
-    return need ? "(" + s + ")" : s;
-  };
-  return side(e.lhs(), false) + op + side(e.rhs(), true);
+  const IndexExpr::Kind k = e.kind();
+  const int p = precedence(k);
+  const int rp = precedence(e.rhs().kind());
+  // Parenthesize when the child binds more loosely, or equally on the right
+  // of a non-commutative operator.
+  appendSide(out, e.lhs(), precedence(e.lhs().kind()) < p, chain);
+  out += opChar(k);
+  appendSide(out, e.rhs(),
+             rp < p || (rp == p && k != IndexExpr::Kind::Add &&
+                        k != IndexExpr::Kind::Mul),
+             chain);
 }
 
-std::string constStr(double v) {
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+void appendConst(std::string& out, double v) {
+  if (std::isinf(v)) {
+    out += v > 0 ? "inf" : "-inf";
+    return;
+  }
   // Locale-free "%.17g": printed constants feed canonicalText, so a comma-
   // decimal LC_NUMERIC must not change program text or canonical hashes.
   char buf[64];
   const auto r =
       std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
-  return std::string(buf, r.ptr);
+  out.append(buf, r.ptr);
 }
 
-std::string accessStr(const Access& a, const std::vector<NodeId>& chain) {
-  std::string s = a.array + "[";
+void appendAccess(std::string& out, const Access& a,
+                  const std::vector<NodeId>& chain) {
+  out += a.array;
+  out += '[';
   for (std::size_t i = 0; i < a.idx.size(); ++i) {
-    if (i) s += ",";
-    s += exprStr(a.idx[i], chain);
+    if (i) out += ',';
+    appendExpr(out, a.idx[i], chain);
   }
-  return s + "]";
+  out += ']';
 }
 
-std::string operandStr(const Operand& in, const std::vector<NodeId>& chain) {
+void appendOperand(std::string& out, const Operand& in,
+                   const std::vector<NodeId>& chain) {
   switch (in.kind) {
-    case Operand::Kind::Array: return accessStr(in.access, chain);
-    case Operand::Kind::Const: return constStr(in.cst);
-    case Operand::Kind::Iter: return exprStr(in.iter_expr, chain);
+    case Operand::Kind::Array: return appendAccess(out, in.access, chain);
+    case Operand::Kind::Const: return appendConst(out, in.cst);
+    case Operand::Kind::Iter: return appendExpr(out, in.iter_expr, chain);
   }
-  fail("operandStr: bad kind");
+  fail("appendOperand: bad kind");
 }
 
-void printNode(const Node& n, int depth, std::vector<NodeId>& chain,
-               std::string& out) {
-  out += printNodeLine(n, depth, chain);
-  if (n.isScope()) {
-    chain.push_back(n.id);
-    for (const auto& c : n.children) printNode(c, depth + 1, chain, out);
-    chain.pop_back();
+void appendBufferLine(std::string& out, const Buffer& b) {
+  out += "buffer ";
+  out += b.name;
+  out += ' ';
+  out += dtypeName(b.dtype);
+  out += " [";
+  for (std::size_t i = 0; i < b.shape.size(); ++i) {
+    if (i) out += ", ";
+    appendInt(out, b.shape[i]);
+    if (!b.materialized[i]) out += ":N";
   }
+  out += "] ";
+  out += memSpaceName(b.space);
+  if (b.arrays.size() != 1 || b.arrays[0] != b.name) {
+    out += " -> ";
+    out += join(b.arrays, ", ");
+  }
+  out += '\n';
 }
 
 }  // namespace
 
-std::string printNodeLine(const Node& n, int depth,
-                          const std::vector<NodeId>& chain) {
-  std::string prefix;
-  for (int i = 0; i < depth; ++i) prefix += "| ";
-  if (n.isScope())
-    return prefix + std::to_string(n.extent) + loopAnnoSuffix(n.anno) + "\n";
-  std::string out = prefix + accessStr(n.out, chain) + " = " + opName(n.op);
-  for (const auto& in : n.ins) out += " " + operandStr(in, chain);
-  return out + "\n";
+void appendNodeLine(std::string& out, const Node& n, int depth,
+                    const std::vector<NodeId>& chain) {
+  for (int i = 0; i < depth; ++i) out.append("| ", 2);
+  if (n.isScope()) {
+    appendInt(out, n.extent);
+    out += loopAnnoSuffix(n.anno);
+  } else {
+    appendAccess(out, n.out, chain);
+    out.append(" = ", 3);
+    out += opName(n.op);
+    for (const auto& in : n.ins) {
+      out += ' ';
+      appendOperand(out, in, chain);
+    }
+  }
+  out += '\n';
+}
+
+void appendSubtree(std::string& out, const Node& n, int depth,
+                   std::vector<NodeId>& chain) {
+  appendNodeLine(out, n, depth, chain);
+  if (n.isScope()) {
+    chain.push_back(n.id);
+    for (const auto& c : n.children) appendSubtree(out, c, depth + 1, chain);
+    chain.pop_back();
+  }
+}
+
+void appendTree(std::string& out, const Program& p) {
+  std::vector<NodeId> chain;
+  // The root container is implicit; print its children at depth 0.
+  for (const auto& c : p.root.children) appendSubtree(out, c, 0, chain);
+}
+
+void appendHeader(std::string& out, const Program& p, bool sort_buffers) {
+  out += "kernel ";
+  out += p.name;
+  out += '\n';
+  if (sort_buffers) {
+    // Sort buffer *indices* by name: no Program (or even Buffer) copies.
+    std::vector<std::size_t> order(p.buffers.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return p.buffers[a].name < p.buffers[b].name;
+    });
+    for (std::size_t i : order) appendBufferLine(out, p.buffers[i]);
+  } else {
+    for (const auto& b : p.buffers) appendBufferLine(out, b);
+  }
+  if (!p.inputs.empty()) {
+    out += "in ";
+    out += join(p.inputs, " ");
+    out += '\n';
+  }
+  if (!p.outputs.empty()) {
+    out += "out ";
+    out += join(p.outputs, " ");
+    out += '\n';
+  }
+  out += '\n';
 }
 
 std::string printTree(const Program& p) {
   std::string out;
-  std::vector<NodeId> chain;
-  // The root container is implicit; print its children at depth 0.
-  for (const auto& c : p.root.children) printNode(c, 0, chain, out);
+  appendTree(out, p);
   return out;
 }
 
-std::string printBufferLine(const Buffer& b) {
-  std::string out = "buffer " + b.name + " " + dtypeName(b.dtype) + " [";
-  for (std::size_t i = 0; i < b.shape.size(); ++i) {
-    if (i) out += ", ";
-    out += std::to_string(b.shape[i]);
-    if (!b.materialized[i]) out += ":N";
-  }
-  out += "] " + std::string(memSpaceName(b.space));
-  if (b.arrays.size() != 1 || b.arrays[0] != b.name) {
-    out += " -> " + join(b.arrays, ", ");
-  }
-  return out + "\n";
-}
-
 std::string printProgram(const Program& p) {
-  std::string out = "kernel " + p.name + "\n";
-  for (const auto& b : p.buffers) out += printBufferLine(b);
-  if (!p.inputs.empty()) out += "in " + join(p.inputs, " ") + "\n";
-  if (!p.outputs.empty()) out += "out " + join(p.outputs, " ") + "\n";
-  out += "\n";
-  out += printTree(p);
+  std::string out;
+  appendHeader(out, p, /*sort_buffers=*/false);
+  appendTree(out, p);
   return out;
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "ir/program.h"
 
@@ -27,15 +28,30 @@ std::string printProgram(const Program& p);
 /// Tree only (no buffer header); useful for diffs and embeddings.
 std::string printTree(const Program& p);
 
-/// One node's own line, newline-terminated, with `chain` = the ids of the
-/// scopes enclosing `n` (outermost first, excluding `n` itself). printTree is
-/// exactly the pre-order concatenation of these lines; the incremental
-/// canonical hasher relies on that byte identity when reusing cached lines.
-std::string printNodeLine(const Node& n, int depth,
-                          const std::vector<NodeId>& chain);
+// The append renderers below are the one rendering path: printProgram,
+// printTree, canonicalText and the canonical arena all append into a
+// caller-owned buffer, so a caller that reuses its buffer renders without
+// allocating once the buffer has grown to size.
 
-/// One buffer declaration line, newline-terminated, exactly as printProgram
-/// renders it.
-std::string printBufferLine(const Buffer& b);
+/// Appends one node's own line, newline-terminated, with `chain` = the ids
+/// of the scopes enclosing `n` (outermost first, excluding `n` itself).
+/// printTree is exactly the pre-order concatenation of these lines; the
+/// canonical arena relies on that byte identity when splicing cached lines.
+/// Throws Error if an iterator references a scope outside `chain`; `out`
+/// may then hold a partial line.
+void appendNodeLine(std::string& out, const Node& n, int depth,
+                    const std::vector<NodeId>& chain);
+
+/// Appends the lines of the subtree rooted at `n` (pre-order), `n` at
+/// `depth` under the enclosing scopes `chain`, which is restored on return.
+void appendSubtree(std::string& out, const Node& n, int depth,
+                   std::vector<NodeId>& chain);
+
+/// Appends printTree(p).
+void appendTree(std::string& out, const Program& p);
+
+/// Appends the program header: kernel line, buffer lines (in declaration
+/// order, or by name when `sort_buffers`), in/out lines and a blank line.
+void appendHeader(std::string& out, const Program& p, bool sort_buffers);
 
 }  // namespace perfdojo::ir

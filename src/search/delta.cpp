@@ -68,42 +68,53 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
     // are the apply/interp oracle layers' and the property suite's job, on
     // every path including this one.
     a.transform->applyInPlace(scratch_, a.loc, &mut, /*validate=*/false);
+    arena_.rebase(scratch_, mut);
+    foldIntoBase(mut);
   } catch (...) {
-    scratch_ = base_;  // context keeps describing the old base, usable
+    // Any throw — in the apply, the arena's rebase or the fold's checks —
+    // may leave scratch_ and the canonical form part-way to the new state.
+    // base_ is untouched until the fold's checks pass, so resynchronize
+    // both to it; the context keeps describing the old base, usable.
+    scratch_ = base_;
+    arena_.bind(base_);
     throw;
   }
   ++stats_.accepts;
   if (mut_out) *mut_out = mut;
-  arena_.rebase(scratch_, mut);
   base_hash_ = arena_.hash();
-  // Fold the accepted mutation into base_ — the undo in reverse: copy only
-  // the reported-dirty subtree instead of the whole program. Multi-root
-  // reports fall back to the full copy (roots may nest, and a prior fold
-  // would invalidate the base index entries under an outer root).
-  if (!mut.whole_tree && mut.dirty_scopes.size() == 1) {
-    if (mut.buffers_changed) base_.buffers = scratch_.buffers;
-    base_.next_id = scratch_.next_id;
-    const ir::NodeId id = mut.dirty_scopes.front();
-    if (id == scratch_.root.id) {
-      base_.root = scratch_.root;
-    } else {
-      // The arena was just rebased, so its chains describe scratch_ (the
-      // NEW tree); the base index still describes the old base.
-      const ir::Node* src = locateScratch(id);
-      ir::Node* dst = id < base_index_.size()
-                          ? const_cast<ir::Node*>(base_index_[id])
-                          : nullptr;
-      require(dst != nullptr && src != nullptr,
-              "DeltaContext: dirty subtree " + std::to_string(id) +
-                  " missing during accept (bad mutation report)");
-      *dst = *src;
-    }
-  } else {
-    base_ = scratch_;
-  }
   base_index_.assign(base_.next_id, nullptr);
   indexNodes(base_.root, base_index_);
   return base_;
+}
+
+void DeltaContext::foldIntoBase(const ir::MutationSummary& mut) {
+  // The undo in reverse: copy only the reported-dirty subtree instead of
+  // the whole program. Multi-root reports fall back to the full copy (roots
+  // may nest, and a prior fold would invalidate the base index entries
+  // under an outer root).
+  if (mut.whole_tree || mut.dirty_scopes.size() != 1) {
+    base_ = scratch_;
+    return;
+  }
+  const ir::NodeId id = mut.dirty_scopes.front();
+  ir::Node* dst = nullptr;
+  const ir::Node* src = nullptr;
+  if (id != scratch_.root.id) {
+    // The arena was just rebased, so its chains describe scratch_ (the
+    // NEW tree); the base index still describes the old base.
+    src = locateScratch(id);
+    dst = id < base_index_.size() ? const_cast<ir::Node*>(base_index_[id])
+                                  : nullptr;
+    require(dst != nullptr && src != nullptr,
+            "DeltaContext: dirty subtree " + std::to_string(id) +
+                " missing during accept (bad mutation report)");
+  }
+  if (mut.buffers_changed) base_.buffers = scratch_.buffers;
+  base_.next_id = scratch_.next_id;
+  if (dst)
+    *dst = *src;
+  else
+    base_.root = scratch_.root;
 }
 
 ir::Node* DeltaContext::locateScratch(ir::NodeId id) {

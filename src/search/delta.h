@@ -79,8 +79,9 @@ class DeltaContext {
   /// and columns move, only dirty subtrees re-render — instead of being
   /// rebuilt from scratch, making acceptance O(dirty subtree) like pricing.
   /// The context afterwards is indistinguishable from a fresh bind of the
-  /// new base (bit-identical hashes). Throws if the action does not apply;
-  /// the context then still describes the OLD base, fully usable.
+  /// new base (bit-identical hashes). Throws if the action does not apply
+  /// or the new base does not render; the context then still describes the
+  /// OLD base, fully usable.
   /// Returns the new base; `mut_out` (optional) receives the mutation
   /// summary so callers can splice their own per-base indices (the search
   /// loop's ActionSet) from the same report.
@@ -91,6 +92,10 @@ class DeltaContext {
 
  private:
   void undo(const ir::MutationSummary& mut);
+  /// Folds the accepted mutation, already applied to scratch_ and rebased
+  /// into the arena, into base_. Throws before touching base_ if the report
+  /// names a subtree it cannot locate.
+  void foldIntoBase(const ir::MutationSummary& mut);
   /// Finds the node with `id` in the scratch tree by walking the base
   /// parent chain from the arena (O(depth * siblings), not O(n)); nullptr
   /// if the mutation report broke the unchanged-ancestors contract.

@@ -22,6 +22,12 @@ class Error : public std::runtime_error {
 inline void require(bool cond, const std::string& msg) {
   if (!cond) fail(msg);
 }
+/// Same, for a literal message: builds the std::string only on failure, so a
+/// passing check costs no allocation (the overload above constructs its
+/// argument before the test).
+inline void require(bool cond, const char* msg) {
+  if (!cond) fail(msg);
+}
 
 /// 64-bit FNV-1a, used for canonical-program hashing and the feature hasher.
 inline std::uint64_t fnv1a(const void* data, std::size_t n,

@@ -19,6 +19,7 @@
 
 #include "ir/arena.h"
 #include "ir/canonical.h"
+#include "ir/incremental.h"
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
@@ -125,6 +126,74 @@ TEST(ArenaDelta, ThrowingActionLeavesContextBitExactOnBothBackends) {
       const ir::Program r = actions.front().apply(q);
       dctx->bind(r);
       EXPECT_EQ(dctx->baseHash(), ir::canonicalHash(r));
+    }
+  }
+}
+
+/// A transform whose in-place apply succeeds but points an op's output
+/// index at a scope that encloses nothing, so rendering the reported dirty
+/// subtree (the rebase inside accept()) throws.
+class DanglingIterForger : public transform::Transform {
+ public:
+  std::string name() const override { return "test_dangling_iter"; }
+  using Transform::findApplicable;
+  std::vector<transform::Location> findApplicable(
+      const ir::ProgramIndex& ix, const transform::MachineCaps&) const override {
+    std::vector<transform::Location> locs;
+    for (const auto& c : ix.program().root.children)
+      if (c.isScope() && !ir::collectOps(c).empty()) {
+        transform::Location l;
+        l.node = c.id;
+        locs.push_back(l);
+      }
+    return locs;
+  }
+  ir::Program apply(const ir::Program& p,
+                    const transform::Location& loc) const override {
+    ir::Program q = p;
+    applyInPlace(q, loc, nullptr, true);
+    return q;
+  }
+  void applyInPlace(ir::Program& q, const transform::Location& loc,
+                    ir::MutationSummary* mut, bool) const override {
+    ir::Node* n = ir::findNode(q.root, loc.node);
+    require(n && n->isScope(), "test_dangling_iter: stale location");
+    ir::Node* op = ir::collectOps(*n).front();
+    require(!op->out.idx.empty(), "test_dangling_iter: scalar output");
+    op->out.idx[0] = ir::IndexExpr::iter(9999);
+    if (mut) {
+      *mut = ir::MutationSummary::none();
+      mut->dirty_scopes = {loc.node};
+    }
+  }
+};
+
+TEST(ArenaDelta, ThrowingRebaseLeavesContextBitExact) {
+  // The apply succeeds and the arena's rebase throws: accept() must still
+  // leave the old base in place with scratch tree and canonical form
+  // resynchronized, so neighbors and the next accept are priced exactly.
+  const DanglingIterForger forger;
+  const auto& caps = machines::xeon().caps();
+  for (const auto& p : propertyCorpus()) {
+    DeltaContext fresh, rebased;
+    ASSERT_TRUE(bothBackends(p, fresh, rebased));
+    const ir::Program q = fresh.base();
+    const auto actions = transform::allActions(q, caps);
+    const auto locs = forger.findApplicable(q, caps);
+    ASSERT_FALSE(locs.empty());
+    const transform::Action forged{&forger, locs.front()};
+    for (DeltaContext* dctx : {&fresh, &rebased}) {
+      SCOPED_TRACE(dctx == &fresh ? "bound context" : "rebased context");
+      EXPECT_THROW(dctx->accept(forged), Error);
+      EXPECT_EQ(dctx->baseHash(), ir::canonicalHash(q));
+      ASSERT_TRUE(ir::canonicallyEqual(dctx->base(), q));
+      for (const auto& a : actions)
+        ASSERT_EQ(dctx->neighborHash(a), ir::canonicalHash(a.apply(q)))
+            << "after a throwing rebase: " << a.describe(q);
+      const ir::Program r = actions.front().apply(q);
+      ASSERT_TRUE(ir::canonicallyEqual(dctx->accept(actions.front()), r));
+      EXPECT_EQ(dctx->baseHash(), ir::canonicalHash(r));
+      EXPECT_EQ(dctx->baseHash(), ir::CanonicalArena(r).hash());
     }
   }
 }

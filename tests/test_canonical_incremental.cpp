@@ -176,6 +176,34 @@ TEST(CanonicalArena, DefaultApplyInPlaceReportsConservatively) {
   expectProbeAndRebase(p, q, mut, t.name());
 }
 
+TEST(CanonicalArena, FailedBindLeavesArenaUnbound) {
+  // A render that throws partway through bind() or rebase() must not leave
+  // the arena claiming a program it no longer describes: it reports
+  // unbound, so probe() falls back to a full render and rebase() to a
+  // fresh bind.
+  const Program good = kernels::makeSoftmax(4, 8);
+  Program bad = good;
+  Node* op = collectOps(bad.root).front();
+  op->out.idx[0] = IndexExpr::iter(9999);
+  MutationSummary mut = MutationSummary::none();
+  mut.dirty_scopes = {findParent(bad.root, op->id)->id};
+
+  CanonicalArena bound(good);
+  EXPECT_THROW(bound.bind(bad), Error);
+  CanonicalArena rebased(good);
+  EXPECT_THROW(rebased.rebase(bad, mut), Error);
+  for (CanonicalArena* arena : {&bound, &rebased}) {
+    SCOPED_TRACE(arena == &bound ? "failed bind" : "failed rebase");
+    EXPECT_FALSE(arena->bound());
+    EXPECT_EQ(arena->probe(good, MutationSummary::none()), groundTruth(good));
+    arena->rebase(good, MutationSummary::none());
+    EXPECT_TRUE(arena->bound());
+    EXPECT_EQ(arena->hash(), groundTruth(good));
+    EXPECT_EQ(arena->text(), canonicalText(good));
+    EXPECT_EQ(arena->size(), nodeCount(good.root) - 1);
+  }
+}
+
 // --- Random trajectories: the 200-seed property walk per kernel ------------
 
 struct TrajCase {

@@ -33,6 +33,13 @@ TEST(Printer, SoftmaxTextShape) {
 
 using K = IndexExpr::Kind;
 
+std::string nodeLine(const Node& n, int depth,
+                     const std::vector<NodeId>& chain) {
+  std::string out;
+  appendNodeLine(out, n, depth, chain);
+  return out;
+}
+
 IndexExpr it(NodeId s) { return IndexExpr::iter(s); }
 IndexExpr cst(std::int64_t v) { return IndexExpr::constant(v); }
 IndexExpr bin(K k, IndexExpr a, IndexExpr b) {
@@ -44,7 +51,7 @@ IndexExpr bin(K k, IndexExpr a, IndexExpr b) {
 std::string exprLine(IndexExpr e) {
   const Node n = Node::opNode(9, OpCode::Mov, Access{"o", {std::move(e)}},
                               {Operand::constant(0.0)});
-  const std::string line = printNodeLine(n, 3, {1, 2, 3});
+  const std::string line = nodeLine(n, 3, {1, 2, 3});
   const std::string prefix = "| | | o[";
   const std::string suffix = "] = mov 0\n";
   EXPECT_EQ(line.substr(0, prefix.size()), prefix) << line;
@@ -118,7 +125,7 @@ TEST(PrinterGolden, IndexConstants) {
 TEST(PrinterGolden, OperandsAndOps) {
   const std::vector<NodeId> chain = {1, 2};
   auto line = [&](OpCode op, std::vector<Operand> ins) {
-    return printNodeLine(
+    return nodeLine(
         Node::opNode(9, op, Access{"y", {it(1), it(2)}}, std::move(ins)), 2,
         chain);
   };
@@ -149,26 +156,26 @@ TEST(PrinterGolden, OperandsAndOps) {
                   Operand::iter(cst(-7))}),
             "| | y[{0},{1}] = add ({0}+1)*{1} -7\n");
   // A scalar (rank-0) access and a unary op.
-  EXPECT_EQ(printNodeLine(Node::opNode(9, OpCode::Exp, Access{"s", {}},
+  EXPECT_EQ(nodeLine(Node::opNode(9, OpCode::Exp, Access{"s", {}},
                                        {Operand::array(Access{"t", {}})}),
                           0, {}),
             "s[] = exp t[]\n");
 }
 
 TEST(PrinterGolden, ScopeLinesAndDepthPrefixes) {
-  EXPECT_EQ(printNodeLine(Node::scope(1, 64), 0, {}), "64\n");
-  EXPECT_EQ(printNodeLine(Node::scope(1, 8, LoopAnno::Parallel), 1, {}),
+  EXPECT_EQ(nodeLine(Node::scope(1, 64), 0, {}), "64\n");
+  EXPECT_EQ(nodeLine(Node::scope(1, 8, LoopAnno::Parallel), 1, {}),
             "| 8:p\n");
-  EXPECT_EQ(printNodeLine(Node::scope(1, 4, LoopAnno::Vector), 2, {}),
+  EXPECT_EQ(nodeLine(Node::scope(1, 4, LoopAnno::Vector), 2, {}),
             "| | 4:v\n");
   const std::pair<LoopAnno, const char*> annos[] = {
       {LoopAnno::Unroll, ":u"},  {LoopAnno::GpuGrid, ":g"},
       {LoopAnno::GpuBlock, ":b"}, {LoopAnno::GpuWarp, ":w"},
       {LoopAnno::Ssr, ":s"},     {LoopAnno::Frep, ":f"}};
   for (const auto& [anno, suffix] : annos)
-    EXPECT_EQ(printNodeLine(Node::scope(1, 16, anno), 3, {}),
+    EXPECT_EQ(nodeLine(Node::scope(1, 16, anno), 3, {}),
               std::string("| | | 16") + suffix + "\n");
-  EXPECT_EQ(printNodeLine(Node::scope(1, 9223372036854775807LL), 0, {}),
+  EXPECT_EQ(nodeLine(Node::scope(1, 9223372036854775807LL), 0, {}),
             "9223372036854775807\n");
 }
 
@@ -233,7 +240,7 @@ TEST(PrinterGolden, IteratorOutsideTheChainNamesTheScope) {
   const Node n = Node::opNode(9, OpCode::Mov, Access{"o", {it(9999)}},
                               {Operand::constant(0.0)});
   try {
-    printNodeLine(n, 1, {1});
+    nodeLine(n, 1, {1});
     ADD_FAILURE() << "expected a throw";
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(),
