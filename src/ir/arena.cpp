@@ -146,15 +146,19 @@ void CanonicalArena::rebase(const Program& q, const MutationSummary& mut) {
     appendRange(cols_.is_scope, old.is_scope, ob, oe);
     appendRange(cols_.anno, old.anno, ob, oe);
     appendRange(cols_.extent, old.extent, ob, oe);
-    cols_.parent.push_back(parent);
-    for (std::uint32_t s = ob + 1; s < oe; ++s)
-      cols_.parent.push_back(old.parent[s] + slot_delta);
+    const std::size_t at = cols_.parent.size();
+    cols_.parent.resize(at + (oe - ob));
+    cols_.subtree_end.resize(at + (oe - ob));
+    cols_.line_begin.resize(at + (oe - ob));
+    std::int32_t* parent_out = cols_.parent.data() + at;
+    std::uint32_t* end_out = cols_.subtree_end.data() + at;
+    std::uint32_t* line_out = cols_.line_begin.data() + at;
     for (std::uint32_t s = ob; s < oe; ++s) {
-      cols_.subtree_end.push_back(
-          static_cast<std::uint32_t>(old.subtree_end[s] + slot_delta));
-      cols_.line_begin.push_back(
-          static_cast<std::uint32_t>(old.line_begin[s] + byte_delta));
+      *parent_out++ = old.parent[s] + slot_delta;
+      *end_out++ = static_cast<std::uint32_t>(old.subtree_end[s] + slot_delta);
+      *line_out++ = static_cast<std::uint32_t>(old.line_begin[s] + byte_delta);
     }
+    cols_.parent[at] = parent;
     cols_.text.append(old.text, old.line_begin[ob],
                       old.line_begin[oe] - old.line_begin[ob]);
   };

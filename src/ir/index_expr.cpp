@@ -36,26 +36,6 @@ IndexExpr IndexExpr::mul(IndexExpr a, IndexExpr b) { return binary(Kind::Mul, st
 IndexExpr IndexExpr::div(IndexExpr a, IndexExpr b) { return binary(Kind::Div, std::move(a), std::move(b)); }
 IndexExpr IndexExpr::mod(IndexExpr a, IndexExpr b) { return binary(Kind::Mod, std::move(a), std::move(b)); }
 
-std::int64_t IndexExpr::constValue() const {
-  require(kind_ == Kind::Const, "IndexExpr::constValue on non-const");
-  return u_.value;
-}
-
-NodeId IndexExpr::iterScope() const {
-  require(kind_ == Kind::Iter, "IndexExpr::iterScope on non-iter");
-  return u_.iter;
-}
-
-const IndexExpr& IndexExpr::lhs() const {
-  require(isBinary(), "IndexExpr::lhs on leaf");
-  return u_.pair->kid[0];
-}
-
-const IndexExpr& IndexExpr::rhs() const {
-  require(isBinary(), "IndexExpr::rhs on leaf");
-  return u_.pair->kid[1];
-}
-
 bool IndexExpr::sameNode(const IndexExpr& o) const {
   if (kind_ != o.kind_) return false;
   switch (kind_) {

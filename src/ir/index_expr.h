@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/common.h"
+
 namespace perfdojo::ir {
 
 using NodeId = std::uint32_t;
@@ -132,6 +134,26 @@ struct IndexExpr::Pair {
 };
 
 static_assert(sizeof(IndexExpr) == 16, "IndexExpr is a kind byte plus one payload word");
+
+inline std::int64_t IndexExpr::constValue() const {
+  require(kind_ == Kind::Const, "IndexExpr::constValue on non-const");
+  return u_.value;
+}
+
+inline NodeId IndexExpr::iterScope() const {
+  require(kind_ == Kind::Iter, "IndexExpr::iterScope on non-iter");
+  return u_.iter;
+}
+
+inline const IndexExpr& IndexExpr::lhs() const {
+  require(isBinary(), "IndexExpr::lhs on leaf");
+  return u_.pair->kid[0];
+}
+
+inline const IndexExpr& IndexExpr::rhs() const {
+  require(isBinary(), "IndexExpr::rhs on leaf");
+  return u_.pair->kid[1];
+}
 
 inline void IndexExpr::retain(Pair* p) noexcept {
   p->refs.fetch_add(1, std::memory_order_relaxed);

@@ -45,6 +45,11 @@ char opChar(IndexExpr::Kind k) {
 }
 
 void appendInt(std::string& out, std::int64_t v) {
+  // Iterator depths and most index constants are single digits.
+  if (v >= 0 && v < 10) {
+    out += static_cast<char>('0' + v);
+    return;
+  }
   char buf[24];
   const auto r = std::to_chars(buf, buf + sizeof buf, v);
   out.append(buf, r.ptr);
