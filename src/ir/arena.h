@@ -65,7 +65,9 @@ class CanonicalArena {
 
   /// Flattens `p` into the arena: one pre-order pass renders every node line
   /// into the contiguous slab and fills the SoA columns. O(n) — amortized
-  /// over every probe until the next bind.
+  /// over every probe until the next bind. If a line fails to render (an
+  /// iterator naming a scope that does not enclose it), the throw leaves the
+  /// arena unbound.
   void bind(const Program& p);
 
   bool bound() const { return bound_; }
@@ -75,8 +77,8 @@ class CanonicalArena {
 
   /// fnv1a(canonicalText(q)) for a program `q` mutated *away from* the bound
   /// one as described by `mut`, computed read-only: clean regions are hashed
-  /// straight from the slab, dirty subtrees are rendered on the fly and
-  /// discarded. Falls back to a full render for conservative summaries (or a
+  /// straight from the slab, dirty subtrees are rendered into a reused
+  /// scratch string and hashed. Falls back to a full render for conservative summaries (or a
   /// report naming nodes the arena has never seen).
   std::uint64_t probe(const Program& q, const MutationSummary& mut) const;
 
@@ -87,7 +89,8 @@ class CanonicalArena {
   /// the regions probe() would have rendered. Falls back to bind(q) on
   /// conservative summaries. Afterwards the arena is indistinguishable from
   /// a fresh bind(q): hash(), text() and every accessor agree bit-for-bit
-  /// (the property suite checks this column by column).
+  /// (the property suite checks this column by column). Like bind(), a
+  /// throw leaves the arena unbound.
   void rebase(const Program& q, const MutationSummary& mut);
 
   // --- SoA accessors (slot = dense pre-order index, excluding the root) ---

@@ -81,10 +81,11 @@ void appendExpr(std::string& out, const IndexExpr& e,
   }
   const IndexExpr::Kind k = e.kind();
   const int p = precedence(k);
+  const int lp = precedence(e.lhs().kind());
   const int rp = precedence(e.rhs().kind());
   // Parenthesize when the child binds more loosely, or equally on the right
   // of a non-commutative operator.
-  appendSide(out, e.lhs(), precedence(e.lhs().kind()) < p, chain);
+  appendSide(out, e.lhs(), lp < p, chain);
   out += opChar(k);
   appendSide(out, e.rhs(),
              rp < p || (rp == p && k != IndexExpr::Kind::Add &&
