@@ -157,8 +157,8 @@ TEST(PrinterGolden, OperandsAndOps) {
             "| | y[{0},{1}] = add ({0}+1)*{1} -7\n");
   // A scalar (rank-0) access and a unary op.
   EXPECT_EQ(nodeLine(Node::opNode(9, OpCode::Exp, Access{"s", {}},
-                                       {Operand::array(Access{"t", {}})}),
-                          0, {}),
+                                  {Operand::array(Access{"t", {}})}),
+                     0, {}),
             "s[] = exp t[]\n");
 }
 
