@@ -13,9 +13,12 @@ namespace perfdojo {
 /// cannot be opened OR when any write/flush fails (disk full, I/O error).
 void writeTextFile(const std::string& path, const std::string& content);
 
-/// Crash-safe variant: writes to `path + ".tmp"`, flushes, then atomically
-/// renames over `path` (POSIX rename semantics), so readers never observe a
-/// torn file — either the old content or the new, never a prefix.
+/// Crash-safe variant: writes a temp file unique to this call in `path`'s
+/// directory (mkstemp), then atomically renames it over `path` (POSIX rename
+/// semantics), so readers never observe a torn file — either the old content
+/// or the new, never a prefix — and concurrent writers of one path each
+/// install one complete version. The temp file is removed on failure. No
+/// fsync: this survives a process crash, not a power loss.
 void writeTextFileAtomic(const std::string& path, const std::string& content);
 
 /// Reads the whole file; throws Error when it cannot be opened or read.

@@ -203,6 +203,47 @@ TEST(IoWrite, ReportsStreamFailures) {
   }
 }
 
+TEST(IoWrite, AtomicWriteSurvivesConcurrentWriters) {
+  // Several writers replacing one file at once (two servers compacting one
+  // shard, two tools saving one model) must never throw, and the file must
+  // end up holding exactly one writer's content, with no temp file left.
+  const std::string dir = ::testing::TempDir() + "/pd_io_atomic_race";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/target.txt";
+  auto content = [](int t, int i) {
+    return std::string(static_cast<std::size_t>(1000 + 7 * t + i),
+                       static_cast<char>('a' + t)) +
+           std::to_string(i) + "\n";
+  };
+  std::atomic<int> threw{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < 4; ++t)
+    pool.emplace_back([&, t] {
+      for (int i = 0; i < 100; ++i) {
+        try {
+          writeTextFileAtomic(path, content(t, i));
+        } catch (const Error&) {
+          ++threw;
+        }
+      }
+    });
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(threw.load(), 0);
+  const std::string final_text = readTextFile(path);
+  bool matches = false;
+  for (int t = 0; t < 4 && !matches; ++t)
+    for (int i = 0; i < 100 && !matches; ++i)
+      matches = final_text == content(t, i);
+  EXPECT_TRUE(matches) << "torn file of " << final_text.size() << " bytes";
+  int files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    (void)e;
+    ++files;
+  }
+  EXPECT_EQ(files, 1);
+}
+
 TEST(ThreadSafeMap, BasicOperations) {
   ThreadSafeMap<int, std::string> m;
   std::string out;
