@@ -39,7 +39,7 @@ bool JsonValue::boolOr(const std::string& key, bool def) const {
 namespace {
 
 struct Parser {
-  const std::string& s;
+  std::string_view s;
   std::size_t i = 0;
   std::string err;
 
@@ -206,7 +206,7 @@ struct Parser {
 
 }  // namespace
 
-bool parseJson(const std::string& text, JsonValue& out, std::string* error) {
+bool parseJson(std::string_view text, JsonValue& out, std::string* error) {
   Parser p{text, 0, {}};
   out = JsonValue{};
   if (!p.parseValue(out)) {

@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,7 +43,7 @@ struct JsonValue {
 
 /// Parses one JSON document (object/array/scalar). Returns false and fills
 /// `error` (when given) on malformed input or trailing garbage.
-bool parseJson(const std::string& text, JsonValue& out,
+bool parseJson(std::string_view text, JsonValue& out,
                std::string* error = nullptr);
 
 /// Escapes a string for embedding between JSON quotes.

@@ -9,6 +9,11 @@
 #include <sstream>
 #include <thread>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "libgen/server.h"
@@ -354,6 +359,249 @@ TEST(ShardStore, CorruptEntryDoesNotDropHealthySiblings) {
   EXPECT_EQ(reopened.stats().entries, 2u);
   ASSERT_TRUE(reopened.get(k1, out));
   ASSERT_TRUE(reopened.get(k3, out));
+}
+
+// --- Hazards of a cache directory shared by several processes -------------
+//
+// Each test below drives real processes (fork) against one directory: two
+// servers appending at once, a writer killed with SIGKILL mid-put, a writer
+// hitting its file-size limit (the same short write a full disk gives).
+
+std::string shardRecord(std::uint64_t key, std::size_t pad = 0) {
+  return "{\"k\":" + std::to_string(key) + ",\"pad\":\"" +
+         std::string(pad, 'x') + "\"}";
+}
+
+/// Runs `body` in a forked child and returns the child's pid. The child
+/// leaves through _exit with body's return value (100 when it throws), so it
+/// never runs the parent's gtest teardown or atexit handlers.
+template <typename Body>
+pid_t forkChild(Body body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    int code = 100;
+    try {
+      code = body();
+    } catch (...) {
+    }
+    ::_exit(code);
+  }
+  return pid;
+}
+
+/// Reaps `pid`; its exit code, or -1 when a signal ended it.
+int reap(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ShardStore, ConcurrentProcessesKeepEveryRecord) {
+  // Two servers sharing one cache directory: every put of each must land,
+  // none may throw, and neither may drop the other's records.
+  const std::string dir = freshDir("pd_shard_two_procs");
+  const std::uint64_t kPerChild = 200;
+  int go[2];
+  ASSERT_EQ(::pipe(go), 0);
+  std::vector<pid_t> children;
+  for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{1000000}}) {
+    children.push_back(forkChild([&] {
+      search::ShardStore store(dir, 4);
+      ::close(go[1]);
+      char c;
+      (void)!::read(go[0], &c, 1);  // start together: EOF once the parent closes
+      int threw = 0;
+      for (std::uint64_t k = 0; k < kPerChild; ++k) {
+        try {
+          store.put(base + k, shardRecord(base + k, 64));
+        } catch (const Error&) {
+          ++threw;
+        }
+      }
+      return threw;
+    }));
+  }
+  ::close(go[0]);
+  ::close(go[1]);
+  for (const pid_t pid : children) EXPECT_EQ(reap(pid), 0) << "puts threw";
+
+  search::ShardStore store(dir, 4);
+  EXPECT_EQ(store.stats().entries, 2 * kPerChild);
+  EXPECT_EQ(store.stats().quarantined, 0);
+  std::string out;
+  for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{1000000}})
+    for (std::uint64_t k = 0; k < kPerChild; ++k) {
+      ASSERT_TRUE(store.get(base + k, out)) << base + k;
+      EXPECT_EQ(out, shardRecord(base + k, 64));
+    }
+}
+
+TEST(ShardStore, FileSizeLimitFailsPutWithoutTearingTheShard) {
+  // RLIMIT_FSIZE with SIGXFSZ ignored makes write(2) stop short with EFBIG,
+  // exactly as a full disk stops it with ENOSPC.
+  const std::string dir = freshDir("pd_shard_fsize");
+  const pid_t pid = forkChild([&] {
+    ::signal(SIGXFSZ, SIG_IGN);
+    search::ShardStore store(dir, 1);
+    for (std::uint64_t k = 0; k < 10; ++k) store.put(k, shardRecord(k, 32));
+    rlimit lim{};
+    if (::getrlimit(RLIMIT_FSIZE, &lim) != 0) return 1;
+    const rlim_t unlimited = lim.rlim_cur;
+    lim.rlim_cur = static_cast<rlim_t>(fs::file_size(store.shardPath(0)) + 8);
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) return 2;
+    bool threw = false;
+    try {
+      store.put(99, shardRecord(99, 256));
+    } catch (const Error&) {
+      threw = true;
+    }
+    if (!threw) return 3;
+    std::string out;
+    if (!store.get(99, out)) return 4;  // the in-memory entry is kept
+    // The failed write leaves nothing behind: no torn line, no temp file.
+    int files = 0;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      (void)e;
+      ++files;
+    }
+    if (files != 1) return 5;
+    lim.rlim_cur = unlimited;
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) return 6;
+    store.put(10, shardRecord(10, 32));  // the shard stays appendable
+    return 0;
+  });
+  ASSERT_EQ(reap(pid), 0);
+
+  search::ShardStore store(dir, 1);
+  EXPECT_EQ(store.stats().quarantined, 0);
+  std::string out;
+  for (std::uint64_t k = 0; k <= 10; ++k) {
+    ASSERT_TRUE(store.get(k, out)) << k;
+    EXPECT_EQ(out, shardRecord(k, 32));
+  }
+}
+
+TEST(ShardStore, PutAfterTornTailFromAnotherWriterLands) {
+  // A second server sharing the directory puts one record, then dies in the
+  // middle of its next append. The first server's following put must land
+  // and must not drop the second server's record.
+  const std::string dir = freshDir("pd_shard_torn_tail");
+  search::ShardStore store(dir, 1);
+  store.put(1, shardRecord(1));
+  {
+    search::ShardStore other(dir, 1);
+    other.put(2, shardRecord(2));
+  }
+  {
+    std::ofstream f(store.shardPath(0), std::ios::app);
+    f << "00000000000000ff 0123456789abcdef {\"k\":255,\"pa";
+  }
+  store.put(3, shardRecord(3));
+
+  search::ShardStore reopened(dir, 1);
+  EXPECT_EQ(reopened.stats().quarantined, 1);  // the torn line, alone
+  EXPECT_EQ(reopened.stats().entries, 3u);
+  std::string out;
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(reopened.get(k, out)) << k;
+    EXPECT_EQ(out, shardRecord(k));
+  }
+  // Open compacted the damage away.
+  search::ShardStore again(dir, 1);
+  EXPECT_EQ(again.stats().quarantined, 0);
+  EXPECT_EQ(again.stats().entries, 3u);
+}
+
+TEST(ShardStore, KilledWritersLoseNoAcknowledgedPut) {
+  // Two writers in a put loop report every key whose put returned, and are
+  // killed with SIGKILL mid-stream. Every acknowledged key must load.
+  const std::string dir = freshDir("pd_shard_kill9");
+  struct Writer {
+    pid_t pid;
+    int ack;  // read end: one uint64 per acknowledged put
+  };
+  std::vector<Writer> writers;
+  for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{1} << 40}) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const pid_t pid = forkChild([&] {
+      ::close(fds[0]);
+      search::ShardStore store(dir, 4);
+      for (std::uint64_t k = base; k < base + 20000; ++k) {
+        try {
+          store.put(k, shardRecord(k, 512));
+        } catch (const Error&) {
+          continue;  // not acknowledged, so not owed
+        }
+        if (::write(fds[1], &k, sizeof k) != sizeof k) return 1;
+      }
+      return 0;
+    });
+    ::close(fds[1]);
+    writers.push_back({pid, fds[0]});
+  }
+  std::vector<std::uint64_t> acked;
+  auto readAck = [&](int fd) {
+    std::uint64_t k = 0;
+    if (::read(fd, &k, sizeof k) != sizeof k) return false;
+    acked.push_back(k);
+    return true;
+  };
+  for (const Writer& w : writers) {
+    const std::size_t want = acked.size() + 100;
+    while (acked.size() < want && readAck(w.ack)) continue;
+  }
+  for (const Writer& w : writers) ::kill(w.pid, SIGKILL);
+  for (const Writer& w : writers) {
+    reap(w.pid);
+    while (readAck(w.ack)) continue;  // acks still in the pipe count too
+    ::close(w.ack);
+  }
+  ASSERT_GE(acked.size(), 200u);
+
+  search::ShardStore store(dir, 4);
+  std::string out;
+  for (const std::uint64_t k : acked) {
+    ASSERT_TRUE(store.get(k, out)) << k;
+    EXPECT_EQ(out, shardRecord(k, 512));
+  }
+}
+
+TEST(ShardStore, LegacyTwoFieldShardLoadsAndCompacts) {
+  // Shard files written before records carried a checksum still load, and
+  // open rewrites them in the checksummed format.
+  const std::string dir = freshDir("pd_shard_legacy");
+  fs::create_directories(dir);
+  const std::string path = dir + "/" + search::ShardStore::shardName(0);
+  {
+    std::ofstream f(path);
+    f << "0000000000000004 {\"v\":4}\n0000000000000008 {\"v\":8}\n";
+  }
+  {
+    search::ShardStore store(dir, 4);
+    EXPECT_EQ(store.stats().quarantined, 0);
+    EXPECT_EQ(store.stats().entries, 2u);
+    std::string out;
+    ASSERT_TRUE(store.get(4, out));
+    EXPECT_EQ(out, "{\"v\":4}");
+    ASSERT_TRUE(store.get(8, out));
+    EXPECT_EQ(out, "{\"v\":8}");
+  }
+  std::ifstream in(path);
+  std::string line;
+  int lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    // "<16-hex key> <16-hex checksum> <record>"
+    ASSERT_GT(line.size(), 34u) << line;
+    EXPECT_EQ(line[16], ' ') << line;
+    EXPECT_EQ(line[33], ' ') << line;
+    EXPECT_EQ(line[34], '{') << line;
+  }
+  EXPECT_EQ(lines, 2);
+  search::ShardStore reopened(dir, 4);
+  EXPECT_EQ(reopened.stats().entries, 2u);
+  EXPECT_EQ(reopened.stats().quarantined, 0);
 }
 
 TEST(ServeHandle, CorruptCacheDirIsSurvivable) {
