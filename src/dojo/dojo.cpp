@@ -31,9 +31,9 @@ std::vector<transform::Action> Dojo::moves() const {
 
 void Dojo::play(const transform::Action& a) {
   history_.push(a);
-  // Splice the move index from the same summary the history's canonical
-  // hash was updated with — before verify can throw, so the index never
-  // describes a stale state.
+  // Splice the move index from the summary of the mutation the history just
+  // applied — before verify can throw, so the index never describes a stale
+  // state.
   if (moves_fresh_) moves_index_.update(program(), history_.lastMutation());
   if (opts_.verify_moves) {
     const auto r = verify::verifyEquivalent(history_.original(), program());
@@ -46,7 +46,7 @@ void Dojo::play(const transform::Action& a) {
 
 void Dojo::undo() {
   history_.undo();
-  moves_fresh_ = false;  // replayed state: re-bind lazily on the next moves()
+  moves_fresh_ = false;  // restored state: re-bind lazily on the next moves()
   runtime_ = evaluate(program());
   // best_* intentionally kept: undoing exploration does not forget the best
   // implementation found (the game's objective is the best state visited).

@@ -63,7 +63,7 @@ class Dojo {
   /// would indicate a bug in an applicability rule, not a user error).
   void play(const transform::Action& a);
 
-  /// Undoes the last move (history replay).
+  /// Undoes the last move (restores the recorded state).
   void undo();
 
   /// Number of moves played so far.

@@ -28,10 +28,9 @@ namespace {
 
 std::string recipeOf(const transform::History& h) {
   std::string out;
-  ir::Program p = h.original();
-  for (const auto& s : h.steps()) {
-    out += s.transform->describe(p, s.loc) + "\n";
-    p = s.transform->apply(p, s.loc);
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    const auto& s = h.steps()[i];
+    out += s.transform->describe(h.stateBefore(i), s.loc) + "\n";
   }
   return out;
 }

@@ -13,14 +13,8 @@ std::uint64_t EvalCache::key(const machines::Machine& m, std::uint64_t h) {
 }
 
 double EvalCache::evaluate(const machines::Machine& m, const ir::Program& p) {
-  return evaluateHashed(m, ir::canonicalHash(p), p);
-}
-
-double EvalCache::evaluateHashed(const machines::Machine& m,
-                                 std::uint64_t canonical_hash,
-                                 const ir::Program& p) {
   ++requests_;
-  const std::uint64_t k = key(m, canonical_hash);
+  const std::uint64_t k = key(m, ir::canonicalHash(p));
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = map_.find(k);

@@ -37,10 +37,6 @@ class EvalCache {
   /// or evaluates and inserts. Counts into stats().
   double evaluate(const machines::Machine& m, const ir::Program& p);
 
-  /// Same, for callers that already computed the canonical hash.
-  double evaluateHashed(const machines::Machine& m, std::uint64_t canonical_hash,
-                        const ir::Program& p);
-
   /// Uncounted primitives for layers that keep their own statistics
   /// (search::SearchStats): probe / publish a cost for a canonical hash.
   bool lookup(const machines::Machine& m, std::uint64_t canonical_hash,

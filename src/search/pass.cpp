@@ -444,16 +444,15 @@ std::vector<StepAttribution> attributeHistory(const transform::History& h,
                                               Telemetry* sink) {
   std::vector<StepAttribution> out;
   out.reserve(h.size() + 1);
-  ir::Program state = h.original();
-  StepAttribution init;
-  init.cost = m.evaluate(state);
-  init.breakdown = m.evaluateDetailed(state);
-  out.push_back(std::move(init));
-  for (const auto& step : h.steps()) {
-    state = transform::Action{step.transform, step.loc}.apply(state);
+  // Entry i prices the state the history recorded after step i - 1.
+  for (std::size_t i = 0; i <= h.size(); ++i) {
+    const ir::Program& state = h.stateBefore(i);
     StepAttribution sa;
-    sa.transform = step.transform->name();
-    sa.location = transform::locationToText(step.loc);
+    if (i > 0) {
+      const auto& step = h.steps()[i - 1];
+      sa.transform = step.transform->name();
+      sa.location = transform::locationToText(step.loc);
+    }
     sa.cost = m.evaluate(state);
     sa.breakdown = m.evaluateDetailed(state);
     out.push_back(std::move(sa));
@@ -483,10 +482,7 @@ std::vector<StepAttribution> attributeHistory(const transform::History& h,
 
 History bestPass(ir::Program p, const machines::Machine& m, EvalCache* cache) {
   auto cost = [&](const History& h) {
-    // History maintains its canonical hash incrementally across pushes, so a
-    // cached lookup here costs a table probe, not a full-tree re-render.
-    return cache ? cache->evaluateHashed(m, h.currentHash(), h.current())
-                 : m.evaluate(h.current());
+    return cache ? cache->evaluate(m, h.current()) : m.evaluate(h.current());
   };
   History best = naivePass(p, m);
   double best_cost = cost(best);

@@ -47,7 +47,7 @@ struct StepAttribution {
   machines::CostBreakdown breakdown;
 };
 
-/// Replays `h` from its source program step by step, pricing every
+/// Walks the states `h` recorded step by step, pricing every
 /// intermediate state with evaluateDetailed — the paper's Fig. 9 manual
 /// trace ("which transformation moved which cycles where"), automated.
 /// When `sink` is given, one "transform_step" event per entry is emitted

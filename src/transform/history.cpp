@@ -4,31 +4,29 @@
 
 namespace perfdojo::transform {
 
-History::History(ir::Program original)
-    : original_(original), current_(std::move(original)) {
-  canon_.bind(current_);
+History::History(ir::Program original) {
+  states_.push_back(std::move(original));
+}
+
+const ir::Program& History::stateBefore(std::size_t i) const {
+  require(i < states_.size(), "History::stateBefore: step out of range");
+  return states_[i];
 }
 
 void History::push(const Action& a) {
   ir::MutationSummary mut;
-  ir::Program next = current_;
+  ir::Program next = current();
   a.transform->applyInPlace(next, a.loc, &mut, /*validate=*/true);
-  current_ = std::move(next);
-  canon_.rebase(current_, mut);
-  last_mut_ = std::move(mut);
+  states_.push_back(std::move(next));
   steps_.push_back({a.transform, a.loc});
+  last_mut_ = std::move(mut);
 }
 
 void History::undo() {
   require(!steps_.empty(), "History::undo: empty history");
-  std::vector<Step> prefix(steps_.begin(), steps_.end() - 1);
-  ReplayResult r;
-  auto p = replay(original_, prefix, r);
-  require(p.has_value(), "History::undo: prefix replay failed: " + r.message);
-  current_ = std::move(*p);
-  canon_.bind(current_);
+  states_.pop_back();
+  steps_.pop_back();
   last_mut_ = ir::MutationSummary::conservative();
-  steps_ = std::move(prefix);
 }
 
 std::optional<ir::Program> History::replay(const ir::Program& base,

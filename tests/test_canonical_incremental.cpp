@@ -4,7 +4,8 @@
 // equal fnv1a(canonicalText(p)) — the exact value memo tables, witness files
 // and telemetry key on. Covers every Table-3 kernel crossed with every
 // applicable transform (single-step exhaustive) and with seeded random
-// trajectories (multi-step, History push/undo + DeltaContext hash/undo),
+// trajectories (multi-step, DeltaContext hash/undo and accept, History
+// push/undo),
 // plus the conservative-fallback and header-only paths.
 #include <cstdint>
 #include <string>
@@ -226,7 +227,12 @@ TEST_P(TrajectoryHashP, IncrementalHashHoldsAcrossApplyAndUndo) {
     Rng rng(fnv1a(k->label, 1000003u * traj + 17));
     History h(original);
     search::DeltaContext dctx;
-    ASSERT_EQ(h.currentHash(), groundTruth(h.current()));
+    // Committed view: a context that accepts every move the history pushes,
+    // so its canonical form is rebased from each transform's own mutation
+    // summary rather than re-rendered.
+    search::DeltaContext committed;
+    committed.bind(original);
+    ASSERT_EQ(committed.baseHash(), groundTruth(h.current()));
     for (int step = 0; step < kMaxSteps; ++step) {
       const auto actions = transform::allActions(h.current(), m->caps());
       if (actions.empty()) break;
@@ -235,7 +241,7 @@ TEST_P(TrajectoryHashP, IncrementalHashHoldsAcrossApplyAndUndo) {
       // undone — the context must land back exactly on the base hash.
       dctx.bind(h.current());
       const std::uint64_t base_hash = dctx.baseHash();
-      ASSERT_EQ(base_hash, h.currentHash());
+      ASSERT_EQ(base_hash, committed.baseHash());
       const std::uint64_t neighbor = dctx.neighborHash(a);
       ASSERT_EQ(dctx.baseHash(), base_hash);
       // A second neighbor from the same bind proves the first undo restored
@@ -246,22 +252,24 @@ TEST_P(TrajectoryHashP, IncrementalHashHoldsAcrossApplyAndUndo) {
           << k->label << " traj " << traj << " step " << step << " on "
           << m->name() << ": stale scratch after undoing "
           << a.transform->name() << ", probing " << b.transform->name();
-      // Committed view: History applies in place and rebases its canonical
-      // form from the transform's own mutation summary.
+      // Committed view: the accepted move rebases the canonical form.
       h.push(a);
+      committed.accept(a);
       const std::uint64_t full = groundTruth(h.current());
-      ASSERT_EQ(h.currentHash(), full)
+      ASSERT_EQ(committed.baseHash(), full)
           << k->label << " traj " << traj << " step " << step << " on "
           << m->name() << ": " << a.transform->name();
       ASSERT_EQ(neighbor, full)
           << k->label << " traj " << traj << " step " << step << " on "
           << m->name() << ": delta hash diverged for "
           << a.transform->name();
-      // Occasionally back out and verify the undo/replay path re-syncs.
+      // Occasionally back out: undo must restore the state the move was
+      // priced from, and the committed view re-binds to it.
       if (rng.uniform(4) == 0) {
         h.undo();
-        ASSERT_EQ(h.currentHash(), groundTruth(h.current()))
+        ASSERT_EQ(groundTruth(h.current()), base_hash)
             << k->label << " traj " << traj << " undo at step " << step;
+        committed.bind(h.current());
       }
     }
   }

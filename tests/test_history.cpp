@@ -3,6 +3,8 @@
 
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
+#include "machines/machine.h"
+#include "support/common.h"
 #include "support/rng.h"
 #include "transform/history.h"
 
@@ -67,6 +69,75 @@ TEST(History, ReplayFromScratchMatchesIncremental) {
   auto p = History::replay(h.original(), h.steps(), rr);
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(ir::canonicallyEqual(*p, h.current()));
+}
+
+/// Every state the history recorded against its definition: stateBefore(i)
+/// is the replay of the first i steps from the original, and current() is
+/// the replay of all of them.
+void expectStatesMatchReplay(const History& h, const std::string& where) {
+  for (std::size_t i = 0; i <= h.size(); ++i) {
+    const std::vector<Step> prefix(h.steps().begin(),
+                                   h.steps().begin() + static_cast<long>(i));
+    History::ReplayResult rr;
+    const auto want = History::replay(h.original(), prefix, rr);
+    ASSERT_TRUE(want.has_value()) << where << ": " << rr.message;
+    ASSERT_EQ(ir::canonicalText(h.stateBefore(i)), ir::canonicalText(*want))
+        << where << ", state before step " << i;
+    ASSERT_EQ(h.stateBefore(i).next_id, want->next_id)
+        << where << ", state before step " << i;
+  }
+  History::ReplayResult rr;
+  const auto all = History::replay(h.original(), h.steps(), rr);
+  ASSERT_TRUE(all.has_value()) << where << ": " << rr.message;
+  ASSERT_EQ(ir::canonicalText(h.current()), ir::canonicalText(*all)) << where;
+  ASSERT_EQ(h.current().next_id, all->next_id) << where;
+}
+
+TEST(History, UndoMatchesReplayOnSeededWalks) {
+  // Random push/undo runs over every Table-3 kernel under each machine's
+  // caps: after every operation each recorded state must be the replay of
+  // its prefix, and an undo leaves a conservative mutation summary.
+  const std::vector<const machines::Machine*> profile = {
+      &machines::xeon(), &machines::gh200(), &machines::snitch()};
+  constexpr int kOps = 40;
+  for (const auto& k : kernels::table3()) {
+    for (const auto* m : profile) {
+      Rng rng(fnv1a(k.label + "/" + m->name()));
+      History h(k.build_small());
+      for (int op = 0; op < kOps; ++op) {
+        const std::string where = k.label + " on " + m->name() + ", op " +
+                                  std::to_string(op);
+        const auto actions = allActions(h.current(), m->caps());
+        if (h.size() > 0 && (actions.empty() || rng.uniform(3) == 0)) {
+          h.undo();
+          const auto& mut = h.lastMutation();
+          ASSERT_TRUE(mut.whole_tree) << where;
+          ASSERT_TRUE(mut.buffers_changed) << where;
+        } else if (!actions.empty()) {
+          h.push(actions[rng.uniform(actions.size())]);
+        } else {
+          break;
+        }
+        expectStatesMatchReplay(h, where);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(History, FailedPushLeavesHistoryUnchanged) {
+  History h(kernels::makeAdd(8, 16));
+  Rng rng(5);
+  h.push(pickAction(h.current(), rng));
+  const std::string text = ir::canonicalText(h.current());
+  const auto slocs = splitScope().findApplicable(h.current(), cpuCaps());
+  ASSERT_FALSE(slocs.empty());
+  Location missing = slocs[0];
+  missing.node = h.current().next_id + 1000;
+  EXPECT_THROW(h.push({&splitScope(), missing}), Error);
+  EXPECT_EQ(h.size(), 1u);
+  EXPECT_EQ(ir::canonicalText(h.current()), text);
+  expectStatesMatchReplay(h, "after a failed push");
 }
 
 }  // namespace

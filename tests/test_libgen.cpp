@@ -7,6 +7,7 @@
 
 #include "libgen/libgen.h"
 #include "machines/machine.h"
+#include "search/pass.h"
 
 namespace perfdojo::libgen {
 namespace {
@@ -132,6 +133,30 @@ TEST(LibGen, TuneOneMatchesGenerateLibraryEntry) {
   EXPECT_EQ(one.recipe, lib.entries[0].recipe);
   EXPECT_EQ(one.tuned_runtime, lib.entries[0].tuned_runtime);
   EXPECT_EQ(one.source, lib.entries[0].source);
+}
+
+/// The heuristic recipe by its definition: describe each step against the
+/// state it applies to, built by re-applying every step from the original.
+std::string referenceRecipe(const transform::History& h) {
+  std::string out;
+  ir::Program p = h.original();
+  for (const auto& s : h.steps()) {
+    out += s.transform->describe(p, s.loc) + "\n";
+    p = s.transform->apply(p, s.loc);
+  }
+  return out;
+}
+
+TEST(LibGen, HeuristicRecipeMatchesReplayedDefinition) {
+  for (const auto* m : {&machines::snitch(), &machines::xeon(),
+                        &machines::gh200(), &machines::mi300a()}) {
+    for (const auto& k : kernels::table3()) {
+      const auto h = search::heuristicPass(k.build(), *m);
+      const auto e = tuneOne(k, *m, LibGenConfig{});
+      EXPECT_EQ(e.recipe, referenceRecipe(h)) << k.label << " on "
+                                              << m->name();
+    }
+  }
 }
 
 }  // namespace
