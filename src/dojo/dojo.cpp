@@ -31,10 +31,7 @@ std::vector<transform::Action> Dojo::moves() const {
 
 void Dojo::play(const transform::Action& a) {
   history_.push(a);
-  // Splice the move index from the summary of the mutation the history just
-  // applied — before verify can throw, so the index never describes a stale
-  // state.
-  if (moves_fresh_) moves_index_.update(program(), history_.lastMutation());
+  moves_fresh_ = false;  // new state: re-bind lazily on the next moves()
   if (opts_.verify_moves) {
     const auto r = verify::verifyEquivalent(history_.original(), program());
     require(r.equivalent,

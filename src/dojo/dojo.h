@@ -51,11 +51,10 @@ class Dojo {
   /// Move index (into the history) after which the best program was reached.
   std::size_t bestStep() const { return best_step_; }
 
-  /// All applicable moves in the current state. Backed by an incrementally
-  /// maintained transform::ActionSet: play() splices the index from the
-  /// move's mutation summary instead of re-enumerating the whole program,
-  /// and repeated calls on an unchanged state are a copy, not a re-walk.
-  /// The list is element-identical (same order) to a fresh enumeration.
+  /// All applicable moves in the current state, element-identical (same
+  /// order) to a fresh enumeration. Backed by a transform::ActionSet bound
+  /// on the first call after a play() or undo(), so repeated calls on an
+  /// unchanged state are a copy, not a re-walk.
   std::vector<transform::Action> moves() const;
 
   /// Applies a move. Throws on inapplicable moves; with verify_moves also
@@ -76,10 +75,10 @@ class Dojo {
   const machines::Machine* machine_;
   DojoOptions opts_;
   transform::History history_;
-  /// Move index for the current state; `moves_fresh_` says whether it
-  /// describes history_.current() (play keeps it fresh via update, undo and
-  /// sequence edits invalidate it; moves() re-binds lazily). Mutable: the
-  /// index is a cache of derivable state, so moves() stays const.
+  /// Move list for the current state; `moves_fresh_` says whether it
+  /// describes history_.current() (play and undo invalidate it; moves()
+  /// re-binds lazily). Mutable: the list is a cache of derivable state, so
+  /// moves() stays const.
   mutable transform::ActionSet moves_index_;
   mutable bool moves_fresh_ = false;
   double runtime_ = 0;

@@ -14,7 +14,6 @@
 #include "support/common.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
-#include "transform/action_set.h"
 
 namespace perfdojo::fuzz {
 
@@ -54,17 +53,8 @@ OracleOptions restrictTo(const OracleOptions& opts, OracleLayer layer) {
   o.check_incremental = layer == OracleLayer::IncHash;
   o.check_cache = layer == OracleLayer::Cache;
   o.check_arena = layer == OracleLayer::ArenaDelta;
-  o.check_action_set = layer == OracleLayer::ActionSet;
   o.check_codegen = layer == OracleLayer::Codegen;
   return o;
-}
-
-OracleReport actionSetFailure(std::size_t step_index, const std::string& what) {
-  OracleReport r;
-  r.ok = false;
-  r.layer = OracleLayer::ActionSet;
-  r.detail = "step " + std::to_string(step_index) + ": " + what;
-  return r;
 }
 
 /// The arena-delta oracle: price the (base, action) pair through a
@@ -109,11 +99,6 @@ OracleReport reportForSteps(const ir::Program& original,
                             const OracleOptions& opts) {
   ir::Program q = original;
   ir::CanonicalArena canon(q);
-  // Replays bind against the standard library: a mutation mis-report that
-  // staled an injected walk's index also stales the standard transforms'
-  // lists, so action-set witnesses reproduce without the injection hook.
-  transform::ActionSet aset;
-  if (opts.check_action_set) aset.bind(q, prof.caps);
   for (std::size_t i = 0; i < steps.size(); ++i) {
     std::optional<ir::Program> base;
     if (opts.check_arena) base.emplace(q);  // pre-apply state for the oracle
@@ -124,11 +109,6 @@ OracleReport reportForSteps(const ir::Program& original,
       return applyFailure(i, e.what());
     }
     canon.rebase(q, mut);
-    if (opts.check_action_set) {
-      aset.update(q, mut);
-      std::string detail;
-      if (!aset.selfCheck(q, &detail)) return actionSetFailure(i, detail);
-    }
     if (base) {
       const auto r = checkArenaDelta(
           *base, {steps[i].transform, steps[i].loc}, ir::canonicalHash(q), i);
@@ -159,13 +139,6 @@ TrajectoryOutcome walkOne(const ir::Program& original, const CapsProfile& prof,
   // incremental-hash layer), so an under-reporting MutationSummary anywhere
   // in the transform library surfaces as a finding.
   ir::CanonicalArena canon(p);
-  // The action-set layer maintains an incrementally spliced index across the
-  // same walk (bound against the injected library — unknown transforms get
-  // the always-full policy, so the lies it catches are in the standard
-  // transforms' lists) and demands element-identity with a fresh enumeration
-  // after every step.
-  transform::ActionSet aset;
-  if (opts.check_action_set) aset.bind(p, prof.caps, lib);
   for (int step = 0; step < cfg.max_steps; ++step) {
     const auto actions = transform::allActions(p, prof.caps, lib);
     if (actions.empty()) break;
@@ -191,14 +164,6 @@ TrajectoryOutcome walkOne(const ir::Program& original, const CapsProfile& prof,
       out.report = checkArenaDelta(p, a, ir::canonicalHash(q),
                                    out.steps.size() - 1);
       if (!out.report.ok) return out;
-    }
-    if (opts.check_action_set) {
-      aset.update(q, mut);
-      std::string detail;
-      if (!aset.selfCheck(q, &detail)) {
-        out.report = actionSetFailure(out.steps.size() - 1, detail);
-        return out;
-      }
     }
     p = std::move(q);
   }

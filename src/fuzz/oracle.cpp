@@ -20,7 +20,6 @@ const char* oracleLayerName(OracleLayer l) {
     case OracleLayer::IncHash: return "incremental-hash";
     case OracleLayer::Cache: return "cache";
     case OracleLayer::ArenaDelta: return "arena-delta";
-    case OracleLayer::ActionSet: return "action-set";
     case OracleLayer::Codegen: return "codegen";
   }
   return "?";

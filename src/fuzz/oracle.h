@@ -24,14 +24,6 @@
 //                delta-hashed search would key the memo table wrong
 //                (checked by the fuzz walk and by runWitness during replay,
 //                like the apply layer)
-//   action-set — a transform::ActionSet maintained across the walk's
-//                mutations (spliced from each step's MutationSummary) must
-//                stay element-identical — same elements, same order — to a
-//                fresh transform::allActions enumeration after every step.
-//                A divergence means a transform's mutation report (or an
-//                action-set locality policy) would let an indexed search
-//                draw from a stale or re-ordered action list (checked by
-//                the fuzz walk and by runWitness during replay)
 //   codegen    — compiled generateC() output agrees with the interpreter on
 //                the same random inputs (expensive: invokes the system C
 //                compiler; the fuzzer runs it on trajectory endpoints)
@@ -48,7 +40,7 @@
 namespace perfdojo::fuzz {
 
 enum class OracleLayer { None, Apply, Interp, RoundTrip, IncHash, Cache,
-                         ArenaDelta, ActionSet, Codegen };
+                         ArenaDelta, Codegen };
 
 const char* oracleLayerName(OracleLayer l);
 
@@ -59,7 +51,6 @@ struct OracleOptions {
   bool check_incremental = true;
   bool check_cache = true;
   bool check_arena = true;        // delta neighbor hash vs copy-and-hash
-  bool check_action_set = true;   // spliced ActionSet vs fresh allActions
   bool check_codegen = false;     // compiles with the system C compiler
   double codegen_rel_tol = 1e-3;  // compiled f32 arithmetic vs f64 interpreter
   double codegen_abs_tol = 1e-5;

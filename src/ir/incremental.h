@@ -1,8 +1,7 @@
 // What a transform reports about an in-place mutation, so that maintained
-// per-program state — the canonical form (ir::CanonicalArena), the
-// applicable-action index (transform::ActionSet) and the delta pricing
-// context (search::DeltaContext) — can be brought up to date by touching
-// only the subtrees that changed.
+// per-program state — the canonical form (ir::CanonicalArena) and the delta
+// pricing context built on it (search::DeltaContext) — can be brought up to
+// date by touching only the subtrees that changed.
 #pragma once
 
 #include <vector>
@@ -12,8 +11,8 @@
 namespace perfdojo::ir {
 
 /// What a transform reports about the mutation it performed, consumed by
-/// CanonicalArena::probe/rebase and ActionSet::update. Default-constructed it
-/// claims everything changed — always safe, never fast.
+/// CanonicalArena::probe/rebase. Default-constructed it claims everything
+/// changed — always safe, never fast.
 ///
 /// Contract for a non-conservative summary: every reported dirty id must
 /// name a node that exists in BOTH the pre- and post-mutation program with

@@ -20,9 +20,7 @@
 // Lifetime: the index points into the program it was built from and is
 // valid only while that program is alive and unmodified. Build one per
 // program state, share it across every transform's enumeration of that
-// state, and drop it before the program changes. The id-keyed Shape holds no
-// pointers and may outlive the program (ActionSet keeps the last state's
-// shape between updates).
+// state, and drop it before the program changes.
 #pragma once
 
 #include <array>
@@ -74,8 +72,7 @@ constexpr AnnoMask annoBit(LoopAnno a) {
 
 class ProgramIndex {
  public:
-  /// The id-keyed tree structure: pointer-free, so it stays meaningful as a
-  /// description of the indexed state after the program itself changed.
+  /// The id-keyed tree structure of the indexed state.
   struct Shape {
     struct Slot {
       NodeId parent = kInvalidNode;  // kInvalidNode for the root
@@ -98,8 +95,6 @@ class ProgramIndex {
   const Program& program() const { return *p_; }
   NodeId rootId() const { return shape_.root; }
   const Shape& shape() const { return shape_; }
-  /// Moves the shape out; the index is unusable afterwards.
-  Shape releaseShape() { return std::move(shape_); }
 
   bool known(NodeId id) const { return shape_.known(id); }
   /// The node with this id; nullptr if absent. Replaces findNode.
@@ -120,11 +115,6 @@ class ProgramIndex {
   int childIndex(NodeId id) const { return known(id) ? shape_[id].child : -1; }
   /// 0 for the root container; -1 if absent.
   int depth(NodeId id) const { return known(id) ? shape_[id].depth : -1; }
-  /// True if `id` lies in the subtree rooted at `root` (inclusive).
-  bool within(NodeId id, NodeId root) const {
-    return known(id) && known(root) && shape_[id].pre >= shape_[root].pre &&
-           shape_[id].pre < shape_[root].end;
-  }
 
   /// Replaces enclosingScopes: the scopes from the root (exclusive) down to
   /// `id` (exclusive). Throws if `id` is absent.

@@ -83,8 +83,7 @@ class DeltaContext {
   /// or the new base does not render; the context then still describes the
   /// OLD base, fully usable.
   /// Returns the new base; `mut_out` (optional) receives the mutation
-  /// summary so callers can splice their own per-base indices (the search
-  /// loop's ActionSet) from the same report.
+  /// summary.
   const ir::Program& accept(const transform::Action& a,
                             ir::MutationSummary* mut_out = nullptr);
 

@@ -7,13 +7,11 @@
 #include <utility>
 
 #include "ir/canonical.h"
-#include "ir/incremental.h"
 #include "search/delta.h"
 #include "search/parallel_eval.h"
 #include "support/common.h"
 #include "support/numeric.h"
 #include "support/telemetry.h"
-#include "transform/action_set.h"
 
 namespace perfdojo::search {
 
@@ -59,30 +57,6 @@ ir::Program replayOrThrow(const ir::Program& kernel,
   require(p.has_value(),
           "exact tier: recorded trajectory failed to replay: " + rr.message);
   return std::move(*p);
-}
-
-/// Re-materializes a frontier entry while splicing its action index along:
-/// `aset` starts as a copy of the kernel-bound set and is updated from each
-/// replayed step's mutation summary — one splice per step instead of a full
-/// 20-transform enumeration of the final program. The resulting list is
-/// element-identical to allActions on the replayed program.
-ir::Program replayIndexed(const ir::Program& kernel,
-                          const std::vector<Step>& steps,
-                          const transform::ActionSet& kernel_set,
-                          transform::ActionSet& aset) {
-  aset = kernel_set;
-  ir::Program p = kernel;
-  for (const Step& s : steps) {
-    ir::MutationSummary mut;
-    try {
-      s.transform->applyInPlace(p, s.loc, &mut, /*validate=*/true);
-    } catch (const std::exception& e) {
-      require(false, "exact tier: recorded trajectory failed to replay: " +
-                         std::string(e.what()));
-    }
-    aset.update(p, mut);
-  }
-  return p;
 }
 
 std::string witnessJson(const std::vector<Step>& steps) {
@@ -199,13 +173,6 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
                             .boolean("prune", cfg.prune)
                             .boolean("dedup", cfg.dedup));
 
-  // Kernel action index, bound once and copied per worker replay (each
-  // worker owns its copy, so the shared one stays untouched). The maintained
-  // lists are element-identical to fresh enumerations, so visit order and
-  // dedup sequence are exactly the definition's.
-  transform::ActionSet kernel_set;
-  kernel_set.bind(kernel, caps);
-
   double best_cost = base_cost;
   std::vector<Step> best_steps;
   const std::uint64_t root_hash = ir::canonicalHash(kernel);
@@ -228,10 +195,8 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
       // path, enumerate its actions, hash every child. Pure per-entry work.
       std::vector<Expansion> ex(n);
       auto expand = [&](std::size_t i) {
-        transform::ActionSet aset;
-        ex[i].program = replayIndexed(kernel, frontier[base + i].steps,
-                                      kernel_set, aset);
-        ex[i].actions = aset.actions();
+        ex[i].program = replayOrThrow(kernel, frontier[base + i].steps);
+        ex[i].actions = transform::allActions(ex[i].program, caps);
         ex[i].hashes.resize(ex[i].actions.size());
         DeltaContext dctx;
         dctx.bind(ex[i].program);

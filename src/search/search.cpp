@@ -532,9 +532,10 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
   // an accepted move is committed in place, so the walk copies a program
   // only for a new best. The hash is canonicalHash(a.apply(cur)) bit for bit.
   DeltaContext dctx;
-  // The action list of the current state comes from the ActionSet, spliced
-  // from each accepted move's mutation summary; it is element-identical to
-  // a fresh allActions, so ai-indexed draws land on the definition's action.
+  // The action list of the current state comes from the ActionSet, which
+  // enumerates each accepted state through one shared index; it is
+  // element-identical to a fresh allActions, so ai-indexed draws land on the
+  // definition's action.
   // Each action's candidate cost is memoized per state: a re-drawn action
   // costs a table lookup instead of an apply + evaluate, with identical
   // values, so the decision sequence matches a memo-free run exactly.
@@ -597,7 +598,7 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
                               .boolean("memo_hit", memo_hit));
     if (accepted) {
       // accept() applies the move and rebases the canonical form in place;
-      // its mutation summary splices the action list (which invalidates `a`).
+      // the action list is then enumerated afresh (which invalidates `a`).
       ir::MutationSummary mut;
       const ir::Program& cur = dctx.accept(a, &mut);
       aset.update(cur, mut);

@@ -123,30 +123,16 @@ inline const ir::Node* scopeSite(const ir::Program& p, const Location& loc) {
 }
 
 /// Transforms whose sites are scopes (the location is the scope plus
-/// parameters). The full, scoped and single-node enumerations are all the
-/// same pre-order scope walk over the index, so they live here once and
-/// subclasses only say which locations one scope offers.
+/// parameters). The enumeration is the same pre-order scope walk over the
+/// index for all of them, so it lives here once and subclasses only say which
+/// locations one scope offers.
 class ScopeSiteTransform : public CheckedTransform {
  public:
   std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                        const MachineCaps& caps) const override {
-    return findApplicable(ix, caps, ix.rootId());
-  }
-
-  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
-                                       const MachineCaps& caps,
-                                       ir::NodeId subtree_root) const override {
     std::vector<Location> out;
-    ix.forEachScope(subtree_root,
+    ix.forEachScope(ix.rootId(),
                     [&](const ir::Node& s) { emitAt(ix, caps, s, out); });
-    return out;
-  }
-
-  std::vector<Location> findApplicableAt(const ir::ProgramIndex& ix,
-                                         const MachineCaps& caps,
-                                         ir::NodeId node) const override {
-    std::vector<Location> out;
-    if (const ir::Node* s = ix.scope(node)) emitAt(ix, caps, *s, out);
     return out;
   }
 

@@ -14,19 +14,16 @@ const ir::Program& History::stateBefore(std::size_t i) const {
 }
 
 void History::push(const Action& a) {
-  ir::MutationSummary mut;
   ir::Program next = current();
-  a.transform->applyInPlace(next, a.loc, &mut, /*validate=*/true);
+  a.transform->applyInPlace(next, a.loc, nullptr, /*validate=*/true);
   states_.push_back(std::move(next));
   steps_.push_back({a.transform, a.loc});
-  last_mut_ = std::move(mut);
 }
 
 void History::undo() {
   require(!steps_.empty(), "History::undo: empty history");
   states_.pop_back();
   steps_.pop_back();
-  last_mut_ = ir::MutationSummary::conservative();
 }
 
 std::optional<ir::Program> History::replay(const ir::Program& base,

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "ir/incremental.h"
 #include "ir/program.h"
 #include "transform/transform.h"
 
@@ -37,11 +36,6 @@ class History {
   /// `i` steps from original().
   const ir::Program& stateBefore(std::size_t i) const;
 
-  /// Mutation summary of the last push(), so callers can splice their own
-  /// per-state indices (the Dojo's move list) off the same mutation.
-  /// Conservative (whole_tree) after undo().
-  const ir::MutationSummary& lastMutation() const { return last_mut_; }
-
   /// Applies an action (validated) to a copy of current() and records both.
   /// Throws if inapplicable; the history is then unchanged.
   void push(const Action& a);
@@ -65,7 +59,6 @@ class History {
  private:
   std::vector<ir::Program> states_;  // states_[i] = stateBefore(i)
   std::vector<Step> steps_;
-  ir::MutationSummary last_mut_ = ir::MutationSummary::conservative();
 };
 
 }  // namespace perfdojo::transform

@@ -261,27 +261,9 @@ class ReorderOps final : public CheckedTransform {
   }
 
   std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
-                                       const MachineCaps& caps) const override {
-    return findApplicable(ix, caps, ix.rootId());
-  }
-
-  // Ownership note: a reorder site is attributed to the PARENT whose child
-  // list it permutes (loc.node is the left child, but the enumeration walks
-  // parents). Scoped/At therefore key on the parent node; ActionSet's
-  // classification table for reorder_ops matches.
-  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
-                                       const MachineCaps&,
-                                       ir::NodeId subtree_root) const override {
+                                       const MachineCaps&) const override {
     std::vector<Location> out;
-    for (const Node* parent : ix.subtree(subtree_root)) emitAt(ix, *parent, out);
-    return out;
-  }
-
-  std::vector<Location> findApplicableAt(const ir::ProgramIndex& ix,
-                                         const MachineCaps&,
-                                         ir::NodeId node) const override {
-    std::vector<Location> out;
-    if (const Node* parent = ix.node(node)) emitAt(ix, *parent, out);
+    for (const Node* parent : ix.subtree(ix.rootId())) emitAt(ix, *parent, out);
     return out;
   }
 

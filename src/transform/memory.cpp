@@ -106,11 +106,10 @@ class ReuseDims final : public CheckedTransform {
                                        const MachineCaps&) const override {
     // One pass over the indexed ops, classifying every access by (buffer, dim),
     // instead of isApplicable's full-tree rescan per candidate site: the
-    // enumeration re-runs on every accepted search move (its predicate is
-    // program-wide, so the action index cannot splice it), making it the
-    // hottest findApplicable in the annealing walk. Site order (buffers in
-    // declaration order, dims ascending) and the verdict per site are
-    // identical to the per-site scan.
+    // enumeration re-runs on every accepted search move and its predicate is
+    // program-wide, making it the hottest findApplicable in the annealing
+    // walk. Site order (buffers in declaration order, dims ascending) and the
+    // verdict per site are identical to the per-site scan.
     const Program& p = ix.program();
     struct DimState {
       std::optional<IndexExpr> common;

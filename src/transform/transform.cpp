@@ -22,25 +22,6 @@ std::vector<Location> Transform::findApplicable(const ir::Program& p,
   return findApplicable(ir::ProgramIndex(p), caps);
 }
 
-std::vector<Location> Transform::findApplicable(const ir::ProgramIndex& ix,
-                                                const MachineCaps& caps,
-                                                ir::NodeId subtree_root) const {
-  std::vector<Location> out;
-  if (!ix.known(subtree_root)) return out;
-  for (auto& loc : findApplicable(ix, caps))
-    if (ix.within(loc.node, subtree_root)) out.push_back(std::move(loc));
-  return out;
-}
-
-std::vector<Location> Transform::findApplicableAt(const ir::ProgramIndex& ix,
-                                                  const MachineCaps& caps,
-                                                  ir::NodeId node) const {
-  std::vector<Location> out;
-  for (auto& loc : findApplicable(ix, caps))
-    if (loc.node == node) out.push_back(std::move(loc));
-  return out;
-}
-
 std::string Transform::describe(const ir::Program& p, const Location& loc) const {
   std::string s = name() + "(";
   bool first = true;

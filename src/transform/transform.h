@@ -73,31 +73,12 @@ class Transform {
   virtual std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
                                                const MachineCaps& caps) const = 0;
 
-  /// Same, for callers holding only the program: builds the index itself.
+  /// Same, for callers holding only the program: builds an index for this
+  /// one transform. Enumerating many transforms of one state through this
+  /// overload repeats the analysis per transform; allActions and ActionSet
+  /// build one index and share it.
   std::vector<Location> findApplicable(const ir::Program& p,
                                        const MachineCaps& caps) const;
-
-  /// Scoped enumeration: every applicable location whose *owning node* lies
-  /// inside the subtree rooted at `subtree_root` (the node a fresh
-  /// enumeration would attribute the location to — `loc.node` for most
-  /// transforms, the parent of `loc.node` for reorder_ops). Results must be
-  /// the exact subsequence of findApplicable(ix, caps) owned by that subtree,
-  /// in the same order — ActionSet's element-identity invariant rests on
-  /// this. The base implementation filters the full enumeration, so
-  /// unported transforms stay correct, just not fast. Ported transforms
-  /// enumerate only the subtree.
-  virtual std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
-                                               const MachineCaps& caps,
-                                               ir::NodeId subtree_root) const;
-
-  /// Single-node enumeration: the applicable locations owned by exactly
-  /// `node` (no descendants), again as the exact order-preserving
-  /// subsequence of the full enumeration. Used by ActionSet to re-check
-  /// nodes whose applicability can flip when a *descendant or sibling*
-  /// subtree changed. Base implementation filters the full enumeration.
-  virtual std::vector<Location> findApplicableAt(const ir::ProgramIndex& ix,
-                                                 const MachineCaps& caps,
-                                                 ir::NodeId node) const;
 
   /// Applies at `loc`. Throws Error if the location is not applicable
   /// (defense against stale locations; search code never triggers this).

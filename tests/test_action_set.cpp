@@ -1,5 +1,5 @@
-// Property and bit-identity suite for the incrementally maintained action
-// index (transform::ActionSet) and the arena rebase-on-accept path
+// Property and bit-identity suite for the action list a search walk keeps
+// (transform::ActionSet) and the arena rebase-on-accept path
 // (ir::CanonicalArena::rebase, search::DeltaContext::accept).
 //
 // The contract under test (see src/transform/action_set.h): after every
@@ -47,9 +47,8 @@ const std::vector<const char*>& corpusLabels() {
 
 TEST(ActionSet, MatchesFreshEnumerationAlongSeededTrajectories) {
   // The core invariant, quantified over kernels x caps profiles x seeded
-  // random trajectories: after every accepted in-place mutation, the spliced
-  // index equals a fresh enumeration element for element.
-  std::int64_t total_splices = 0;
+  // random trajectories: after every accepted in-place mutation, the updated
+  // list equals a fresh enumeration element for element.
   for (const char* label : corpusLabels()) {
     const auto* k = kernels::findKernel(label);
     ASSERT_NE(k, nullptr) << label;
@@ -74,37 +73,26 @@ TEST(ActionSet, MatchesFreshEnumerationAlongSeededTrajectories) {
           ASSERT_TRUE(aset.selfCheck(p, &detail))
               << "step " << step << " (" << a.describe(p) << "): " << detail;
         }
-        total_splices += aset.stats().transform_splices;
       }
     }
   }
-  // The walks must actually exercise the incremental path, not live off the
-  // conservative full-rebuild fallback.
-  EXPECT_GT(total_splices, 0);
 }
 
-TEST(ActionSet, ConservativeSummaryFallsBackToFullRebuild) {
+TEST(ActionSet, UpdateDoesNotTrustTheMutationReport) {
+  // A real move reported as no change at all: the list must still describe
+  // the mutated program, because update() enumerates the program it is
+  // given, not the report.
   const ir::Program base = kernels::findKernel("softmax")->build();
   const auto& caps = machines::xeon().caps();
   transform::ActionSet aset;
   aset.bind(base, caps);
-
-  // A real mutation reported conservatively: the index must notice it cannot
-  // splice and rebuild, landing on the correct list anyway.
+  ASSERT_FALSE(aset.actions().empty());
   ir::Program p = base;
-  const auto actions = transform::allActions(p, caps);
-  ASSERT_FALSE(actions.empty());
-  ir::MutationSummary ignored;
-  actions.front().transform->applyInPlace(p, actions.front().loc, &ignored);
-  aset.update(p, ir::MutationSummary::conservative());
-  EXPECT_EQ(aset.stats().full_rebuilds, 1);
-  std::string detail;
-  EXPECT_TRUE(aset.selfCheck(p, &detail)) << detail;
-
-  // An honest empty summary on an unchanged program must not rebuild — and
-  // must still be correct, because nothing changed.
+  const auto& a = aset.actions().front();
+  a.transform->applyInPlace(p, a.loc, nullptr);
+  ASSERT_NE(ir::canonicalText(p), ir::canonicalText(base));
   aset.update(p, ir::MutationSummary::none());
-  EXPECT_EQ(aset.stats().full_rebuilds, 1);
+  std::string detail;
   EXPECT_TRUE(aset.selfCheck(p, &detail)) << detail;
 }
 

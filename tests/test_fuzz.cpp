@@ -13,6 +13,7 @@
 #include "fuzz/oracle.h"
 #include "fuzz/witness.h"
 #include "ir/canonical.h"
+#include "ir/incremental.h"
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
@@ -121,69 +122,6 @@ class EvilSilentAnnotate : public Transform {
   }
 };
 
-/// Re-creates a scope node under a fresh NodeId (rewriting the subtree's
-/// iterator references so the program stays valid) while leaving the
-/// canonical text byte-identical — ids never print; iterators render as
-/// positional `{depth}` — and reports no mutation. Interp, round-trip, the
-/// incremental hash, the cache and both delta backends all stay healthy —
-/// only the action-set layer, comparing the maintained index
-/// element-for-element against a fresh enumeration, sees the stale
-/// NodeId-bearing locations.
-class EvilRenumberScope : public Transform {
- public:
-  std::string name() const override { return "evil_renumber_scope"; }
-  using Transform::findApplicable;
-  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
-                                       const MachineCaps&) const override {
-    std::vector<Location> locs;
-    collect(ix.program().root, locs);
-    return locs;
-  }
-  ir::Program apply(const ir::Program& p, const Location& loc) const override {
-    ir::Program q = p;
-    mutate(q, loc);
-    return q;
-  }
-  void applyInPlace(ir::Program& q, const Location& loc,
-                    ir::MutationSummary* mut, bool) const override {
-    mutate(q, loc);
-    if (mut) *mut = ir::MutationSummary::none();  // the lie under test
-  }
-
- private:
-  static void collect(const ir::Node& n, std::vector<Location>& locs) {
-    for (const auto& c : n.children) {
-      if (!c.isScope()) continue;
-      Location l;
-      l.node = c.id;
-      locs.push_back(l);
-      collect(c, locs);
-    }
-  }
-  static void rewriteIters(ir::Node& n, ir::NodeId from, ir::NodeId to) {
-    if (n.isOp()) {
-      const auto sub = [&](ir::IndexExpr& e) {
-        e = e.substitute(from, ir::IndexExpr::iter(to));
-      };
-      for (auto& e : n.out.idx) sub(e);
-      for (auto& in : n.ins) {
-        if (in.kind == ir::Operand::Kind::Array)
-          for (auto& e : in.access.idx) sub(e);
-        else if (in.kind == ir::Operand::Kind::Iter)
-          sub(in.iter_expr);
-      }
-    }
-    for (auto& c : n.children) rewriteIters(c, from, to);
-  }
-  static void mutate(ir::Program& q, const Location& loc) {
-    ir::Node* n = ir::findNode(q.root, loc.node);
-    require(n && n->isScope(), "evil_renumber_scope: stale location");
-    const ir::NodeId fresh = q.freshId();
-    rewriteIters(*n, n->id, fresh);
-    n->id = fresh;
-  }
-};
-
 const EvilMulToAdd& evilMulToAdd() {
   static const EvilMulToAdd t;
   return t;
@@ -196,17 +134,12 @@ const EvilSilentAnnotate& evilSilentAnnotate() {
   static const EvilSilentAnnotate t;
   return t;
 }
-const EvilRenumberScope& evilRenumberScope() {
-  static const EvilRenumberScope t;
-  return t;
-}
 
 /// Resolver that also knows the test-only transforms.
 const Transform* testResolver(const std::string& name) {
   if (name == evilMulToAdd().name()) return &evilMulToAdd();
   if (name == evilOfferThenThrow().name()) return &evilOfferThenThrow();
   if (name == evilSilentAnnotate().name()) return &evilSilentAnnotate();
-  if (name == evilRenumberScope().name()) return &evilRenumberScope();
   return transform::findTransform(name);
 }
 
@@ -447,33 +380,6 @@ TEST(MetaTest, UnderReportedMutationIsCaughtAtIncrementalHashLayer) {
   // end in (and typically consist only of) the under-reporting step.
   EXPECT_EQ(f.witness.steps.back().transform, &evilSilentAnnotate());
   EXPECT_NE(f.report.detail.find("full re-render"), std::string::npos)
-      << f.report.detail;
-}
-
-TEST(MetaTest, StaleActionIndexIsCaughtAtActionSetLayer) {
-  // The renumbering is invisible to every text-keyed layer: canonical text,
-  // hash, interpreter output and modeled cost are all byte-identical. The
-  // only observable damage is that the walk's maintained ActionSet still
-  // carries locations under the dead NodeId, which the element-for-element
-  // cross-check against a fresh enumeration must flag.
-  FuzzConfig cfg;
-  cfg.seed = 7;
-  cfg.kernels = {"add"};
-  cfg.profiles = {"cpu"};
-  cfg.trajectories = 4;
-  cfg.max_steps = 6;
-  cfg.codegen_final = false;
-  cfg.transforms = {&transform::splitScope(), &evilRenumberScope()};
-
-  const auto r = runFuzz(cfg);
-  ASSERT_FALSE(r.ok()) << "action-set layer missed the unreported renumber";
-  const Finding& f = r.findings.front();
-  EXPECT_EQ(f.witness.layer, "action-set");
-  ASSERT_GE(f.witness.steps.size(), 1u);
-  // The minimizer replays with the maintained-index path, so the shrunk
-  // trajectory still ends in the mis-reporting step.
-  EXPECT_EQ(f.witness.steps.back().transform, &evilRenumberScope());
-  EXPECT_NE(f.report.detail.find("action set"), std::string::npos)
       << f.report.detail;
 }
 

@@ -96,7 +96,7 @@ void expectStatesMatchReplay(const History& h, const std::string& where) {
 TEST(History, UndoMatchesReplayOnSeededWalks) {
   // Random push/undo runs over every Table-3 kernel under each machine's
   // caps: after every operation each recorded state must be the replay of
-  // its prefix, and an undo leaves a conservative mutation summary.
+  // its prefix.
   const std::vector<const machines::Machine*> profile = {
       &machines::xeon(), &machines::gh200(), &machines::snitch()};
   constexpr int kOps = 40;
@@ -110,9 +110,6 @@ TEST(History, UndoMatchesReplayOnSeededWalks) {
         const auto actions = allActions(h.current(), m->caps());
         if (h.size() > 0 && (actions.empty() || rng.uniform(3) == 0)) {
           h.undo();
-          const auto& mut = h.lastMutation();
-          ASSERT_TRUE(mut.whole_tree) << where;
-          ASSERT_TRUE(mut.buffers_changed) << where;
         } else if (!actions.empty()) {
           h.push(actions[rng.uniform(actions.size())]);
         } else {
