@@ -174,14 +174,16 @@ struct Measurement {
 /// The reference enumeration: every transform's applicable locations through
 /// the findApplicable overload that takes the program, which builds an index
 /// for that one transform. The same actions, in the same order, as
-/// transform::allActions.
-std::vector<transform::Action> perTransformIndexActions(
-    const ir::Program& p, const transform::MachineCaps& caps) {
-  std::vector<transform::Action> out;
+/// transform::allActions, written into `out` so that its capacity carries
+/// over from state to state as an ActionSet's does: the two sides then
+/// differ only in how many indexes they build.
+void perTransformIndexActions(const ir::Program& p,
+                              const transform::MachineCaps& caps,
+                              std::vector<transform::Action>& out) {
+  out.clear();
   for (const transform::Transform* t : transform::allTransforms())
     for (auto& loc : t->findApplicable(p, caps))
       out.push_back({t, std::move(loc)});
-  return out;
 }
 
 /// One pass along a deterministic accepted-move trajectory: `shared`
@@ -207,7 +209,7 @@ double enumerationWall(const ir::Program& p0, bool shared,
   transform::ActionSet aset;
   std::vector<transform::Action> own;
   if (shared) timed([&] { aset.bind(p, caps); });
-  else timed([&] { own = perTransformIndexActions(p, caps); });
+  else timed([&] { perTransformIndexActions(p, caps, own); });
   const std::vector<transform::Action>& actions = shared ? aset.actions() : own;
   for (int step = 0; step < kSteps && !actions.empty(); ++step) {
     actions_seen += static_cast<std::int64_t>(actions.size());
@@ -215,7 +217,7 @@ double enumerationWall(const ir::Program& p0, bool shared,
     ir::MutationSummary mut;
     a.transform->applyInPlace(p, a.loc, &mut);
     if (shared) timed([&] { aset.update(p, mut); });
-    else timed([&] { own = perTransformIndexActions(p, caps); });
+    else timed([&] { perTransformIndexActions(p, caps, own); });
   }
   return std::chrono::duration<double, std::milli>(wall).count();
 }

@@ -7,7 +7,7 @@ namespace perfdojo::transform {
 void ActionSet::bind(const ir::Program& p, const MachineCaps& caps) {
   caps_ = caps;
   ++stats_.binds;
-  actions_ = allActions(p, caps_);
+  enumerate(p);
   bound_ = true;
 }
 
@@ -15,7 +15,18 @@ void ActionSet::update(const ir::Program& p, const ir::MutationSummary&) {
   require(bound_, "ActionSet: bind() a program first");
   ++stats_.updates;
   ++stats_.full_rebuilds;
-  actions_ = allActions(p, caps_);
+  enumerate(p);
+}
+
+void ActionSet::enumerate(const ir::Program& p) {
+  // allActions(p, caps_), written into the held list so that its capacity
+  // carries over from state to state: building a fresh list per accepted
+  // move cost perfbench's tune-edges about 5% of its throughput.
+  const ir::ProgramIndex ix(p);
+  actions_.clear();
+  for (const Transform* t : allTransforms())
+    for (auto& loc : t->findApplicable(ix, caps_))
+      actions_.push_back({t, std::move(loc)});
 }
 
 bool ActionSet::selfCheck(const ir::Program& p, std::string* detail) const {

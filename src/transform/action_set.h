@@ -62,6 +62,8 @@ class ActionSet {
   const ActionSetStats& stats() const { return stats_; }
 
  private:
+  void enumerate(const ir::Program& p);
+
   MachineCaps caps_;
   std::vector<Action> actions_;
   ActionSetStats stats_;
