@@ -131,7 +131,7 @@ bool splitSinkVectorize(History& h, const MachineCaps& caps, std::int64_t width)
       if (!moved) break;
     }
     if (done) return true;
-    while (h.size() > mark) h.undo();
+    h.truncate(mark);
   }
   return false;
 }
@@ -228,7 +228,7 @@ void chainTileSinkUnroll(History& h, const MachineCaps& caps, std::int64_t k) {
         ok = unrolled;
       }
       if (!ok) {
-        while (h.size() > mark) h.undo();
+        h.truncate(mark);
         continue;
       }
       progressed = true;
@@ -380,7 +380,7 @@ void gpuHardwarePass(History& h, const MachineCaps& caps, bool expert) {
 
     // Fallback for fused multi-nest bodies: tile the grid axis itself so the
     // block covers the entire body by construction (one row per thread).
-    while (h.size() > mark) h.undo();
+    h.truncate(mark);
     if (extent % block == 0 && extent / block >= 2) {
       Location sl;
       sl.node = g;

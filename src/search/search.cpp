@@ -620,16 +620,6 @@ struct SeqState {
   double parent_runtime;
 };
 
-/// Section 4.2.1: "an initial complete sequence is generated as a candidate
-/// and then iteratively refined" — the expert pass provides that sequence.
-std::vector<Step> initialSequence(const ir::Program& kernel,
-                                  const machines::Machine& m) {
-  auto h = heuristicPass(kernel, m);
-  std::vector<Step> steps;
-  for (const auto& s : h.steps()) steps.push_back({s.transform, s.loc});
-  return steps;
-}
-
 void randomSamplingHeuristic(const ir::Program& kernel,
                              const machines::Machine& m,
                              const SearchConfig& cfg, Eval& ev, Tracker& tr) {
@@ -638,20 +628,17 @@ void randomSamplingHeuristic(const ir::Program& kernel,
   const double t0 = ev.cost(kernel);
   tr.record(kernel, t0);
   pool.push_back({{}, poolRuntime(t0), poolRuntime(t0)});
-  // The replayer is bound to the last parent drawn (initially pool[0], the
-  // empty sequence). Pool entries are immutable, so the checkpoints it
-  // records while replaying a parent's prefix stay valid for as long as the
-  // weighted draw keeps returning that parent.
+  // Section 4.2.1's initial candidate is the expert pass's sequence. The
+  // replayer is bound to the last parent drawn, initially the seed, whose
+  // states the pass recorded; pool entries are immutable, and a rebind keeps
+  // the states of the prefix the new parent shares with the last one.
+  transform::History seed = heuristicPass(kernel, m);
+  const double seed_rt = ev.cost(seed.current());
+  tr.record(seed.current(), seed_rt);
+  pool.push_back({seed.steps(), poolRuntime(seed_rt), poolRuntime(t0)});
   PrefixReplayer seq(kernel);
-  std::size_t bound_pi = 0;
-  {
-    ir::Program prog = seq.stateAt(0);
-    if (seq.replayTail(0, initialSequence(kernel, m), prog)) {
-      const double rt = ev.cost(prog);
-      tr.record(prog, rt);
-      pool.push_back({seq.candidate(), poolRuntime(rt), poolRuntime(t0)});
-    }
-  }
+  seq.bind(std::move(seed));
+  std::size_t bound_pi = 1;
   DeferredEvals batch(ev, tr);
   int barren = 0;
   while (!tr.exhausted(static_cast<int>(batch.inFlight())) && barren < 1024) {
@@ -664,15 +651,14 @@ void randomSamplingHeuristic(const ir::Program& kernel,
       seq.bind(pool[pi].steps);
       bound_pi = pi;
     }
-    ir::Program prog;
-    if (!seq.propose(m.caps(), rng, cfg.max_steps, prog)) {
+    if (!seq.propose(m.caps(), rng, cfg.max_steps)) {
       ++barren;
       continue;
     }
     barren = 0;
     const std::size_t slot = pool.size();
     pool.push_back({seq.candidate(), kPendingRuntime, pool[pi].runtime});
-    batch.submit(std::move(prog), [&pool, slot](double rt) {
+    batch.submit(seq.candidateProgram(), [&pool, slot](double rt) {
       pool[slot].runtime = poolRuntime(rt);
     });
     if (batch.inFlight() >= ev.batchLimit()) batch.flush();
@@ -692,30 +678,28 @@ void annealingHeuristic(const ir::Program& kernel, const machines::Machine& m,
   double cur_rt = ev.cost(kernel);
   const double base_rt = cur_rt;
   tr.record(kernel, cur_rt);
-  // The incumbent starts as the empty sequence and the seed sequence is its
-  // first candidate, so the seed replay itself records the checkpoints an
-  // accept keeps.
+  // The incumbent starts as the empty sequence and becomes the expert pass's
+  // sequence (Section 4.2.1's initial candidate) if that beats the kernel;
+  // the pass recorded its states, so nothing is replayed.
   PrefixReplayer seq(kernel);
   {
-    ir::Program prog = seq.stateAt(0);
-    if (seq.replayTail(0, initialSequence(kernel, m), prog)) {
-      const double rt = ev.cost(prog);
-      tr.record(prog, rt);
-      if (rt < cur_rt) {
-        seq.accept();
-        cur_rt = rt;
-      }
+    transform::History seed = heuristicPass(kernel, m);
+    const double rt = ev.cost(seed.current());
+    tr.record(seed.current(), rt);
+    if (rt < cur_rt) {
+      seq.bind(std::move(seed));
+      cur_rt = rt;
     }
   }
   double temp = cfg.sa_t0;
   int barren = 0;  // consecutive failed proposals (mutation or replay)
   while (!tr.exhausted() && barren < 1024) {
-    ir::Program prog;
-    if (!seq.propose(m.caps(), rng, cfg.max_steps, prog)) {
+    if (!seq.propose(m.caps(), rng, cfg.max_steps)) {
       ++barren;
       continue;
     }
     barren = 0;
+    const ir::Program& prog = seq.candidateProgram();
     const double rt = ev.cost(prog);
     tr.record(prog, rt);
     const double delta = (rt - cur_rt) / base_rt;

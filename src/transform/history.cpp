@@ -1,5 +1,7 @@
 #include "transform/history.h"
 
+#include <iterator>
+
 #include "support/common.h"
 
 namespace perfdojo::transform {
@@ -24,6 +26,20 @@ void History::undo() {
   require(!steps_.empty(), "History::undo: empty history");
   states_.pop_back();
   steps_.pop_back();
+}
+
+void History::truncate(std::size_t n) {
+  require(n <= steps_.size(), "History::truncate: step out of range");
+  states_.erase(states_.begin() + static_cast<std::ptrdiff_t>(n + 1),
+                states_.end());
+  steps_.erase(steps_.begin() + static_cast<std::ptrdiff_t>(n), steps_.end());
+}
+
+void History::append(History tail) {
+  states_.insert(states_.end(), std::make_move_iterator(tail.states_.begin() + 1),
+                 std::make_move_iterator(tail.states_.end()));
+  steps_.insert(steps_.end(), std::make_move_iterator(tail.steps_.begin()),
+                std::make_move_iterator(tail.steps_.end()));
 }
 
 std::optional<ir::Program> History::replay(const ir::Program& base,

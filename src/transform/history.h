@@ -2,10 +2,11 @@
 // transformations" requirement): the original specification is never lost.
 // The history keeps the program state before every step, so undo of the last
 // step restores the recorded state in O(1), and replay() reports the first
-// step that no longer applies instead of silently dropping it. Editing a
-// sequence at an arbitrary point, as the heuristic-based search of Section
-// 4.2.1 requires, lives in search::PrefixReplayer, which keeps the shared
-// prefix of parent and child.
+// step that no longer applies instead of silently dropping it. It is also the
+// one per-step store of the heuristic-based search of Section 4.2.1:
+// search::PrefixReplayer records the incumbent sequence in a History, keeps
+// the prefix a candidate shares with it (truncate) and appends the
+// candidate's tail, recorded as a History of its own (append).
 #pragma once
 
 #include <optional>
@@ -42,6 +43,13 @@ class History {
 
   /// Removes the last step, restoring the state recorded before it.
   void undo();
+
+  /// Keeps the first `n` steps and their states, n <= size().
+  void truncate(std::size_t n);
+
+  /// Appends `tail`'s steps and the states they recorded. `tail` must have
+  /// been recorded from current(); its original() is dropped.
+  void append(History tail);
 
   /// Outcome of replay(): on failure, the first step that no longer applies.
   struct ReplayResult {

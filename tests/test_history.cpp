@@ -94,12 +94,14 @@ void expectStatesMatchReplay(const History& h, const std::string& where) {
 }
 
 TEST(History, UndoMatchesReplayOnSeededWalks) {
-  // Random push/undo runs over every Table-3 kernel under each machine's
-  // caps: after every operation each recorded state must be the replay of
-  // its prefix.
+  // Random push/undo/truncate/append runs over every Table-3 kernel under
+  // each machine's caps: after every operation each recorded state must be
+  // the replay of its prefix. An append takes a tail of one to three steps
+  // recorded from current().
   const std::vector<const machines::Machine*> profile = {
       &machines::xeon(), &machines::gh200(), &machines::snitch()};
   constexpr int kOps = 40;
+  int truncates = 0, appends = 0;
   for (const auto& k : kernels::table3()) {
     for (const auto* m : profile) {
       Rng rng(fnv1a(k.label + "/" + m->name()));
@@ -108,8 +110,22 @@ TEST(History, UndoMatchesReplayOnSeededWalks) {
         const std::string where = k.label + " on " + m->name() + ", op " +
                                   std::to_string(op);
         const auto actions = allActions(h.current(), m->caps());
-        if (h.size() > 0 && (actions.empty() || rng.uniform(3) == 0)) {
+        const std::uint64_t kind = rng.uniform(6);
+        if (h.size() > 0 && (actions.empty() || kind < 2)) {
           h.undo();
+        } else if (h.size() > 0 && kind == 2) {
+          h.truncate(rng.uniform(h.size() + 1));
+          ++truncates;
+        } else if (!actions.empty() && kind == 3) {
+          History tail(h.current());
+          tail.push(actions[rng.uniform(actions.size())]);
+          for (std::uint64_t i = rng.uniform(3); i > 0; --i) {
+            const auto more = allActions(tail.current(), m->caps());
+            if (more.empty()) break;
+            tail.push(more[rng.uniform(more.size())]);
+          }
+          h.append(std::move(tail));
+          ++appends;
         } else if (!actions.empty()) {
           h.push(actions[rng.uniform(actions.size())]);
         } else {
@@ -120,6 +136,8 @@ TEST(History, UndoMatchesReplayOnSeededWalks) {
       }
     }
   }
+  EXPECT_GT(truncates, 0);
+  EXPECT_GT(appends, 0);
 }
 
 TEST(History, FailedPushLeavesHistoryUnchanged) {

@@ -1,8 +1,9 @@
 // Property suite for search::PrefixReplayer, the heuristic-structure
 // candidate builder. The contract under test (src/search/prefix_replay.h):
-// after every proposal, accepted or rejected, the state it returns at every
-// index of the incumbent is the program History::replay builds for that
-// prefix, and every checkpoint is the state at its position.
+// after every proposal, accept and bind, the recorded steps are a prefix of
+// the incumbent's and every recorded state is the program History::replay
+// builds for its prefix; an accept or a bind of a recorded History leaves
+// the record complete, and a rebind keeps exactly the shared prefix.
 //
 // Suite names contain "Search" so the CI ThreadSanitizer job's -R regex
 // picks them up.
@@ -25,8 +26,6 @@ namespace {
 using transform::History;
 using transform::Step;
 
-constexpr std::size_t K = PrefixReplayer::kStride;
-
 /// History::replay of the first `n` steps (the reference definition).
 ir::Program replayed(const ir::Program& kernel, const std::vector<Step>& steps,
                      std::size_t n) {
@@ -45,58 +44,61 @@ bool sameState(const ir::Program& a, const ir::Program& b) {
   return ir::canonicallyEqual(a, b) && a.next_id == b.next_id;
 }
 
-/// An accept keeps the checkpoints complete without any replay.
-void expectCompleteCheckpoints(const PrefixReplayer& seq) {
-  EXPECT_EQ(seq.checkpoints().size(), seq.steps().size() / K + 1);
+bool sameStep(const Step& a, const Step& b) {
+  return a.transform == b.transform && a.loc == b.loc;
 }
 
-/// The whole contract at the replayer's current incumbent.
-void expectMatchesReplay(PrefixReplayer& seq, const ir::Program& kernel) {
-  const std::vector<Step>& steps = seq.steps();
-  for (std::size_t i = 0; i <= steps.size(); ++i)
-    EXPECT_TRUE(sameState(seq.stateAt(i), replayed(kernel, steps, i)))
-        << "state at " << i << " of " << steps.size();
-  const auto& ckpt = seq.checkpoints();
-  ASSERT_FALSE(ckpt.empty());
-  ASSERT_LE(ckpt.size(), steps.size() / K + 1);
-  for (std::size_t j = 0; j < ckpt.size(); ++j)
-    EXPECT_TRUE(sameState(ckpt[j], replayed(kernel, steps, j * K)))
-        << "checkpoint " << j;
+/// Length of the longest common prefix of two step sequences.
+std::size_t sharedPrefix(const std::vector<Step>& a, const std::vector<Step>& b) {
+  std::size_t k = 0;
+  while (k < a.size() && k < b.size() && sameStep(a[k], b[k])) ++k;
+  return k;
 }
 
-std::vector<Step> seedSequence(const ir::Program& kernel,
-                               const machines::Machine& m) {
-  return heuristicPass(kernel, m).steps();
+/// The contract at the replayer's current incumbent, read without recording
+/// anything: the record is a prefix of the incumbent, and each recorded
+/// state is the replay of its prefix.
+void expectRecordMatchesReplay(const PrefixReplayer& seq,
+                               const ir::Program& kernel) {
+  const History& rec = seq.recorded();
+  ASSERT_LE(rec.size(), seq.steps().size());
+  EXPECT_EQ(sharedPrefix(rec.steps(), seq.steps()), rec.size())
+      << "recorded steps are not a prefix of the incumbent";
+  for (std::size_t i = 0; i <= rec.size(); ++i)
+    EXPECT_TRUE(sameState(rec.stateBefore(i), replayed(kernel, rec.steps(), i)))
+        << "recorded state " << i << " of " << rec.size();
+}
+
+void expectCompleteRecord(const PrefixReplayer& seq) {
+  EXPECT_EQ(seq.recorded().size(), seq.steps().size());
 }
 
 TEST(SearchPrefixReplay, StatesMatchReplayAlongSeededWalks) {
-  // Seeded annealing-shaped walks on Table-3 kernels: each proposal is
-  // checked against a full replay of its candidate, accepted with
-  // probability 0.7, and then every state and checkpoint of the incumbent
-  // is checked. max_steps sits below most seed lengths, so walks also spend
-  // time at the cap where appends are not allowed.
-  int appends = 0, replaces = 0, erases = 0;
+  // Seeded walks on Table-3 kernels, shaped like both drivers: each proposal
+  // is checked against a full replay of its candidate and accepted with
+  // probability 0.6 (the annealer); otherwise, with probability 0.3, the
+  // replayer is rebound to an earlier incumbent or candidate (random
+  // sampling's parent draw). max_steps sits below most seed lengths, so walks
+  // also spend time at the cap where appends are not allowed.
+  int appends = 0, replaces = 0, erases = 0, rebinds = 0, partial = 0;
   for (const char* label : {"softmax", "matmul", "layernorm_1"}) {
     const ir::Program kernel = kernels::findKernel(label)->build_small();
     for (const auto* m :
          {&machines::snitch(), &machines::xeon(), &machines::gh200()}) {
       SCOPED_TRACE(::testing::Message() << label << " on " << m->name());
       PrefixReplayer seq(kernel);
-      ir::Program p = seq.stateAt(0);
-      ASSERT_TRUE(seq.replayTail(0, seedSequence(kernel, *m), p));
-      EXPECT_TRUE(sameState(p, replayed(kernel, seq.candidate(),
-                                        seq.candidate().size())));
-      seq.accept();
-      expectCompleteCheckpoints(seq);
-      expectMatchesReplay(seq, kernel);
+      seq.bind(heuristicPass(kernel, *m));
+      expectCompleteRecord(seq);
+      expectRecordMatchesReplay(seq, kernel);
+      std::vector<std::vector<Step>> pool = {seq.steps()};
       Rng rng(fnv1a(m->name(), fnv1a(label)));
-      for (int step = 0; step < 30; ++step) {
+      for (int step = 0; step < 40; ++step) {
         SCOPED_TRACE(::testing::Message() << "proposal " << step);
         const std::size_t n = seq.steps().size();
-        ir::Program out;
-        if (seq.propose(m->caps(), rng, /*max_steps=*/12, out)) {
+        if (seq.propose(m->caps(), rng, /*max_steps=*/12)) {
           const auto& cand = seq.candidate();
-          EXPECT_TRUE(sameState(out, replayed(kernel, cand, cand.size())));
+          EXPECT_TRUE(sameState(seq.candidateProgram(),
+                                replayed(kernel, cand, cand.size())));
           if (cand.size() > n) {
             EXPECT_LT(n, 12u);
             ++appends;
@@ -105,64 +107,89 @@ TEST(SearchPrefixReplay, StatesMatchReplayAlongSeededWalks) {
           } else {
             ++erases;
           }
-          if (rng.bernoulli(0.7)) {
+          pool.push_back(cand);
+          if (rng.bernoulli(0.6)) {
             seq.accept();
-            expectCompleteCheckpoints(seq);
+            expectCompleteRecord(seq);
           }
         }
-        expectMatchesReplay(seq, kernel);
+        expectRecordMatchesReplay(seq, kernel);
+        if (rng.bernoulli(0.3)) {
+          const std::vector<Step> old = seq.recorded().steps();
+          const std::vector<Step>& next = pool[rng.uniform(pool.size())];
+          seq.bind(next);
+          ++rebinds;
+          const std::size_t k = sharedPrefix(old, next);
+          EXPECT_EQ(seq.recorded().size(), k) << "rebind keeps the shared prefix";
+          if (k < next.size()) ++partial;
+          expectRecordMatchesReplay(seq, kernel);
+        }
       }
     }
   }
   EXPECT_GT(appends, 0);
   EXPECT_GT(replaces, 0);
   EXPECT_GT(erases, 0);
+  EXPECT_GT(rebinds, 0);
+  EXPECT_GT(partial, 0);
 }
 
 class SearchPrefixReplayEdges : public ::testing::Test {
  protected:
   const machines::Machine& m = machines::xeon();
   const ir::Program kernel = kernels::findKernel("softmax")->build_small();
-  const std::vector<Step> seed = seedSequence(kernel, m);
+  const History pass = heuristicPass(kernel, m);
+  const std::vector<Step> seed = pass.steps();
+
+  /// The seed's first `k` steps followed by an action at state k that is not
+  /// seed[k].
+  std::vector<Step> sibling(std::size_t k) const {
+    std::vector<Step> s(seed.begin(), seed.begin() + static_cast<std::ptrdiff_t>(k));
+    for (const auto& a : transform::allActions(pass.stateBefore(k), m.caps())) {
+      const Step step{a.transform, a.loc};
+      if (k < seed.size() && sameStep(step, seed[k])) continue;
+      s.push_back(step);
+      return s;
+    }
+    ADD_FAILURE() << "no second action at state " << k;
+    return s;
+  }
 };
 
 TEST_F(SearchPrefixReplayEdges, EraseLastAndOnlyStep) {
-  ASSERT_GT(seed.size(), K);
+  ASSERT_GT(seed.size(), 1u);
   PrefixReplayer seq(kernel);
   seq.bind(seed);
-  ir::Program p = seq.stateAt(seed.size() - 1);
-  ASSERT_TRUE(seq.replayTail(seed.size() - 1, {}, p));
+  ASSERT_TRUE(seq.replayTail(seed.size() - 1, {}));
+  EXPECT_TRUE(sameState(seq.candidateProgram(), pass.stateBefore(seed.size() - 1)));
   seq.accept();
   EXPECT_EQ(seq.steps().size(), seed.size() - 1);
-  expectCompleteCheckpoints(seq);
-  expectMatchesReplay(seq, kernel);
+  expectCompleteRecord(seq);
+  expectRecordMatchesReplay(seq, kernel);
 
   seq.bind({seed.front()});
-  p = seq.stateAt(0);
-  ASSERT_TRUE(seq.replayTail(0, {}, p));
+  EXPECT_EQ(seq.recorded().size(), 1u);
+  ASSERT_TRUE(seq.replayTail(0, {}));
   seq.accept();
   EXPECT_TRUE(seq.steps().empty());
-  ASSERT_EQ(seq.checkpoints().size(), 1u);
-  EXPECT_TRUE(sameState(seq.checkpoints()[0], kernel));
+  expectCompleteRecord(seq);
+  EXPECT_TRUE(sameState(seq.recorded().current(), kernel));
   EXPECT_TRUE(sameState(seq.stateAt(0), kernel));
 }
 
 TEST_F(SearchPrefixReplayEdges, RejectedSeedLeavesEmptyIncumbent) {
-  // The annealer's seed loses to the kernel: its replay is a candidate that
-  // is never accepted, so the incumbent stays empty and every proposal is
-  // an append on the kernel.
+  // The annealer's seed loses to the kernel: it is never bound, so the
+  // incumbent stays empty and every proposal is an append on the kernel.
   PrefixReplayer seq(kernel);
-  ir::Program p = seq.stateAt(0);
-  ASSERT_TRUE(seq.replayTail(0, seed, p));
-  EXPECT_TRUE(seq.steps().empty());
-  EXPECT_EQ(seq.checkpoints().size(), 1u);
   Rng rng(3);
   for (int i = 0; i < 8; ++i) {
-    ir::Program out;
-    ASSERT_TRUE(seq.propose(m.caps(), rng, 48, out));
+    ASSERT_TRUE(seq.propose(m.caps(), rng, 48));
     ASSERT_EQ(seq.candidate().size(), 1u);
-    EXPECT_TRUE(sameState(out, replayed(kernel, seq.candidate(), 1)));
-    expectMatchesReplay(seq, kernel);
+    EXPECT_TRUE(sameState(seq.candidateProgram(),
+                          replayed(kernel, seq.candidate(), 1)));
+    EXPECT_TRUE(seq.steps().empty());
+    EXPECT_EQ(seq.recorded().size(), 0u);
+    expectRecordMatchesReplay(seq, kernel);
   }
 }
 
@@ -172,44 +199,86 @@ TEST_F(SearchPrefixReplayEdges, IncumbentAtMaxStepsNeverAppends) {
   Rng rng(11);
   int proposed = 0;
   for (int i = 0; i < 24; ++i) {
-    ir::Program out;
-    if (!seq.propose(m.caps(), rng, static_cast<int>(seed.size()), out))
-      continue;
+    if (!seq.propose(m.caps(), rng, static_cast<int>(seed.size()))) continue;
     ++proposed;
     EXPECT_LE(seq.candidate().size(), seed.size());
-    EXPECT_TRUE(sameState(out, replayed(kernel, seq.candidate(),
-                                        seq.candidate().size())));
+    EXPECT_TRUE(sameState(seq.candidateProgram(),
+                          replayed(kernel, seq.candidate(),
+                                   seq.candidate().size())));
   }
   EXPECT_GT(proposed, 0);
-  expectMatchesReplay(seq, kernel);
+  expectRecordMatchesReplay(seq, kernel);
 }
 
-TEST_F(SearchPrefixReplayEdges, FailedTailLeavesCheckpointsUntouched) {
-  ASSERT_GT(seed.size(), K + 1);
+TEST_F(SearchPrefixReplayEdges, BindHistoryAdoptsThePassRecord) {
+  PrefixReplayer seq(kernel);
+  seq.bind(History(pass));
+  ASSERT_EQ(seq.steps().size(), seed.size());
+  EXPECT_EQ(sharedPrefix(seq.steps(), seed), seed.size());
+  expectCompleteRecord(seq);
+  for (std::size_t i = 0; i <= seed.size(); ++i)
+    EXPECT_TRUE(sameState(seq.recorded().stateBefore(i), pass.stateBefore(i)))
+        << "state " << i;
+  expectRecordMatchesReplay(seq, kernel);
+}
+
+TEST_F(SearchPrefixReplayEdges, RebindToSiblingKeepsSharedPrefix) {
+  ASSERT_GT(seed.size(), 4u);
+  const std::size_t k = seed.size() / 2;
+  PrefixReplayer seq(kernel);
+  seq.bind(History(pass));
+  const std::vector<Step> sib = sibling(k);
+  seq.bind(sib);
+  EXPECT_EQ(seq.recorded().size(), k);
+  expectRecordMatchesReplay(seq, kernel);
+  EXPECT_TRUE(sameState(seq.stateAt(sib.size()), replayed(kernel, sib, sib.size())));
+  expectCompleteRecord(seq);
+
+  // Back to the seed: the sibling's last step is dropped, and a bind never
+  // records anything.
+  seq.bind(seed);
+  EXPECT_EQ(seq.recorded().size(), k);
+  expectRecordMatchesReplay(seq, kernel);
+}
+
+TEST_F(SearchPrefixReplayEdges, RebindDifferingAtStepZeroKeepsOnlyKernel) {
+  PrefixReplayer seq(kernel);
+  seq.bind(History(pass));
+  const std::vector<Step> sib = sibling(0);
+  seq.bind(sib);
+  EXPECT_EQ(seq.recorded().size(), 0u);
+  EXPECT_TRUE(sameState(seq.recorded().current(), kernel));
+  EXPECT_TRUE(sameState(seq.stateAt(1), replayed(kernel, sib, 1)));
+}
+
+TEST_F(SearchPrefixReplayEdges, FailedTailLeavesRecordUntouched) {
+  ASSERT_GT(seed.size(), 5u);
   PrefixReplayer seq(kernel);
   seq.bind(seed);
-  (void)seq.stateAt(seed.size());  // record every checkpoint
+  (void)seq.stateAt(seed.size());  // record every state
   std::vector<std::string> before;
-  for (const auto& c : seq.checkpoints()) before.push_back(ir::canonicalText(c));
+  for (std::size_t i = 0; i <= seq.recorded().size(); ++i)
+    before.push_back(ir::canonicalText(seq.recorded().stateBefore(i)));
 
-  // The first K + 1 steps replay (recording a tail checkpoint at K), then a
-  // step naming a node no state has throws.
-  std::vector<Step> tail(seed.begin(),
-                         seed.begin() + static_cast<std::ptrdiff_t>(K + 1));
+  // The first 5 steps record, then a step naming a node no state has throws.
+  std::vector<Step> tail(seed.begin(), seed.begin() + 5);
   transform::Location missing;
   missing.node = kernel.next_id + 100000;
   missing.param = 4;
   tail.push_back({&transform::splitScope(), missing});
-  tail.push_back(seed[K + 1]);
-  ir::Program p = seq.stateAt(0);
-  EXPECT_FALSE(seq.replayTail(0, tail, p));
+  tail.push_back(seed[5]);
+  EXPECT_FALSE(seq.replayTail(0, tail));
 
   std::vector<std::string> after;
-  for (const auto& c : seq.checkpoints()) after.push_back(ir::canonicalText(c));
+  for (std::size_t i = 0; i <= seq.recorded().size(); ++i)
+    after.push_back(ir::canonicalText(seq.recorded().stateBefore(i)));
   EXPECT_EQ(after, before);
   EXPECT_THROW(seq.accept(), Error);
+  EXPECT_THROW((void)seq.candidateProgram(), Error);
+  EXPECT_EQ(sharedPrefix(seq.steps(), seed), seed.size());
   EXPECT_EQ(seq.steps().size(), seed.size());
-  expectMatchesReplay(seq, kernel);
+  expectCompleteRecord(seq);
+  expectRecordMatchesReplay(seq, kernel);
 }
 
 }  // namespace
