@@ -71,7 +71,6 @@ search::SearchConfig modernConfig() {
   cfg.budget = kBudget;
   cfg.max_steps = 64;  // deep walks: realistic tree sizes for the rehash
   cfg.seed = 7;
-  cfg.threads = 1;  // cost of the pricing path itself, not pool scheduling
   return cfg;
 }
 

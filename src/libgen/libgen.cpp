@@ -67,7 +67,6 @@ LibraryEntry tuneOne(const kernels::KernelInfo& k, const machines::Machine& m,
       search::SearchConfig sc;
       sc.budget = cfg.search_budget;
       sc.seed = cfg.seed ^ fnv1a(k.label);
-      sc.threads = cfg.threads;
       const auto r = search::runSearch(base, m, sc, cache);
       tuned = r.best;
       e.recipe = "(best of " + std::to_string(r.evals) + " evaluations)\n";

@@ -28,10 +28,6 @@ struct LibGenConfig {
   int search_budget = 300;     // evaluations (Search)
   int rl_episodes = 60;        // episodes (PerfLLM)
   std::uint64_t seed = 1;
-  /// Worker threads for candidate evaluation inside Search (0 = all cores).
-  /// The tuning server sets this to 1 so concurrent requests don't multiply
-  /// into threads x cores.
-  int threads = 0;
 };
 
 struct LibraryEntry {

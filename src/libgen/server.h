@@ -86,13 +86,8 @@ struct ServeConfig {
   /// Concurrent tuning slots used by handleBatch/runServe.
   int workers = 4;
   /// Per-request tuning defaults; optimizer/budget/seed are overridden from
-  /// each request. threads=1 keeps concurrent requests from multiplying
-  /// into workers x cores evaluation threads.
-  LibGenConfig defaults = [] {
-    LibGenConfig c;
-    c.threads = 1;
-    return c;
-  }();
+  /// each request. Each tuning run prices on its worker's thread.
+  LibGenConfig defaults;
   /// Tuning unit used for cache misses; nullptr = tuneOne. Injection point
   /// for tests (e.g. a tuner that throws) and for embedding custom tuners.
   std::function<LibraryEntry(const kernels::KernelInfo&,

@@ -65,8 +65,9 @@ class Machine {
   /// Modeled runtime in seconds for one execution of the program.
   ///
   /// Re-entrancy contract: evaluate() must be a pure function of `p` with no
-  /// shared mutable state — the parallel evaluation layer (search::
-  /// ParallelEvaluator) calls it concurrently from worker threads, and the
+  /// shared mutable state — the exact tier's workers (search::
+  /// ParallelEvaluator) and the tuning server's concurrent searches call it
+  /// from several threads at once, and the
   /// memo table (search::EvalCache) assumes two evaluations of canonically
   /// identical programs return the same cost. All in-tree models satisfy
   /// this by construction: each call builds its own local analyzer.

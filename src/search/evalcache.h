@@ -8,8 +8,8 @@
 // the dominant cost of search from "evaluations" into "unique programs".
 //
 // Thread-safety: the table is guarded by a mutex and the counters are
-// atomics, so worker threads of a ParallelEvaluator may call every method
-// concurrently. Machine models are pure (const evaluate, no shared mutable
+// atomics, so concurrent searches sharing one table (the tuning server's
+// workers) may call every method concurrently. Machine models are pure (const evaluate, no shared mutable
 // state), so a racy double-miss on the same key merely evaluates the same
 // program twice and inserts the same value twice — never a wrong result.
 #pragma once

@@ -14,10 +14,11 @@ namespace perfdojo::search {
 namespace {
 
 /// Spin iterations before a worker gives up on the next batch arriving
-/// back-to-back and falls asleep on the condition variable. Search steps
-/// dispatch batches in a tight loop, so the spin path is the steady state;
-/// the cv path only pays when the search thread is off doing serial work
-/// (dedup, acceptance decisions) for longer than the spin window.
+/// back-to-back and falls asleep on the condition variable. The exact tier
+/// dispatches its expand and price phases chunk after chunk, so the spin
+/// path is the steady state; the cv path only pays when the calling thread
+/// is off doing serial work (the dedup sweep, best-update and pruning) for
+/// longer than the spin window.
 constexpr int kSpinIters = 4096;
 
 }  // namespace

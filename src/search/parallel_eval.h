@@ -1,8 +1,9 @@
-// Worker pool for concurrent candidate evaluation.
+// Worker pool of the exact tier (runExact).
 //
-// Candidate programs proposed by the search methods are independent of each
-// other, and the machine models are pure functions of the program, so whole
-// batches can be priced concurrently. The pool is a plain std::thread +
+// The children of one frontier chunk are independent of each other, and the
+// machine models are pure functions of the program, so whole chunks can be
+// expanded and priced concurrently. The stochastic tiers (runSearch) price
+// on the calling thread and start no pool. The pool is a plain std::thread +
 // mutex/condition-variable design (no external dependencies); the calling
 // thread participates in every batch, so `threads == 1` degenerates to an
 // inline loop with zero synchronization.

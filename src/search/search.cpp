@@ -1,10 +1,8 @@
 #include "search/search.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <mutex>
 #include <unordered_set>
 
 #include "ir/canonical.h"
@@ -13,7 +11,6 @@
 #include "search/delta.h"
 #include "transform/action_set.h"
 #include "search/evalcache.h"
-#include "search/parallel_eval.h"
 #include "search/pass.h"
 #include "search/prefix_replay.h"
 #include "search/prior.h"
@@ -114,73 +111,14 @@ bool suggestExpertAction(const ir::Program& p, const MachineCaps& caps,
 
 namespace {
 
-/// Cost oracle of one search run: routes evaluations through the shared memo
-/// table and keeps the SearchStats accounting. cost() is re-entrant (atomic
-/// counters, mutex-guarded unique-hash set), so batches may call it from
-/// ParallelEvaluator workers.
+/// Cost oracle of one search run: routes evaluations through the memo table
+/// and keeps the SearchStats accounting. Called on the decision thread only.
 class Eval {
  public:
-  Eval(const machines::Machine& m, EvalCache* cache, ParallelEvaluator* pool)
-      : m_(m), cache_(cache), pool_(pool) {}
-
-  /// In-flight cap for deferred evaluation batches. Thread-count dependent,
-  /// which is safe: batch boundaries never influence search decisions.
-  std::size_t batchLimit() const {
-    return pool_ ? static_cast<std::size_t>(pool_->threads()) * 2 : 1;
-  }
+  Eval(const machines::Machine& m, EvalCache* cache) : m_(m), cache_(cache) {}
 
   double cost(const ir::Program& p) {
     return costInPlace(cache_ ? ir::canonicalHash(p) : 0, p);
-  }
-
-  /// Prices programs[i] into out[i], concurrently when a pool is available.
-  /// Counts exactly as cost() called in order would: memo lookups and the
-  /// hit/miss split are decided serially, and only the model runs of
-  /// distinct misses go to the pool. (Pricing two copies of one program
-  /// concurrently would let both miss, making the counters depend on the
-  /// schedule.)
-  void costs(const std::vector<ir::Program>& programs,
-             std::vector<double>& out) {
-    const std::size_t n = programs.size();
-    out.assign(n, 0.0);
-    if (!pool_ || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = cost(programs[i]);
-      return;
-    }
-    std::vector<std::uint64_t> hashes(n, 0);
-    if (cache_)
-      pool_->forEach(n, [&](std::size_t i) {
-        hashes[i] = ir::canonicalHash(programs[i]);
-      });
-    // first[i]: index of the batch entry that runs the model for entry i.
-    std::vector<std::size_t> first(n);
-    std::vector<std::size_t> runs;
-    for (std::size_t i = 0; i < n; ++i) {
-      ++requested_;
-      first[i] = i;
-      if (!cache_) {
-        runs.push_back(i);
-        continue;
-      }
-      noteUnique(hashes[i]);
-      if (cache_->lookup(m_, hashes[i], out[i])) {
-        ++hits_;
-        continue;
-      }
-      for (const std::size_t j : runs)
-        if (hashes[j] == hashes[i]) first[i] = j;
-      if (first[i] == i)
-        runs.push_back(i);
-      else
-        ++hits_;
-    }
-    pool_->forEach(runs.size(), [&](std::size_t r) {
-      out[runs[r]] = m_.evaluate(programs[runs[r]]);
-    });
-    machine_evals_ += static_cast<std::int64_t>(runs.size());
-    for (const std::size_t i : runs)
-      if (cache_) cache_->insert(m_, hashes[i], out[i]);
-    for (std::size_t i = 0; i < n; ++i) out[i] = out[first[i]];
   }
 
   /// cost() for a candidate whose canonical hash `h` the caller already
@@ -193,7 +131,7 @@ class Eval {
       ++machine_evals_;
       return m_.evaluate(p);
     }
-    noteUnique(h);
+    seen_.insert(h);
     double v;
     if (cache_->lookup(m_, h, v)) {
       ++hits_;
@@ -215,26 +153,18 @@ class Eval {
   bool memoizing() const { return cache_ != nullptr; }
 
   void fillStats(SearchStats& s) const {
-    s.evals_requested = requested_.load();
-    s.cache_hits = hits_.load();
-    s.machine_evals = machine_evals_.load();
+    s.evals_requested = requested_;
+    s.cache_hits = hits_;
+    s.machine_evals = machine_evals_;
     s.unique_programs = static_cast<std::int64_t>(seen_.size());
-    s.threads_used = pool_ ? pool_->threads() : 1;
   }
 
  private:
-  void noteUnique(std::uint64_t h) {
-    std::lock_guard<std::mutex> lk(seen_mu_);
-    seen_.insert(h);
-  }
-
   const machines::Machine& m_;
   EvalCache* cache_;
-  ParallelEvaluator* pool_;
-  std::atomic<std::int64_t> requested_{0};
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> machine_evals_{0};
-  mutable std::mutex seen_mu_;
+  std::int64_t requested_ = 0;
+  std::int64_t hits_ = 0;
+  std::int64_t machine_evals_ = 0;
   std::unordered_set<std::uint64_t> seen_;
 };
 
@@ -260,7 +190,7 @@ struct Tracker {
 
   explicit Tracker(int b) : budget(b) {}
 
-  bool exhausted(int in_flight = 0) const { return evals + in_flight >= budget; }
+  bool exhausted() const { return evals >= budget; }
 
   /// A non-finite runtime is counted and traced but can never become the
   /// best program: `NaN < best` is false by IEEE semantics, but +/-inf (or a
@@ -307,45 +237,7 @@ struct Tracker {
   }
 };
 
-/// Deferred candidate evaluation: proposals queue up with their programs and
-/// are priced in one concurrent batch; results are recorded in submission
-/// order, so the trace and best-program tracking are identical to a fully
-/// serial run.
-class DeferredEvals {
- public:
-  DeferredEvals(Eval& ev, Tracker& tr) : ev_(ev), tr_(tr) {}
-
-  std::size_t inFlight() const { return programs_.size(); }
-
-  /// Queues a candidate; on_cost receives its runtime at flush time (used to
-  /// fill the sampling pool entry it belongs to).
-  void submit(ir::Program p, std::function<void(double)> on_cost) {
-    programs_.push_back(std::move(p));
-    on_cost_.push_back(std::move(on_cost));
-  }
-
-  void flush() {
-    if (programs_.empty()) return;
-    std::vector<double> costs;
-    ev_.costs(programs_, costs);
-    for (std::size_t i = 0; i < programs_.size(); ++i) {
-      tr_.record(programs_[i], costs[i]);
-      on_cost_[i](costs[i]);
-    }
-    programs_.clear();
-    on_cost_.clear();
-  }
-
- private:
-  Eval& ev_;
-  Tracker& tr_;
-  std::vector<ir::Program> programs_;
-  std::vector<std::function<void(double)>> on_cost_;
-};
-
 // --- Edges structure: nodes are programs, neighbors are single actions. ---
-
-constexpr double kPendingRuntime = -1.0;
 
 /// Per-state neighbor filter around the learned prior: rebind() scores a
 /// state's whole neighbor set from canonical text and keeps the top-k
@@ -433,7 +325,7 @@ double poolRuntime(double rt) {
 
 struct PoolEntry {
   ir::Program program;
-  double runtime;         // kPendingRuntime while the evaluation is in flight
+  double runtime;
   double parent_runtime;  // cost used for sampling (paper Section 4.2.2)
 };
 
@@ -445,7 +337,6 @@ void randomSamplingEdges(const ir::Program& kernel,
   const double t0 = ev.cost(kernel);
   tr.record(kernel, t0);
   pool.push_back({kernel, poolRuntime(t0), poolRuntime(t0)});
-  DeferredEvals batch(ev, tr);
   // The weighted draw concentrates on fast parents, so the same pool entry
   // is drawn many times in a row; its enumeration is bound once and reused
   // until the draw moves on (pool entries are immutable, so the cached list
@@ -455,22 +346,17 @@ void randomSamplingEdges(const ir::Program& kernel,
   // The prior gate follows the same reuse pattern as the ActionSet: a drawn
   // parent's neighbor scores stay valid until the draw moves to another pool
   // entry (entries are immutable), so rescoring happens once per parent
-  // streak, not once per draw. The allowed indices target the deterministic
-  // action enumeration, which the index keeps element-identical to a fresh
-  // allActions pass.
+  // streak, not once per draw. The allowed indices target the ActionSet's
+  // action list.
   PriorGate gate(cfg, tr);
   std::size_t gate_pi = static_cast<std::size_t>(-1);
-  // Parent draws depend only on parent_runtime values (known at submission
-  // time), never on a candidate's own cost, so evaluations can lag behind
-  // proposals by a full batch without changing any decision.
   int barren = 0;  // consecutive proposals that yielded no candidate
-  while (!tr.exhausted(static_cast<int>(batch.inFlight())) && barren < 1024) {
+  while (!tr.exhausted() && barren < 1024) {
     // Sample proportionally to 1/parent_runtime: children of fast parents.
     std::vector<double> w;
     w.reserve(pool.size());
     for (const auto& e : pool) w.push_back(1.0 / e.parent_runtime);
     const std::size_t pi = rng.weightedIndex(w);
-    if (pool[pi].runtime == kPendingRuntime) batch.flush();
     const auto& parent = pool[pi];
     if (pi != cached_pi) {
       aset.bind(parent.program, m.caps());
@@ -488,34 +374,18 @@ void randomSamplingEdges(const ir::Program& kernel,
     }
     const std::vector<std::size_t>& allowed = gate.allowed();
     const std::size_t ai = allowed[rng.uniform(allowed.size())];
-    const auto& a = actions[ai];
-    ir::Program child = a.apply(parent.program);
-    const double parent_rt = parent.runtime;  // before push_back invalidates
-    const std::size_t slot = pool.size();     // the `parent` reference
-    pool.push_back({child, kPendingRuntime, parent_rt});
-    // The exact price arrives at flush time; log the co-evolution pair then
-    // (flush resolves callbacks in submission order on the decision thread,
-    // so the pair sequence is as deterministic as the trace itself).
-    const bool noted = gate.scored();
-    const double pred = noted ? gate.scoreOf(ai) : 0.0;
-    batch.submit(std::move(child),
-                 [&pool, slot, &tr, noted, pred, parent_rt](double rt) {
-                   pool[slot].runtime = poolRuntime(rt);
-                   if (noted) {
-                     tr.prior_pred.push_back(pred);
-                     tr.prior_exact.push_back(rt);
-                     if (rt < parent_rt) ++tr.prior_improving;
-                   }
-                 });
-    if (batch.inFlight() >= ev.batchLimit()) batch.flush();
+    const double parent_rt = parent.runtime;  // push_back invalidates `parent`
+    ir::Program child = actions[ai].apply(parent.program);
+    const double rt = ev.cost(child);
+    tr.record(child, rt);
+    gate.note(ai, rt, parent_rt);
+    pool.push_back({std::move(child), poolRuntime(rt), parent_rt});
     if (pool.size() > 4096) {
-      batch.flush();  // resolve slot indices before compacting
       pool.erase(pool.begin(), pool.begin() + 1024);
       cached_pi = static_cast<std::size_t>(-1);  // indices shifted
       gate_pi = static_cast<std::size_t>(-1);
     }
   }
-  batch.flush();
   if (!tr.exhausted()) tr.reason = TerminationReason::Stall;
 }
 
@@ -540,6 +410,7 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
   // costs a table lookup instead of an apply + evaluate, with identical
   // values, so the decision sequence matches a memo-free run exactly.
   transform::ActionSet aset;
+  constexpr double kUnpriced = -1.0;  // action_cost entry not yet priced
   std::vector<double> action_cost;
   // Prior gate: rescored at every state (re)bind, after the delta context is
   // aimed at the new state so scoring can render neighbors in place.
@@ -547,7 +418,7 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
   auto restart = [&] {
     dctx.bind(kernel);
     aset.bind(dctx.base(), m.caps());
-    action_cost.assign(aset.actions().size(), kPendingRuntime);
+    action_cost.assign(aset.actions().size(), kUnpriced);
     gate.rebind(aset.actions(), dctx.base(), &dctx);
     cur_rt = base_rt;
     steps = 0;
@@ -567,7 +438,7 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
     const std::size_t ai = allowed[rng.uniform(allowed.size())];
     const Action& a = actions[ai];
     double rt;
-    const bool memo_hit = ev.memoizing() && action_cost[ai] != kPendingRuntime;
+    const bool memo_hit = ev.memoizing() && action_cost[ai] != kUnpriced;
     if (memo_hit) {
       // Re-drawn action on an unchanged state: the cost is known, so skip
       // the apply + hash + evaluate entirely.
@@ -602,7 +473,7 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
       ir::MutationSummary mut;
       const ir::Program& cur = dctx.accept(a, &mut);
       aset.update(cur, mut);
-      action_cost.assign(aset.actions().size(), kPendingRuntime);
+      action_cost.assign(aset.actions().size(), kUnpriced);
       gate.rebind(aset.actions(), cur, &dctx);
       cur_rt = rt;
       ++steps;
@@ -639,14 +510,12 @@ void randomSamplingHeuristic(const ir::Program& kernel,
   PrefixReplayer seq(kernel);
   seq.bind(std::move(seed));
   std::size_t bound_pi = 1;
-  DeferredEvals batch(ev, tr);
   int barren = 0;
-  while (!tr.exhausted(static_cast<int>(batch.inFlight())) && barren < 1024) {
+  while (!tr.exhausted() && barren < 1024) {
     std::vector<double> w;
     w.reserve(pool.size());
     for (const auto& e : pool) w.push_back(1.0 / e.parent_runtime);
     const std::size_t pi = rng.weightedIndex(w);
-    if (pool[pi].runtime == kPendingRuntime) batch.flush();
     if (pi != bound_pi) {
       seq.bind(pool[pi].steps);
       bound_pi = pi;
@@ -656,19 +525,15 @@ void randomSamplingHeuristic(const ir::Program& kernel,
       continue;
     }
     barren = 0;
-    const std::size_t slot = pool.size();
-    pool.push_back({seq.candidate(), kPendingRuntime, pool[pi].runtime});
-    batch.submit(seq.candidateProgram(), [&pool, slot](double rt) {
-      pool[slot].runtime = poolRuntime(rt);
-    });
-    if (batch.inFlight() >= ev.batchLimit()) batch.flush();
+    const ir::Program& child = seq.candidateProgram();
+    const double rt = ev.cost(child);
+    tr.record(child, rt);
+    pool.push_back({seq.candidate(), poolRuntime(rt), pool[pi].runtime});
     if (pool.size() > 4096) {
-      batch.flush();
       pool.erase(pool.begin(), pool.begin() + 1024);
       bound_pi = static_cast<std::size_t>(-1);  // indices shifted
     }
   }
-  batch.flush();
   if (!tr.exhausted()) tr.reason = TerminationReason::Stall;
 }
 
@@ -735,9 +600,7 @@ SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
   EvalCache local_cache;
   EvalCache* cache =
       shared_cache ? shared_cache : (cfg.use_cache ? &local_cache : nullptr);
-  const int threads = cfg.threads;  // 0 = auto inside ParallelEvaluator
-  ParallelEvaluator pool(threads == 0 ? 0 : threads);
-  Eval ev(m, cache, pool.threads() > 1 ? &pool : nullptr);
+  Eval ev(m, cache);
 
   Tracker tr(cfg.budget);
   tr.best = kernel;
@@ -792,8 +655,8 @@ SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
                                                 start)
           .count();
   if (cfg.telemetry) {
-    // Cache hit/miss totals live here rather than in per-eval events: their
-    // per-event split is thread-schedule dependent, the totals are not.
+    // Cache hit/miss totals live here rather than in per-eval events, so a
+    // trace reads the same whichever memo table (shared or per run) served it.
     Event e("search_end");
     e.num("best_runtime", r.best_runtime)
         .str("reason", terminationReasonName(r.reason))

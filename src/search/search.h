@@ -3,12 +3,12 @@
 // (cost-weighted global random sampling vs simulated annealing) — the four
 // configurations compared in Figure 12.
 //
-// All four methods price candidates through the shared evaluation layer
-// (EvalCache + ParallelEvaluator): evaluations of canonically identical
-// programs are memoized, and independent candidate batches are evaluated
-// concurrently. Search decisions are made strictly on the calling thread in
-// a fixed order, so for a given seed the result is bit-identical for any
-// `threads` setting and with or without the cache.
+// All four methods price candidates on the calling thread, through the
+// memo table (EvalCache) when caching is on: evaluations of canonically
+// identical programs are memoized. Random sampling draws each parent by the
+// cost of the one before it, and annealing's acceptance needs each price
+// before the next proposal, so there is nothing to hand to a worker pool.
+// For a given seed the result is bit-identical with or without the cache.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,9 @@ struct SearchConfig {
   std::uint64_t seed = 1;
   double sa_t0 = 0.6;      // initial acceptance temperature (relative)
   double sa_decay = 0.995; // per-evaluation temperature decay
-  /// Worker threads for candidate evaluation; 0 = hardware_concurrency,
-  /// 1 = fully serial (no pool). Results do not depend on this value.
+  /// Ignored: every search tier here prices on the calling thread (only
+  /// runExact's ExactConfig::threads starts workers). Kept because the
+  /// repository benchmark sets it, until the next benchmark change drops it.
   int threads = 0;
   /// Memoize evaluations by canonical program hash. Costs are deterministic,
   /// so this changes wall-clock and raw machine-eval counts, never results.
@@ -77,8 +78,8 @@ struct SearchConfig {
   /// only match older recordings when this is off.
   bool trace_programs = false;
   /// Optional JSONL event sink (nullptr = off). Per-evaluation and per-SA-step
-  /// events are emitted from the search decision thread only, so for a given
-  /// seed the trace is bit-identical at any `threads` setting.
+  /// events are emitted in decision order, so for a given seed the trace is
+  /// bit-identical from run to run.
   Telemetry* telemetry = nullptr;
 };
 
@@ -107,7 +108,6 @@ struct SearchStats {
   /// search_end, so accumulated traces grade the prior they were made with.
   double prior_hit_rate = 0;
   double prior_spearman = 0;
-  int threads_used = 1;
   double wall_ms = 0;                // wall-clock of the whole search
 };
 

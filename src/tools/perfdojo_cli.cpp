@@ -32,7 +32,8 @@
 //
 // Exit status is non-zero on unknown kernels/machines/flags and malformed
 // numeric flag values, and for `fuzz` also when any oracle failure is found
-// (or a corpus seed regresses).
+// (or a corpus seed regresses). A flag the subcommand does not accept, or a
+// flag without a value, exits 2 with usage before any work starts.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -71,6 +72,7 @@ namespace {
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
+  std::string error;  // the first malformed argument; empty if none
 
   std::string get(const std::string& key, const std::string& def = "") const {
     auto it = flags.find(key);
@@ -78,13 +80,19 @@ struct Args {
   }
 };
 
+/// `perfdojo <command> --flag value ...`. Stops at the first argument that
+/// is not a `--flag` or has no value after it, and records it in `error`.
 Args parse(int argc, char** argv) {
   Args a;
   if (argc >= 2) a.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    a.flags[key] = argv[i + 1];
+  for (int i = 2; i < argc && a.error.empty(); i += 2) {
+    const std::string arg = argv[i];
+    if (arg.size() <= 2 || arg.rfind("--", 0) != 0)
+      a.error = "unexpected argument '" + arg + "'";
+    else if (i + 1 == argc)
+      a.error = "missing value for " + arg;
+    else
+      a.flags[arg.substr(2)] = argv[i + 1];
   }
   return a;
 }
@@ -151,12 +159,13 @@ int usage() {
                "  --max-states <n>    distinct-state budget before degrading to a bound\n"
                "  --no-prune <0|1>    1 disables lower-bound pruning\n"
                "  --cert-out <file>   write the optimality certificate JSON to <file>\n"
+               "  --threads <n>       exact-tier worker threads, optimize and certs\n"
+               "                      only (0 = all cores; other tiers ignore it)\n"
                "certs flags (baseline maintenance):\n"
                "  --dir <dir>         certificate directory (default tests/data/exact)\n"
                "  --update <0|1>      1 rewrites baselines + quality gates in place\n"
                "  --kernels <a,b>     with --update: also generate these kernels\n"
                "  --machines <x,y>    with --update: ... on these machines\n"
-               "  --threads <n>       evaluation worker threads (0 = all cores)\n"
                "  --no-cache <0|1>    1 disables evaluation memoization\n"
                "  --emit <fmt>        ir | c | cuda\n"
                "  --out <dir>         libgen / fuzz-witness output directory\n"
@@ -257,6 +266,8 @@ int cmdOptimize(const Args& a) {
   std::string method = a.get("tier", a.get("method", "heuristic"));
   if (method == "sa") method = "search";
   const int budget = static_cast<int>(flagInt(a, "budget", 300, 0, 1000000000));
+  // Checked for every tier, read by the exact tier only.
+  const int threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
   const auto trace = makeTrace(a);
   const ir::Program base = k->build();
   ir::Program tuned = base;
@@ -272,7 +283,6 @@ int cmdOptimize(const Args& a) {
       sc.structure = search::SpaceStructure::Edges;
     else if (s != "heuristic")
       fail("invalid --structure '" + s + "': expected edges or heuristic");
-    sc.threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
     sc.use_cache = a.get("no-cache", "0") != "1";
     sc.trace_programs = a.get("trace-programs", "0") == "1";
     sc.telemetry = trace.get();
@@ -291,13 +301,11 @@ int cmdOptimize(const Args& a) {
     const auto& st = r.stats;
     std::fprintf(stderr,
                  "search stats: %lld evals requested, %lld cache hits, "
-                 "%lld machine evals, %lld unique programs, %d threads, "
-                 "%.1f ms\n",
+                 "%lld machine evals, %lld unique programs, %.1f ms\n",
                  static_cast<long long>(st.evals_requested),
                  static_cast<long long>(st.cache_hits),
                  static_cast<long long>(st.machine_evals),
-                 static_cast<long long>(st.unique_programs), st.threads_used,
-                 st.wall_ms);
+                 static_cast<long long>(st.unique_programs), st.wall_ms);
     if (sc.prior != nullptr && sc.prior_topk > 0)
       std::fprintf(stderr,
                    "prior stats: %lld neighbors filtered, %lld kept+priced, "
@@ -309,7 +317,7 @@ int cmdOptimize(const Args& a) {
     search::ExactConfig ec;
     ec.depth = static_cast<int>(flagInt(a, "depth", 3, 1, 64));
     ec.max_states = flagInt(a, "max-states", 200000, 1, 1000000000000LL);
-    ec.threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
+    ec.threads = threads;
     ec.prune = a.get("no-prune", "0") != "1";
     ec.kernel_label = k->label;
     ec.telemetry = trace.get();
@@ -454,7 +462,6 @@ int cmdServe(const Args& a) {
       static_cast<int>(flagInt(a, "budget", 300, 0, 1000000000));
   sc.defaults.rl_episodes =
       static_cast<int>(flagInt(a, "episodes", 60, 0, 1000000000));
-  sc.defaults.threads = static_cast<int>(flagInt(a, "threads", 1, 0, 4096));
   const auto trace = makeTrace(a);
   sc.telemetry = trace.get();
   libgen::TuneServer server(sc);
@@ -817,25 +824,71 @@ int cmdFuzz(const Args& a) {
   return (r.ok() && corpus_ok) ? 0 : 1;
 }
 
+/// A subcommand and the flags it accepts (without the leading "--").
+struct Command {
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const std::map<std::string, Command>& commands() {
+  static const std::map<std::string, Command> table = {
+      {"list", {[](const Args&) { return cmdList(); }, {}}},
+      {"show", {cmdShow, {"kernel"}}},
+      {"optimize",
+       {cmdOptimize,
+        {"kernel", "machine", "tier", "method", "budget", "emit", "trace-out",
+         "structure", "no-cache", "trace-programs", "prior", "no-prior",
+         "prior-topk", "depth", "max-states", "no-prune", "cert-out",
+         "threads"}}},
+      {"profile",
+       {cmdProfile, {"kernel", "machine", "method", "top", "trace-out"}}},
+      {"compare", {cmdCompare, {"kernel", "machine"}}},
+      {"libgen", {cmdLibgen, {"machine", "out", "method"}}},
+      {"fuzz",
+       {cmdFuzz,
+        {"budget-sec", "trajectories", "max-steps", "seed", "kernel",
+         "profile", "codegen", "codegen-final", "corpus", "replay", "out",
+         "trace-out"}}},
+      {"serve",
+       {cmdServe,
+        {"cache-dir", "shards", "workers", "budget", "episodes", "in",
+         "out-file", "trace-out"}}},
+      {"client",
+       {cmdClient,
+        {"kernel", "machine", "method", "budget", "seed", "count", "cold",
+         "warm"}}},
+      {"certs",
+       {cmdCerts,
+        {"dir", "update", "kernels", "machines", "depth", "max-states",
+         "threads"}}},
+      {"train-prior",
+       {cmdTrainPrior,
+        {"trace-in", "model-out", "hidden", "epochs", "lr", "holdout",
+         "seed"}}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
+  const auto cmd = commands().find(a.command);
+  if (cmd == commands().end()) return usage();
+  const auto& accepted = cmd->second.flags;
+  std::string bad = a.error;
+  for (const auto& flag : a.flags)
+    if (bad.empty() && std::find(accepted.begin(), accepted.end(),
+                                 flag.first) == accepted.end())
+      bad = "unknown flag --" + flag.first;
+  if (!bad.empty()) {
+    std::fprintf(stderr, "perfdojo %s: %s\n", a.command.c_str(), bad.c_str());
+    return usage();
+  }
   try {
-    if (a.command == "list") return cmdList();
-    if (a.command == "show") return cmdShow(a);
-    if (a.command == "optimize") return cmdOptimize(a);
-    if (a.command == "profile") return cmdProfile(a);
-    if (a.command == "compare") return cmdCompare(a);
-    if (a.command == "libgen") return cmdLibgen(a);
-    if (a.command == "fuzz") return cmdFuzz(a);
-    if (a.command == "serve") return cmdServe(a);
-    if (a.command == "client") return cmdClient(a);
-    if (a.command == "certs") return cmdCerts(a);
-    if (a.command == "train-prior") return cmdTrainPrior(a);
+    return cmd->second.run(a);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }

@@ -1,6 +1,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <mutex>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -271,6 +275,66 @@ TEST(Search, FiniteMachineReportsNoNonFiniteRejections) {
   const auto r = runSearch(kernels::makeSoftmax(8, 32), machines::xeon(), sc);
   EXPECT_EQ(r.stats.nonfinite_rejected, 0);
   EXPECT_TRUE(std::isfinite(r.best_runtime));
+}
+
+/// Xeon's cost model, recording the thread that runs every evaluation.
+class ThreadRecordingMachine final : public machines::Machine {
+ public:
+  const std::string& name() const override { return xeon().name(); }
+  const transform::MachineCaps& caps() const override { return xeon().caps(); }
+  double evaluate(const ir::Program& p) const override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    return xeon().evaluate(p);
+  }
+  machines::CostBreakdown evaluateDetailed(
+      const ir::Program& p) const override {
+    return xeon().evaluateDetailed(p);
+  }
+  double peakTime(const ir::Program& p) const override {
+    return xeon().peakTime(p);
+  }
+
+  std::vector<std::thread::id> takeThreads() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return std::exchange(threads_, {});
+  }
+
+ private:
+  static const machines::Machine& xeon() { return machines::xeon(); }
+  mutable std::mutex mu_;
+  mutable std::vector<std::thread::id> threads_;
+};
+
+TEST(Search, PricesOnTheCallingThread) {
+  // Every method x structure prices its candidates on the thread that calls
+  // runSearch, whatever `threads` says: both draw each step from the prices
+  // of the steps before it, so there is no batch to hand to a worker.
+  const auto kernel = kernels::makeSoftmax(48, 24);
+  ThreadRecordingMachine m;
+  for (const auto method :
+       {SearchMethod::RandomSampling, SearchMethod::SimulatedAnnealing}) {
+    for (const auto structure :
+         {SpaceStructure::Edges, SpaceStructure::Heuristic}) {
+      SCOPED_TRACE(::testing::Message() << searchMethodName(method) << "/"
+                                        << spaceStructureName(structure));
+      SearchConfig sc;
+      sc.method = method;
+      sc.structure = structure;
+      sc.budget = 150;
+      sc.seed = 3;
+      sc.threads = 8;
+      const auto r = runSearch(kernel, m, sc);
+      const auto threads = m.takeThreads();
+      EXPECT_EQ(static_cast<std::int64_t>(threads.size()),
+                r.stats.machine_evals);
+      ASSERT_FALSE(threads.empty());
+      for (const auto id : threads)
+        ASSERT_EQ(id, std::this_thread::get_id());
+    }
+  }
 }
 
 /// Drops every "wall_ms" field from a JSONL trace: the only member whose
