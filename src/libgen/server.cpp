@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <istream>
 #include <ostream>
 #include <thread>
@@ -127,7 +129,7 @@ bool parseTuneResponse(const std::string& line, TuneResponse& out,
 
 TuneServer::TuneServer(ServeConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.cache_dir.empty())
-    store_ = std::make_unique<search::ShardStore>(cfg_.cache_dir, cfg_.shards);
+    store_ = std::make_unique<search::ShardStore>(cfg_.cache_dir);
 }
 
 void TuneServer::bump(std::int64_t ServeStats::* field) {
@@ -151,21 +153,22 @@ TuneResponse TuneServer::invalid(const std::string& id,
   return resp;
 }
 
-TuneResponse TuneServer::serveWarm(const TuneRequest& r, std::uint64_t key,
-                                   const TuneResponse& cached) {
-  TuneResponse resp = cached;
-  resp.id = r.id;
-  resp.served = "warm";
-  bump(&ServeStats::warm_hits);
+TuneResponse TuneServer::serveFinished(const TuneRequest& r,
+                                       std::uint64_t key, TuneResponse finished,
+                                       const char* served) {
+  finished.id = r.id;
+  finished.served = served;
+  bump(finished.served == "warm" ? &ServeStats::warm_hits
+                                 : &ServeStats::dedupe_joins);
   if (cfg_.telemetry)
     cfg_.telemetry->emit(Event("serve_request")
                              .str("id", r.id)
                              .str("kernel", r.kernel)
                              .str("machine", r.machine)
-                             .str("served", "warm")
+                             .str("served", served)
                              .str("key", formatHex64(key))
                              .boolean("ok", true));
-  return resp;
+  return finished;
 }
 
 TuneResponse TuneServer::handle(const TuneRequest& r) {
@@ -220,41 +223,19 @@ TuneResponse TuneServer::handle(const TuneRequest& r) {
                                        m->name(), opt, eff_budget, r.seed);
   resp.key = key;
 
-  // L1: finished results of this process.
-  TuneResponse cached;
-  if (results_.get(key, cached)) return serveWarm(r, key, cached);
-
-  // L2: the persistent schedule cache (shared across restarts).
-  std::string record;
-  if (store_ && store_->get(key, record)) {
-    TuneResponse parsed;
-    std::string perr;
-    if (parseTuneResponse(record, parsed, perr) && parsed.ok) {
-      parsed.key = key;
-      results_.set(key, parsed);
-      return serveWarm(r, key, parsed);
-    }
-    // An unreadable or failed record falls through to a fresh tuning run,
-    // which overwrites it.
-  }
-
-  // In-flight dedupe: the first claimant tunes, everyone else joins.
+  // The table: the first claimant of a key owns it; every other request
+  // copies the owner's published result, waiting for it if still in flight.
   auto ticket = inflight_.claim(key);
   if (!ticket.owner) {
+    const bool finished = ticket.future.wait_for(std::chrono::seconds(0)) ==
+                          std::future_status::ready;
     try {
-      TuneResponse joined = ticket.future.get();
-      joined.id = r.id;
-      joined.served = "joined";
-      bump(&ServeStats::dedupe_joins);
-      if (cfg_.telemetry)
-        cfg_.telemetry->emit(Event("serve_request")
-                                 .str("id", r.id)
-                                 .str("kernel", r.kernel)
-                                 .str("machine", r.machine)
-                                 .str("served", "joined")
-                                 .str("key", formatHex64(key))
-                                 .boolean("ok", true));
-      return joined;
+      TuneResponse shared = ticket.future.get();
+      // Only a wait on another request's tuning run is a join; a store hit
+      // is published marked "warm", so its waiters stay warm too.
+      const bool joined = !finished && shared.served != "warm";
+      return serveFinished(r, key, std::move(shared),
+                           joined ? "joined" : "warm");
     } catch (const std::exception& e) {
       return failWith(std::string("joined tuning run failed: ") + e.what());
     } catch (...) {
@@ -265,10 +246,10 @@ TuneResponse TuneServer::handle(const TuneRequest& r) {
 
   // Owner: from here on, this thread is the only one that can ever publish
   // to the claimed entry. The guard fails it on ANY exit without a publish —
-  // a throw of a non-std type, or a throw from the warm-path re-check below
-  // — because an abandoned entry blocks every joined waiter forever and
-  // permanently poisons the key (later requests join the dead future
-  // instead of retrying).
+  // a throw of a non-std type, or a throw from the store read below —
+  // because an abandoned entry blocks every waiter forever and permanently
+  // poisons the key (later requests wait on the dead future instead of
+  // retrying).
   struct OwnerGuard {
     search::InflightMap<TuneResponse>& map;
     std::uint64_t key;
@@ -280,56 +261,30 @@ TuneResponse TuneServer::handle(const TuneRequest& r) {
     }
   } guard{inflight_, key};
 
-  // Another owner may have fulfilled and retired this key between our L1
-  // probe and the claim — re-check before paying for tuning.
-  if (results_.get(key, cached)) {
-    inflight_.fulfill(key, cached);
-    guard.published = true;
-    return serveWarm(r, key, cached);
+  // The persistent schedule cache (shared across restarts and processes).
+  std::string record;
+  if (store_ && store_->get(key, record)) {
+    TuneResponse parsed;
+    std::string perr;
+    if (parseTuneResponse(record, parsed, perr) && parsed.ok) {
+      parsed.key = key;
+      parsed.served = "warm";
+      inflight_.fulfill(key, parsed);
+      guard.published = true;
+      return serveFinished(r, key, std::move(parsed), "warm");
+    }
+    // An unreadable or failed record falls through to a fresh tuning run,
+    // which overwrites it.
   }
 
+  LibraryEntry e;
   try {
-    const LibraryEntry e = cfg_.tuner ? cfg_.tuner(*k, *m, cfg, &eval_cache_)
-                                      : tuneOne(*k, *m, cfg, &eval_cache_);
-    resp.ok = true;
-    resp.served = "tuned";
-    resp.recipe = e.recipe;
-    resp.signature = e.signature;
-    resp.source = e.source;
-    resp.baseline_runtime = e.baseline_runtime;
-    resp.tuned_runtime = e.tuned_runtime;
-    resp.evaluations = e.evaluations;
-    bump(&ServeStats::tuning_runs);
-
-    // The cached record carries no per-request identity.
-    TuneResponse stored = resp;
-    stored.id.clear();
-    stored.served.clear();
-    results_.set(key, stored);
-    if (store_) {
-      try {
-        store_->put(key, responseToJson(stored));
-      } catch (const Error&) {
-        bump(&ServeStats::store_errors);
-      }
-    }
-    inflight_.fulfill(key, stored);
-    guard.published = true;
-    if (cfg_.telemetry)
-      cfg_.telemetry->emit(Event("serve_request")
-                               .str("id", r.id)
-                               .str("kernel", r.kernel)
-                               .str("machine", r.machine)
-                               .str("served", "tuned")
-                               .str("key", formatHex64(key))
-                               .num("tuned_runtime", resp.tuned_runtime)
-                               .integer("evaluations", resp.evaluations)
-                               .boolean("ok", true));
-    return resp;
-  } catch (const std::exception& e) {
+    e = cfg_.tuner ? cfg_.tuner(*k, *m, cfg, &eval_cache_)
+                   : tuneOne(*k, *m, cfg, &eval_cache_);
+  } catch (const std::exception& ex) {
     inflight_.fail(key, std::current_exception());
     guard.published = true;
-    return failWith(std::string("tuning failed: ") + e.what());
+    return failWith(std::string("tuning failed: ") + ex.what());
   } catch (...) {
     // Non-standard throw: the waiters still get the real exception (the
     // guard would substitute a generic one), and handle() still never
@@ -338,68 +293,78 @@ TuneResponse TuneServer::handle(const TuneRequest& r) {
     guard.published = true;
     return failWith("tuning failed: non-standard exception");
   }
+  resp.ok = true;
+  resp.served = "tuned";
+  resp.recipe = e.recipe;
+  resp.signature = e.signature;
+  resp.source = e.source;
+  resp.baseline_runtime = e.baseline_runtime;
+  resp.tuned_runtime = e.tuned_runtime;
+  resp.evaluations = e.evaluations;
+  bump(&ServeStats::tuning_runs);
+
+  // The published and persisted record carries no per-request identity.
+  // Waiters need not wait for the disk: publish first, then persist.
+  TuneResponse stored = resp;
+  stored.id.clear();
+  stored.served.clear();
+  inflight_.fulfill(key, stored);
+  guard.published = true;
+  if (store_) {
+    try {
+      store_->put(key, responseToJson(stored));
+    } catch (const std::exception&) {
+      bump(&ServeStats::store_errors);  // served anyway; handle never throws
+    }
+  }
+  if (cfg_.telemetry)
+    cfg_.telemetry->emit(Event("serve_request")
+                             .str("id", r.id)
+                             .str("kernel", r.kernel)
+                             .str("machine", r.machine)
+                             .str("served", "tuned")
+                             .str("key", formatHex64(key))
+                             .num("tuned_runtime", resp.tuned_runtime)
+                             .integer("evaluations", resp.evaluations)
+                             .boolean("ok", true));
+  return resp;
 }
 
-std::vector<TuneResponse> TuneServer::handleBatch(
-    const std::vector<TuneRequest>& rs) {
-  std::vector<TuneResponse> out(rs.size());
-  const int n = std::max(1, std::min<int>(cfg_.workers,
-                                          static_cast<int>(rs.size())));
-  std::atomic<std::size_t> next{0};
+std::int64_t runServe(TuneServer& server, std::istream& in, std::ostream& out) {
+  std::mutex in_mu, out_mu;
+  std::int64_t lines = 0;  // guarded by in_mu
+  std::atomic<bool> write_failed{false};
   auto work = [&] {
-    for (std::size_t i = next.fetch_add(1); i < rs.size();
-         i = next.fetch_add(1))
-      out[i] = handle(rs[i]);
+    std::string line;
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lk(in_mu);
+        if (write_failed.load()) return;
+        do {
+          if (!std::getline(in, line)) return;
+        } while (trim(line).empty());
+        ++lines;
+      }
+      TuneRequest req;
+      std::string err;
+      const TuneResponse resp =
+          parseTuneRequest(line, req, err)
+              ? server.handle(req)
+              : server.invalid("", "malformed request: " + err);
+      const std::string json = responseToJson(resp);
+      std::lock_guard<std::mutex> lk(out_mu);
+      out << json << '\n';
+      out.flush();  // one line = one response: stream them as they finish
+      if (!out) write_failed.store(true);
+    }
   };
+  const int n = std::max(1, server.workers());
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(n) - 1);
   for (int t = 1; t < n; ++t) pool.emplace_back(work);
   work();
   for (auto& th : pool) th.join();
-  return out;
-}
-
-std::int64_t runServe(TuneServer& server, std::istream& in, std::ostream& out) {
-  ThreadSafeQueue<std::string> requests;
-  ThreadSafeQueue<std::string> responses;
-
-  std::thread writer([&] {
-    std::string line;
-    while (responses.pop(line)) {
-      out << line << '\n';
-      out.flush();  // one line = one response: stream them as they finish
-    }
-  });
-
-  const int n = std::max(1, server.workers());
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t)
-    pool.emplace_back([&] {
-      std::string line;
-      while (requests.pop(line)) {
-        TuneRequest req;
-        std::string err;
-        TuneResponse resp;
-        if (parseTuneRequest(line, req, err))
-          resp = server.handle(req);
-        else
-          resp = server.invalid("", "malformed request: " + err);
-        responses.push(responseToJson(resp));
-      }
-    });
-
-  std::int64_t lines = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    requests.push(line);
-    ++lines;
-  }
-  requests.close();
-  for (auto& th : pool) th.join();
-  responses.close();
-  writer.join();
+  if (write_failed.load()) throw Error("writing responses failed");
   return lines;
 }
 

@@ -4,19 +4,22 @@
 // (kernel, machine) per process and forgets everything. TuneServer turns
 // that into a reusable service core:
 //
-//   request  --> L1 result map (ThreadSafeMap, this process)
-//            --> L2 ShardStore (content-addressed on-disk schedule cache,
-//                shared across restarts and across server processes)
-//            --> InflightMap dedupe (N concurrent identical requests cost
-//                exactly one tuning run; late arrivals join the in-flight
-//                future)
-//            --> tuneOne (the extracted per-entry tuning unit), priced
-//                through one process-wide EvalCache
+//   request  --> table (InflightMap, this process): every finished schedule
+//                and every run in flight, by request key. The first request
+//                for a key owns it; later ones wait on or copy its result,
+//                so N concurrent identical requests cost one tuning run
+//            --> store (ShardStore, content-addressed on-disk schedule
+//                cache, shared across restarts and across server processes),
+//                read by the owner
+//            --> tuning (tuneOne, the extracted per-entry tuning unit) on a
+//                store miss or an unreadable record, priced through one
+//                process-wide EvalCache
 //
 // The wire format is line-delimited JSON — one request per line in, one
 // response per line out, correlated by the client-chosen `id` (responses
-// stream in completion order). runServe pumps it with a ThreadSafeQueue
-// worker pool, so a batch of requests is tuned concurrently.
+// stream in completion order). runServe's workers each take the next line
+// from the input stream and write its response back, so a batch of
+// requests is tuned concurrently.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +28,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "libgen/libgen.h"
 #include "search/diskstore.h"
 #include "search/inflight.h"
-#include "support/threadsafe.h"
 
 namespace perfdojo {
 class Telemetry;
@@ -53,8 +54,8 @@ struct TuneResponse {
   std::string error;     // set when !ok
   std::string kernel, machine, optimizer;
   /// How this response was produced: "tuned" (a fresh tuning run), "warm"
-  /// (served from the schedule cache), or "joined" (waited on an identical
-  /// in-flight run).
+  /// (served from the store or from a schedule this process had finished),
+  /// or "joined" (waited on an identical request's tuning run).
   std::string served;
   std::uint64_t key = 0;  // content-addressed request key (hex on the wire)
   std::string recipe, signature, source;
@@ -80,10 +81,9 @@ bool parseTuneResponse(const std::string& line, TuneResponse& out,
 
 struct ServeConfig {
   /// Directory of the persistent schedule cache; "" = in-memory only (the
-  /// L1 result map still dedupes and warms repeats within the process).
+  /// table still dedupes and warms repeats within the process).
   std::string cache_dir;
-  int shards = 8;
-  /// Concurrent tuning slots used by handleBatch/runServe.
+  /// Threads runServe serves lines on.
   int workers = 4;
   /// Per-request tuning defaults; optimizer/budget/seed are overridden from
   /// each request. Each tuning run prices on its worker's thread.
@@ -100,9 +100,9 @@ struct ServeConfig {
 struct ServeStats {
   std::int64_t requests = 0;
   std::int64_t errors = 0;        // invalid requests or failed tuning runs
-  std::int64_t warm_hits = 0;     // served from L1/L2 without tuning
+  std::int64_t warm_hits = 0;     // served from the table or store
   std::int64_t tuning_runs = 0;   // tuneOne executions
-  std::int64_t dedupe_joins = 0;  // waited on an identical in-flight run
+  std::int64_t dedupe_joins = 0;  // waited on another request's tuning run
   std::int64_t store_errors = 0;  // persistence failures (request served anyway)
 };
 
@@ -115,10 +115,6 @@ class TuneServer {
   /// ok=false responses.
   TuneResponse handle(const TuneRequest& r);
 
-  /// Serves a batch concurrently on cfg.workers threads; responses are
-  /// returned in request order.
-  std::vector<TuneResponse> handleBatch(const std::vector<TuneRequest>& rs);
-
   /// Accounts and returns an ok=false response for a request that could not
   /// even be parsed (the wire loop's malformed-line path).
   TuneResponse invalid(const std::string& id, const std::string& error);
@@ -130,23 +126,26 @@ class TuneServer {
   const search::ShardStore* store() const { return store_.get(); }
 
  private:
-  TuneResponse serveWarm(const TuneRequest& r, std::uint64_t key,
-                         const TuneResponse& cached);
+  /// Answers `r` with a schedule it did not tune itself; `served` is
+  /// "warm" or "joined".
+  TuneResponse serveFinished(const TuneRequest& r, std::uint64_t key,
+                             TuneResponse finished, const char* served);
   void bump(std::int64_t ServeStats::* field);
 
   ServeConfig cfg_;
   std::unique_ptr<search::ShardStore> store_;
   search::EvalCache eval_cache_;
-  ThreadSafeMap<std::uint64_t, TuneResponse> results_;  // L1, this process
-  search::InflightMap<TuneResponse> inflight_;
+  search::InflightMap<TuneResponse> inflight_;  // the table, by request key
   mutable std::mutex stats_mu_;
   ServeStats stats_;
 };
 
-/// The wire loop: reads line-delimited JSON requests from `in` until EOF,
-/// serves them on cfg.workers threads, writes one JSON response line per
-/// request to `out` in completion order. Returns the number of request
-/// lines consumed (malformed lines get an ok=false response and count).
+/// The wire loop: cfg.workers threads each take the next non-blank line of
+/// `in`, serve it and write its JSON response line to `out` (responses in
+/// completion order, each flushed), until EOF. Returns the number of
+/// request lines consumed (malformed lines get an ok=false response and
+/// count). Throws Error once every worker has stopped when a response line
+/// could not be written; no line is taken after the first failed write.
 std::int64_t runServe(TuneServer& server, std::istream& in, std::ostream& out);
 
 }  // namespace perfdojo::libgen

@@ -64,7 +64,10 @@ class ShardStore {
 
   /// Opens (creating if needed) `dir` and loads every existing shard file.
   /// Throws Error when the directory cannot be created; damaged lines and
-  /// unreadable shard files are quarantined, not fatal.
+  /// unreadable shard files are quarantined, not fatal. A store must be
+  /// reopened with the shard count it was written with (a record lives in
+  /// shard key mod count), so servers always use the default; the parameter
+  /// exists for tests that aim several keys at one shard file.
   explicit ShardStore(std::string dir, int shards = 8);
 
   /// Copies the record for `key` into `out`; false on miss.

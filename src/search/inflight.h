@@ -1,11 +1,13 @@
-// In-flight request deduplication (the futurepacker idiom): N concurrent
-// requests for the same content-addressed key must cost one tuning run.
+// The table of finished and in-flight values by content-addressed key (the
+// futurepacker idiom): N concurrent requests for the same key cost one
+// computation, and every later request for it is served from the table.
 //
 // The first claimant of a key becomes its *owner* and computes the value;
-// everyone else receives a shared_future to wait on. The owner publishes
-// through fulfill() (or fail(), propagating the exception to all waiters),
-// which also retires the entry — by then the result is expected to live in
-// a cache/store layer above, so later requests hit that instead.
+// every other claim receives the entry's shared_future instead. The owner
+// publishes through fulfill(), which keeps the entry: a claim made after it
+// gets a ready future and never becomes an owner. fail() propagates the
+// owner's exception to every waiter and retires the entry, so the next
+// claim of a failed key becomes a fresh owner and retries.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +39,32 @@ class InflightMap {
     return t;
   }
 
-  /// Publishes the owner's result to every waiter and retires the key.
+  /// Publishes the owner's result to every waiter and to every later claim.
   void fulfill(std::uint64_t key, V value) {
-    std::shared_ptr<Entry> e = take(key);
-    if (e) e->promise.set_value(std::move(value));
+    std::shared_ptr<Entry> e;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      auto it = map_.find(key);
+      if (it == map_.end()) return;
+      e = it->second;
+    }
+    e->promise.set_value(std::move(value));
   }
 
   /// Propagates the owner's failure to every waiter and retires the key.
   void fail(std::uint64_t key, std::exception_ptr err) {
-    std::shared_ptr<Entry> e = take(key);
-    if (e) e->promise.set_exception(std::move(err));
+    std::shared_ptr<Entry> e;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      auto it = map_.find(key);
+      if (it == map_.end()) return;
+      e = std::move(it->second);
+      map_.erase(it);
+    }
+    e->promise.set_exception(std::move(err));
   }
 
+  /// Entries held: in flight plus fulfilled.
   std::size_t size() const {
     std::lock_guard<std::mutex> lk(mu_);
     return map_.size();
@@ -59,15 +75,6 @@ class InflightMap {
     std::promise<V> promise;
     std::shared_future<V> future;
   };
-
-  std::shared_ptr<Entry> take(std::uint64_t key) {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    auto e = std::move(it->second);
-    map_.erase(it);
-    return e;
-  }
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Entry>> map_;

@@ -18,7 +18,7 @@
 //   perfdojo fuzz      [--budget-sec N | --trajectories N] [--seed S]
 //                      [--kernel label] [--profile cpu|gpu|snitch]
 //                      [--corpus dir] [--replay file] [--out dir]
-//   perfdojo serve     --cache-dir dir [--shards N] [--workers N]
+//   perfdojo serve     --cache-dir dir [--workers N]
 //                      [--in file] [--out-file file]
 //                      # long-running tuning service: line-delimited JSON
 //                      # requests in (stdin or --in), responses out
@@ -31,9 +31,11 @@
 //                      # recorded with `optimize ... --trace-programs 1`
 //
 // Exit status is non-zero on unknown kernels/machines/flags and malformed
-// numeric flag values, and for `fuzz` also when any oracle failure is found
-// (or a corpus seed regresses). A flag the subcommand does not accept, or a
-// flag without a value, exits 2 with usage before any work starts.
+// numeric flag values, for `fuzz` also when any oracle failure is found
+// (or a corpus seed regresses), and for `serve` also when a request fails
+// or a response line cannot be written. A flag the subcommand does not
+// accept, or a flag without a value, exits 2 with usage before any work
+// starts.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -195,7 +197,6 @@ int usage() {
                "  --replay <file>     re-execute one witness and exit\n"
                "serve flags (line-delimited JSON tuning service):\n"
                "  --cache-dir <dir>   persistent schedule cache (\"\" = memory-only)\n"
-               "  --shards <n>        cache shard files (default 8)\n"
                "  --workers <n>       concurrent tuning slots (default 4)\n"
                "  --episodes <n>      default rl episodes per request\n"
                "  --in <file>         read requests from <file> instead of stdin\n"
@@ -456,7 +457,6 @@ int cmdLibgen(const Args& a) {
 int cmdServe(const Args& a) {
   libgen::ServeConfig sc;
   sc.cache_dir = a.get("cache-dir");
-  sc.shards = static_cast<int>(flagInt(a, "shards", 8, 1, 4096));
   sc.workers = static_cast<int>(flagInt(a, "workers", 4, 1, 256));
   sc.defaults.search_budget =
       static_cast<int>(flagInt(a, "budget", 300, 0, 1000000000));
@@ -487,7 +487,12 @@ int cmdServe(const Args& a) {
     out = &fout;
   }
 
-  const auto n = libgen::runServe(server, *in, *out);
+  std::string write_error;
+  try {
+    libgen::runServe(server, *in, *out);
+  } catch (const Error& e) {
+    write_error = e.what();
+  }
   const auto st = server.stats();
   const auto es = server.evalStats();
   // One machine-parseable stats line on stderr: tests and operators read
@@ -505,7 +510,10 @@ int cmdServe(const Args& a) {
                static_cast<long long>(st.store_errors),
                static_cast<long long>(es.requests),
                static_cast<long long>(es.misses));
-  (void)n;
+  if (!write_error.empty()) {
+    std::fprintf(stderr, "serve: %s\n", write_error.c_str());
+    return 1;
+  }
   return st.errors == 0 ? 0 : 1;
 }
 
@@ -851,7 +859,7 @@ const std::map<std::string, Command>& commands() {
          "trace-out"}}},
       {"serve",
        {cmdServe,
-        {"cache-dir", "shards", "workers", "budget", "episodes", "in",
+        {"cache-dir", "workers", "budget", "episodes", "in",
          "out-file", "trace-out"}}},
       {"client",
        {cmdClient,

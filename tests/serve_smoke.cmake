@@ -3,6 +3,7 @@
 #   client --count 3  ->  serve (cold, persists schedule cache)
 #                     ->  serve (warm, fresh process, same cache dir)
 #                     ->  client --cold/--warm   (bit-identical responses)
+#                     ->  serve --out-file /dev/full  (must exit non-zero)
 #
 # Driven as `cmake -DPERFDOJO=<bin> -DWORK=<dir> -P serve_smoke.cmake` so it
 # runs identically under ctest and in CI.
@@ -51,4 +52,17 @@ if(at EQUAL -1)
   message(FATAL_ERROR "cold serve did not dedupe to one tuning run: ${cold_stats}")
 endif()
 
-message(STATUS "serve smoke passed: cold tuned once, warm served 3/3 with zero evaluations")
+# A response stream that cannot be written must fail the run, not report
+# success after delivering nothing.
+execute_process(COMMAND ${PERFDOJO} serve --cache-dir ${WORK}/cache
+                --in ${WORK}/requests.jsonl --out-file /dev/full
+                RESULT_VARIABLE full_rc ERROR_VARIABLE full_err)
+if(full_rc EQUAL 0)
+  message(FATAL_ERROR "serve to /dev/full exited 0: ${full_err}")
+endif()
+string(FIND "${full_err}" "serve: writing responses failed" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "serve to /dev/full did not report the failed write: ${full_err}")
+endif()
+
+message(STATUS "serve smoke passed: cold tuned once, warm served 3/3 with zero evaluations, failed write reported")

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -198,14 +199,32 @@ TEST(ServeHandle, ConcurrentDuplicatesCostOneTuningRun) {
   // search is slow enough that duplicates genuinely overlap in flight.
   TuneServer server(cfg);
   std::vector<TuneRequest> batch;
+  std::stringstream in;
   for (int i = 0; i < 8; ++i) {
     auto r = mulRequest("req-" + std::to_string(i));
     r.optimizer = "search";
     r.budget = 60;
     batch.push_back(r);
+    in << requestToJson(r) << "\n";
   }
-  const auto out = server.handleBatch(batch);
-  ASSERT_EQ(out.size(), batch.size());
+  std::stringstream wire;
+  EXPECT_EQ(runServe(server, in, wire), 8);
+  // Responses stream in completion order; match them back up by id.
+  std::map<std::string, TuneResponse> by_id;
+  std::string line;
+  while (std::getline(wire, line)) {
+    TuneResponse resp;
+    std::string err;
+    ASSERT_TRUE(parseTuneResponse(line, resp, err)) << err;
+    by_id[resp.id] = resp;
+  }
+  ASSERT_EQ(by_id.size(), batch.size());
+  std::vector<TuneResponse> out;
+  for (const auto& r : batch) {
+    const auto it = by_id.find(r.id);
+    ASSERT_NE(it, by_id.end()) << r.id;
+    out.push_back(it->second);
+  }
   for (std::size_t i = 0; i < out.size(); ++i) {
     ASSERT_TRUE(out[i].ok) << out[i].error;
     EXPECT_EQ(out[i].id, batch[i].id);
@@ -218,6 +237,32 @@ TEST(ServeHandle, ConcurrentDuplicatesCostOneTuningRun) {
   EXPECT_EQ(st.tuning_runs, 1);
   EXPECT_EQ(st.warm_hits + st.dedupe_joins, 7);
   EXPECT_EQ(st.errors, 0);
+}
+
+TEST(ServeHandle, ConcurrentDuplicatesOnWarmRestartAreAllWarm) {
+  // A fresh server on a populated store: one request owns the key and reads
+  // the store, the rest wait on or copy its result — every one of them was
+  // served from disk, none waited on a tuning run.
+  ServeConfig cfg;
+  cfg.cache_dir = freshDir("pd_serve_warm_restart");
+  ASSERT_EQ(TuneServer(cfg).handle(mulRequest()).served, "tuned");
+
+  TuneServer server(cfg);
+  std::vector<TuneResponse> resp(4);
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < resp.size(); ++i)
+    pool.emplace_back([&, i] {
+      resp[i] = server.handle(mulRequest("warm-" + std::to_string(i)));
+    });
+  for (auto& th : pool) th.join();
+  for (std::size_t i = 0; i < resp.size(); ++i) {
+    ASSERT_TRUE(resp[i].ok) << resp[i].error;
+    EXPECT_EQ(resp[i].served, "warm") << i;
+    EXPECT_EQ(resp[i].id, "warm-" + std::to_string(i));
+  }
+  EXPECT_EQ(server.stats().warm_hits, 4);
+  EXPECT_EQ(server.stats().tuning_runs, 0);
+  EXPECT_EQ(server.stats().dedupe_joins, 0);
 }
 
 TEST(ServeWireLoop, StreamsResponsesAndFlagsMalformedLines) {
@@ -248,6 +293,22 @@ TEST(ServeWireLoop, StreamsResponsesAndFlagsMalformedLines) {
   EXPECT_EQ(bad, 2);
   EXPECT_EQ(server.stats().requests, 3);
   EXPECT_EQ(server.stats().errors, 2);
+}
+
+TEST(ServeWireLoop, FailedResponseWriteIsReported) {
+  // A stream buffer with no room: every write fails and sets badbit.
+  struct FullBuf : std::streambuf {};
+  FullBuf full;
+  std::ostream out(&full);
+  std::stringstream in;
+  for (int i = 0; i < 3; ++i)
+    in << requestToJson(mulRequest("r" + std::to_string(i))) << "\n";
+  ServeConfig cfg;
+  cfg.workers = 1;
+  TuneServer server(cfg);
+  EXPECT_THROW(runServe(server, in, out), Error);
+  // No line is taken after the first failed write.
+  EXPECT_EQ(server.stats().requests, 1);
 }
 
 TEST(ShardStore, PutGetAndStats) {
@@ -643,8 +704,20 @@ TEST(InflightMap, FirstClaimOwnsLaterClaimsJoin) {
   inflight.fulfill(42, 7);
   waiter.join();
   EXPECT_EQ(a.future.get(), 7);
-  EXPECT_EQ(inflight.size(), 1u);          // 42 retired, 43 still pending
-  EXPECT_TRUE(inflight.claim(42).owner);   // retired keys can be re-claimed
+  EXPECT_EQ(inflight.size(), 2u);          // 42 kept, 43 still pending
+  EXPECT_FALSE(inflight.claim(42).owner);  // fulfilled keys are not re-owned
+}
+
+TEST(InflightMap, FulfilledKeyServesLaterClaims) {
+  search::InflightMap<int> inflight;
+  ASSERT_TRUE(inflight.claim(7).owner);
+  inflight.fulfill(7, 5);
+  auto later = inflight.claim(7);
+  EXPECT_FALSE(later.owner);
+  ASSERT_EQ(later.future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(later.future.get(), 5);
+  EXPECT_EQ(inflight.size(), 1u);
 }
 
 TEST(InflightMap, FailurePropagatesToEveryWaiter) {

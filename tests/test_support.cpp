@@ -14,7 +14,6 @@
 #include "support/stats.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "support/threadsafe.h"
 
 namespace perfdojo {
 namespace {
@@ -242,65 +241,6 @@ TEST(IoWrite, AtomicWriteSurvivesConcurrentWriters) {
     ++files;
   }
   EXPECT_EQ(files, 1);
-}
-
-TEST(ThreadSafeMap, BasicOperations) {
-  ThreadSafeMap<int, std::string> m;
-  std::string out;
-  EXPECT_FALSE(m.get(1, out));
-  m.set(1, "one");
-  ASSERT_TRUE(m.get(1, out));
-  EXPECT_EQ(out, "one");
-  EXPECT_TRUE(m.setIfAbsent(2, "two"));
-  EXPECT_FALSE(m.setIfAbsent(2, "TWO"));  // losing writer does not overwrite
-  ASSERT_TRUE(m.get(2, out));
-  EXPECT_EQ(out, "two");
-  EXPECT_TRUE(m.contains(1));
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_TRUE(m.erase(1));
-  EXPECT_FALSE(m.erase(1));
-  EXPECT_EQ(m.snapshot().size(), 1u);
-}
-
-TEST(ThreadSafeMap, ConcurrentSetIfAbsentElectsOneWriter) {
-  ThreadSafeMap<int, int> m;
-  std::atomic<int> winners{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < 8; ++t)
-    pool.emplace_back([&, t] {
-      for (int k = 0; k < 100; ++k)
-        if (m.setIfAbsent(k, t)) ++winners;
-    });
-  for (auto& th : pool) th.join();
-  EXPECT_EQ(winners.load(), 100);  // exactly one winner per key
-  EXPECT_EQ(m.size(), 100u);
-}
-
-TEST(ThreadSafeQueue, DeliversEverythingThenDrainsOnClose) {
-  ThreadSafeQueue<int> q;
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> consumers;
-  for (int t = 0; t < 4; ++t)
-    consumers.emplace_back([&] {
-      int v;
-      while (q.pop(v)) {
-        sum += v;
-        ++popped;
-      }
-    });
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 4; ++t)
-    producers.emplace_back([&] {
-      for (int i = 1; i <= 250; ++i) EXPECT_TRUE(q.push(i));
-    });
-  for (auto& th : producers) th.join();
-  q.close();
-  for (auto& th : consumers) th.join();
-  EXPECT_EQ(popped.load(), 1000);
-  EXPECT_EQ(sum.load(), 4LL * 250 * 251 / 2);
-  EXPECT_FALSE(q.push(5));  // closed queues drop new work
-  EXPECT_EQ(q.size(), 0u);
 }
 
 }  // namespace
