@@ -72,6 +72,88 @@ TEST(Json, EscapeRoundTrip) {
   EXPECT_EQ(v.stringOr("s", ""), nasty);
 }
 
+// The exact wire bytes: every served response, persisted record and trace
+// line goes through jsonEscape/Event, and the store's checksums and the
+// smoke tests' cold-vs-warm comparisons are over these bytes.
+TEST(Json, EscapeAndParseGolden) {
+  std::string all;  // every byte value once, in order
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  std::string all_escaped =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      " !\\\"#$%&'()*+,-./0123456789:;<=>?"
+      "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\\\]^_"
+      "`abcdefghijklmnopqrstuvwxyz{|}~\x7f";
+  for (int c = 0x80; c < 256; ++c) all_escaped += static_cast<char>(c);
+  EXPECT_EQ(jsonEscape(all), all_escaped);
+  EXPECT_EQ(Event("t").str("k", all).json(),
+            "{\"type\":\"t\",\"k\":\"" + all_escaped + "\"}");
+  EXPECT_EQ(Event(all).str(all, "v").json(),
+            "{\"type\":\"" + all_escaped + "\",\"" + all_escaped +
+                "\":\"v\"}");
+
+  // Long plain runs, alone and split by one escape.
+  const std::string plain(5000, 'a');
+  EXPECT_EQ(jsonEscape(plain), plain);
+  const std::string split = std::string(3000, 'x') + "\"" +
+                            std::string(3000, '\xe9') + "\n";
+  EXPECT_EQ(jsonEscape(split), std::string(3000, 'x') + "\\\"" +
+                                   std::string(3000, '\xe9') + "\\n");
+  EXPECT_EQ(Event("t").str("k", split).json(),
+            "{\"type\":\"t\",\"k\":\"" + jsonEscape(split) + "\"}");
+
+  // Adjacent escapes, at both ends and in the middle.
+  const std::string adjacent = "\"\\\n\r\t\b\f\x01\x1f\"a\\\\b\x7f\x1f";
+  const std::string adjacent_escaped =
+      "\\\"\\\\\\n\\r\\t\\b\\f\\u0001\\u001f\\\"a\\\\\\\\b\x7f\\u001f";
+  EXPECT_EQ(jsonEscape(adjacent), adjacent_escaped);
+  EXPECT_EQ(jsonEscape(""), "");
+
+  // Every builder escapes its key the same way.
+  EXPECT_EQ(Event("t\"")
+                .num("n\n", 1.5)
+                .num("inf", HUGE_VAL)
+                .integer("i\\", -7)
+                .boolean("b\t", true)
+                .boolean("f", false)
+                .str("s\x01", "x")
+                .numbers("m\"", {{"a\"", 2.0}, {"b", -0.25}})
+                .json(),
+            "{\"type\":\"t\\\"\",\"n\\n\":1.5,\"inf\":null,\"i\\\\\":-7,"
+            "\"b\\t\":true,\"f\":false,\"s\\u0001\":\"x\","
+            "\"m\\\"\":{\"a\\\"\":2,\"b\":-0.25}}");
+
+  // The parser inverts the escaper byte for byte.
+  JsonValue v;
+  ASSERT_TRUE(parseJson("\"" + all_escaped + "\"", v));
+  EXPECT_EQ(v.str, all);
+  ASSERT_TRUE(parseJson("\"" + jsonEscape(split) + "\"", v));
+  EXPECT_EQ(v.str, split);
+  ASSERT_TRUE(parseJson("\"" + adjacent_escaped + "\"", v));
+  EXPECT_EQ(v.str, adjacent);
+  ASSERT_TRUE(parseJson("\"\\/\\u00e9\\u20AC\\u0041\"", v));
+  EXPECT_EQ(v.str, "/\xc3\xa9\xe2\x82\xac" "A");
+
+  // Error text and offsets.
+  const auto error = [](const std::string& text) {
+    JsonValue doc;
+    std::string err;
+    EXPECT_FALSE(parseJson(text, doc, &err)) << text;
+    return err;
+  };
+  EXPECT_EQ(error("\"abc"), "unterminated string at offset 4");
+  EXPECT_EQ(error("{\"k\":\"" + plain), "unterminated string at offset 5006");
+  EXPECT_EQ(error("\"ab\\"), "truncated escape at offset 3");
+  EXPECT_EQ(error("\"ab\\n\\"), "truncated escape at offset 5");
+  EXPECT_EQ(error("\"\\u12"), "truncated \\u escape at offset 3");
+  EXPECT_EQ(error("\"ab\\u00e"), "truncated \\u escape at offset 5");
+  EXPECT_EQ(error("\"\\u12g4\""), "bad \\u escape at offset 3");
+  EXPECT_EQ(error("\"a\\qb\""), "unknown escape at offset 4");
+  EXPECT_EQ(error("{\"a\":\"b\" x"), "expected '}' at offset 9");
+}
+
 TEST(Event, NonFiniteNumbersSerializeAsNull) {
   const Event e = Event("t")
                       .num("nan", std::nan(""))
