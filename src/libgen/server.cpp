@@ -142,6 +142,18 @@ ServeStats TuneServer::stats() const {
   return stats_;
 }
 
+std::uint64_t TuneServer::kernelHash(const kernels::KernelInfo& k) {
+  KernelHash* slot;
+  {
+    std::lock_guard<std::mutex> lk(kernel_hashes_mu_);
+    slot = &kernel_hashes_[&k];  // map nodes never move
+  }
+  // Concurrent first requests for one kernel build it once; the rest wait.
+  std::call_once(slot->once,
+                 [&] { slot->hash = ir::canonicalHash(k.build()); });
+  return slot->hash;
+}
+
 TuneResponse TuneServer::invalid(const std::string& id,
                                  const std::string& error) {
   bump(&ServeStats::requests);
@@ -218,9 +230,8 @@ TuneResponse TuneServer::handle(const TuneRequest& r) {
   const std::int64_t eff_budget = opt == Optimizer::Search ? cfg.search_budget
                                   : opt == Optimizer::PerfLLM ? cfg.rl_episodes
                                                               : 0;
-  const ir::Program base = k->build();
-  const std::uint64_t key = requestKey(r.kernel, ir::canonicalHash(base),
-                                       m->name(), opt, eff_budget, r.seed);
+  const std::uint64_t key = requestKey(r.kernel, kernelHash(*k), m->name(),
+                                       opt, eff_budget, r.seed);
   resp.key = key;
 
   // The table: the first claimant of a key owns it; every other request

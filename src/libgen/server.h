@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -131,11 +132,21 @@ class TuneServer {
   TuneResponse serveFinished(const TuneRequest& r, std::uint64_t key,
                              TuneResponse finished, const char* served);
   void bump(std::int64_t ServeStats::* field);
+  /// The canonical hash of `k.build()`, computed on the kernel's first
+  /// request and reused for every later key.
+  std::uint64_t kernelHash(const kernels::KernelInfo& k);
+
+  struct KernelHash {
+    std::once_flag once;
+    std::uint64_t hash = 0;
+  };
 
   ServeConfig cfg_;
   std::unique_ptr<search::ShardStore> store_;
   search::EvalCache eval_cache_;
   search::InflightMap<TuneResponse> inflight_;  // the table, by request key
+  std::mutex kernel_hashes_mu_;  // guards the map, not the entries
+  std::map<const kernels::KernelInfo*, KernelHash> kernel_hashes_;
   mutable std::mutex stats_mu_;
   ServeStats stats_;
 };

@@ -119,8 +119,11 @@ struct Parser {
         }
         continue;
       }
-      out += c;
-      ++i;
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t end = i + 1;
+      while (end < s.size() && s[end] != '"' && s[end] != '\\') ++end;
+      out.append(s.data() + i, end - i);
+      i = end;
     }
     return fail("unterminated string");
   }
@@ -221,10 +224,19 @@ bool parseJson(std::string_view text, JsonValue& out, std::string* error) {
   return true;
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
+// --- Escaping and Event ---
+
+namespace {
+
+/// Appends `s` escaped for embedding between JSON quotes: each run of bytes
+/// that need no escape is copied with one append.
+void appendEscaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the pending plain run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -233,23 +245,22 @@ std::string jsonEscape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
 
-// --- Event ---
-
-namespace {
+/// Appends `,"<key>":`, the start of an event member.
+void appendMember(std::string& out, std::string_view key) {
+  out += ",\"";
+  appendEscaped(out, key);
+  out += "\":";
+}
 
 void appendNumber(std::string& out, double v) {
   if (!std::isfinite(v)) {
@@ -263,39 +274,56 @@ void appendNumber(std::string& out, double v) {
 
 }  // namespace
 
-Event::Event(const std::string& type) {
-  body_ = "{\"type\":\"" + jsonEscape(type) + "\"";
+std::string jsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  appendEscaped(out, s);
+  return out;
 }
 
-Event& Event::num(const std::string& key, double v) {
-  body_ += ",\"" + jsonEscape(key) + "\":";
+Event::Event(std::string_view type) {
+  body_ = "{\"type\":\"";
+  appendEscaped(body_, type);
+  body_ += '"';
+}
+
+Event& Event::num(std::string_view key, double v) {
+  appendMember(body_, key);
   appendNumber(body_, v);
   return *this;
 }
 
-Event& Event::integer(const std::string& key, std::int64_t v) {
-  body_ += ",\"" + jsonEscape(key) + "\":" + std::to_string(v);
+Event& Event::integer(std::string_view key, std::int64_t v) {
+  appendMember(body_, key);
+  body_ += std::to_string(v);
   return *this;
 }
 
-Event& Event::str(const std::string& key, const std::string& v) {
-  body_ += ",\"" + jsonEscape(key) + "\":\"" + jsonEscape(v) + "\"";
+Event& Event::str(std::string_view key, std::string_view v) {
+  appendMember(body_, key);
+  body_ += '"';
+  appendEscaped(body_, v);
+  body_ += '"';
   return *this;
 }
 
-Event& Event::boolean(const std::string& key, bool v) {
-  body_ += ",\"" + jsonEscape(key) + "\":" + (v ? "true" : "false");
+Event& Event::boolean(std::string_view key, bool v) {
+  appendMember(body_, key);
+  body_ += v ? "true" : "false";
   return *this;
 }
 
-Event& Event::numbers(const std::string& key,
+Event& Event::numbers(std::string_view key,
                       const std::map<std::string, double>& kv) {
-  body_ += ",\"" + jsonEscape(key) + "\":{";
+  appendMember(body_, key);
+  body_ += '{';
   bool first = true;
   for (const auto& [k, v] : kv) {
     if (!first) body_ += ',';
     first = false;
-    body_ += "\"" + jsonEscape(k) + "\":";
+    body_ += '"';
+    appendEscaped(body_, k);
+    body_ += "\":";
     appendNumber(body_, v);
   }
   body_ += '}';

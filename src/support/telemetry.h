@@ -47,20 +47,21 @@ bool parseJson(std::string_view text, JsonValue& out,
                std::string* error = nullptr);
 
 /// Escapes a string for embedding between JSON quotes.
-std::string jsonEscape(const std::string& s);
+std::string jsonEscape(std::string_view s);
 
 /// One telemetry event, assembled field by field in emission order. The
-/// "type" discriminator is always the first member.
+/// "type" discriminator is always the first member. Keys and strings are
+/// escaped straight into the event's buffer.
 class Event {
  public:
-  explicit Event(const std::string& type);
+  explicit Event(std::string_view type);
 
-  Event& num(const std::string& key, double v);  // non-finite -> null
-  Event& integer(const std::string& key, std::int64_t v);
-  Event& str(const std::string& key, const std::string& v);
-  Event& boolean(const std::string& key, bool v);
+  Event& num(std::string_view key, double v);  // non-finite -> null
+  Event& integer(std::string_view key, std::int64_t v);
+  Event& str(std::string_view key, std::string_view v);
+  Event& boolean(std::string_view key, bool v);
   /// Nested object of numeric members (e.g. per-scope attribution maps).
-  Event& numbers(const std::string& key,
+  Event& numbers(std::string_view key,
                  const std::map<std::string, double>& kv);
 
   /// The serialized JSON object (no trailing newline).

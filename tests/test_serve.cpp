@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/canonical.h"
+#include "kernels/kernels.h"
 #include "libgen/server.h"
 #include "search/diskstore.h"
 #include "search/inflight.h"
@@ -263,6 +265,93 @@ TEST(ServeHandle, ConcurrentDuplicatesOnWarmRestartAreAllWarm) {
   EXPECT_EQ(server.stats().warm_hits, 4);
   EXPECT_EQ(server.stats().tuning_runs, 0);
   EXPECT_EQ(server.stats().dedupe_joins, 0);
+}
+
+/// A tuner that tunes nothing: the request key is formed before tuning, so
+/// key tests need no tuning run.
+LibraryEntry stubTuner(const kernels::KernelInfo& k, const machines::Machine&,
+                       const LibGenConfig&, search::EvalCache*) {
+  LibraryEntry e;
+  e.label = k.label;
+  e.recipe = "stub\n";
+  return e;
+}
+
+TEST(Serve, KeyIsKernelDefinitionHash) {
+  // The server hashes each kernel once and reuses the hash; every key must
+  // still equal the key formed from a fresh build of the kernel.
+  ServeConfig cfg;
+  cfg.tuner = stubTuner;
+  TuneServer server(cfg);
+  const std::pair<const char*, Optimizer> optimizers[] = {
+      {"none", Optimizer::None},
+      {"heuristic", Optimizer::Heuristic},
+      {"search", Optimizer::Search},
+      {"rl", Optimizer::PerfLLM}};
+  int served = 0;
+  for (const auto* catalog : {&kernels::table3(), &kernels::snitchMicro(),
+                              &kernels::x86Uncommon()})
+    for (const auto& k : *catalog) {
+      const std::uint64_t hash = ir::canonicalHash(k.build());
+      for (const auto& [name, opt] : optimizers) {
+        TuneRequest r;
+        r.id = k.label + "/" + name;
+        r.kernel = k.label;
+        r.machine = "snitch";
+        r.optimizer = name;
+        r.budget = 17;
+        r.seed = 3;
+        const bool budgeted =
+            opt == Optimizer::Search || opt == Optimizer::PerfLLM;
+        const std::uint64_t want = requestKey(k.label, hash, "snitch", opt,
+                                              budgeted ? 17 : 0, 3);
+        // First request (hash computed) and a repeat (hash reused).
+        for (int rep = 0; rep < 2; ++rep) {
+          const auto resp = server.handle(r);
+          ASSERT_TRUE(resp.ok) << r.id << ": " << resp.error;
+          EXPECT_EQ(resp.key, want) << r.id << " rep " << rep;
+          EXPECT_EQ(resp.served, rep == 0 ? "tuned" : "warm") << r.id;
+        }
+        ++served;
+      }
+    }
+  EXPECT_GT(served, 4 * 16);
+  EXPECT_EQ(server.stats().errors, 0);
+}
+
+TEST(Serve, ConcurrentFirstRequestsForOneKernelShareOneKey) {
+  // Eight threads send the first request for one kernel at once, so all of
+  // them need the kernel's hash before any has it.
+  ServeConfig cfg;
+  cfg.tuner = stubTuner;
+  TuneServer server(cfg);
+  const std::uint64_t hash =
+      ir::canonicalHash(kernels::findKernel("softmax")->build());
+  const std::uint64_t want =
+      requestKey("softmax", hash, "xeon", Optimizer::None, 0, 1);
+  constexpr int kThreads = 8;
+  std::vector<TuneResponse> resp(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      TuneRequest r;
+      r.id = "t" + std::to_string(t);
+      r.kernel = "softmax";
+      r.machine = "xeon";
+      r.optimizer = "none";
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      resp[static_cast<std::size_t>(t)] = server.handle(r);
+    });
+  for (auto& th : pool) th.join();
+  for (const auto& got : resp) {
+    ASSERT_TRUE(got.ok) << got.error;
+    EXPECT_EQ(got.key, want) << got.id;
+  }
+  const auto st = server.stats();
+  EXPECT_EQ(st.tuning_runs, 1);
+  EXPECT_EQ(st.warm_hits + st.dedupe_joins, kThreads - 1);
 }
 
 TEST(ServeWireLoop, StreamsResponsesAndFlagsMalformedLines) {
