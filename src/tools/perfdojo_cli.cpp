@@ -269,6 +269,13 @@ int cmdOptimize(const Args& a) {
   const int budget = static_cast<int>(flagInt(a, "budget", 300, 0, 1000000000));
   // Checked for every tier, read by the exact tier only.
   const int threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
+  // Only the edges structure consults the prior; on the heuristic structure
+  // it would run inert, so the combination is refused before any file I/O.
+  if (method == "search" && !a.get("prior").empty() &&
+      a.get("no-prior", "0") != "1" &&
+      a.get("structure", "heuristic") == "heuristic")
+    fail("--prior needs --structure edges: the heuristic structure (the "
+         "default) never consults the prior");
   const auto trace = makeTrace(a);
   const ir::Program base = k->build();
   ir::Program tuned = base;
