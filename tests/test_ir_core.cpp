@@ -59,6 +59,98 @@ TEST(Program, ValidateCatchesDuplicateIds) {
   EXPECT_THROW(p.validate(), Error);
 }
 
+/// twoLoop()'s only op.
+Node* theOp(Program& p) { return collectOps(p.root)[0]; }
+
+TEST(Program, ValidateMessagesGolden) {
+  // One malformed twoLoop() per `validate:` message, each pinned to its
+  // exact text: the iterator message in all three operand contexts, and the
+  // node ids and names the messages print. twoLoop() numbers the root 1,
+  // the loops 2 and 3 and the op 4, and leaves next_id at 5.
+  struct Case {
+    const char* name;
+    void (*mutate)(Program&);
+    const char* what;
+  };
+  const Case cases[] = {
+      {"invalid id", [](Program& p) { theOp(p)->id = kInvalidNode; },
+       "validate: node with invalid id"},
+      {"duplicate id",
+       [](Program& p) { theOp(p)->id = 2; },
+       "validate: duplicate node id 2"},
+      {"id past next_id", [](Program& p) { p.next_id = 4; },
+       "validate: node id >= next_id"},
+      {"output iterator",
+       [](Program& p) {
+         theOp(p)->out.idx[0] = IndexExpr::iter(999);
+         p.next_id = 1000;
+       },
+       "validate: output of op 4 references iterator 999 which is not an "
+       "enclosing scope"},
+      {"input iterator",
+       [](Program& p) {
+         theOp(p)->ins[0].access.idx[1] = IndexExpr::iter(999);
+         p.next_id = 1000;
+       },
+       "validate: input of op 4 references iterator 999 which is not an "
+       "enclosing scope"},
+      {"iter operand iterator",
+       [](Program& p) {
+         theOp(p)->ins[0] = Operand::iter(IndexExpr::iter(999));
+         p.next_id = 1000;
+       },
+       "validate: iter operand of op 4 references iterator 999 which is not "
+       "an enclosing scope"},
+      {"unknown array", [](Program& p) { theOp(p)->out.array = "nope"; },
+       "validate: output of op 4 unknown array 'nope'"},
+      {"rank mismatch",
+       [](Program& p) { theOp(p)->ins[0].access.idx.pop_back(); },
+       "validate: input of op 4 rank mismatch for array 'x'"},
+      {"scope extent", [](Program& p) { collectScopes(p.root)[1]->extent = 0; },
+       "validate: scope extent must be >= 1"},
+      {"op children",
+       [](Program& p) { theOp(p)->children.push_back(Node::scope(9, 2)); },
+       "validate: op node with children"},
+      {"op arity",
+       [](Program& p) { theOp(p)->ins.push_back(Operand::constant(1.0)); },
+       "validate: op arity mismatch"},
+      {"empty buffer name", [](Program& p) { p.buffers[0].name.clear(); },
+       "validate: buffer with empty name"},
+      {"mask size",
+       [](Program& p) { p.buffers[0].materialized.pop_back(); },
+       "validate: buffer 'x' materialized mask size mismatch"},
+      {"no arrays", [](Program& p) { p.buffers[0].arrays.clear(); },
+       "validate: buffer 'x' has no arrays"},
+      {"array in two buffers",
+       [](Program& p) { p.buffers[1].arrays.push_back("x"); },
+       "validate: array 'x' declared in multiple buffers"},
+      {"dim < 1", [](Program& p) { p.buffers[1].shape[0] = 0; },
+       "validate: buffer 'y' with dim < 1"},
+      {"undeclared input", [](Program& p) { p.inputs.push_back("z"); },
+       "validate: undeclared input array 'z'"},
+      {"undeclared output", [](Program& p) { p.outputs.push_back("z"); },
+       "validate: undeclared output array 'z'"},
+      {"external reused dim",
+       [](Program& p) { p.buffers[1].materialized[0] = false; },
+       "validate: external buffer 'y' has reused dim"},
+      {"root not a scope", [](Program& p) { p.root.kind = NodeKind::Op; },
+       "validate: root must be a scope"},
+      {"root extent", [](Program& p) { p.root.extent = 4; },
+       "validate: root scope must have extent 1"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Program p = twoLoop();
+    c.mutate(p);
+    try {
+      p.validate();
+      ADD_FAILURE() << "validate() accepted the program";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), c.what);
+    }
+  }
+}
+
 TEST(Program, FlopCount) {
   Program p = twoLoop();
   EXPECT_EQ(p.flopCount(), 4 * 8);  // one relu per element

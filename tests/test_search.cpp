@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/builder.h"
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
@@ -159,21 +160,65 @@ TEST(Annealing, TemperatureScheduleIsGeometric) {
   EXPECT_GT(saTemperature(0.6, 0.995, 500), saTemperature(0.6, 0.995, 501));
 }
 
+/// y[0] = relu(x[0]) with no loop: no transformation applies anywhere.
+ir::Program scalarRelu() {
+  ir::Builder b("scalar_relu");
+  b.buffer("x", ir::DType::F64, {1}).buffer("y", ir::DType::F64, {1});
+  b.input("x").output("y");
+  b.op(ir::OpCode::Relu, b.at("y", {ir::IndexExpr::constant(0)}),
+       {ir::Builder::arr(b.at("x", {ir::IndexExpr::constant(0)}))});
+  return b.finish();
+}
+
 TEST(Search, TerminatesOnActionStarvedPrograms) {
-  // A degenerate kernel where few (possibly zero) transformations apply must
-  // not hang any method: the stall guards bound retries and annealing stops
-  // when the root has no applicable actions.
-  const auto p = kernels::makeAdd(1, 1);
-  SearchConfig cfg;
-  cfg.budget = 400;
-  for (auto method : {SearchMethod::RandomSampling, SearchMethod::SimulatedAnnealing}) {
-    for (auto structure : {SpaceStructure::Edges, SpaceStructure::Heuristic}) {
-      cfg.method = method;
-      cfg.structure = structure;
-      const auto r = runSearch(p, machines::xeon(), cfg);
-      EXPECT_GE(r.evals, 1);
-      EXPECT_LE(r.evals, cfg.budget);
-    }
+  // Kernels where few or no transformations apply must not hang any method,
+  // and each stop rule is pinned: on the edges structure a dead-end kernel
+  // ends the search after pricing the kernel alone; otherwise a loop stops
+  // after 1024 proposals in a row that yield no candidate — the heuristic
+  // loops after pricing the kernel and the expert pass's sequence, random
+  // sampling on the edges structure once its pool fills with dead ends.
+  struct Pin {
+    const char* kernel;
+    SearchMethod method;
+    SpaceStructure structure;
+    TerminationReason reason;
+    int evals;
+  };
+  constexpr auto kRS = SearchMethod::RandomSampling;
+  constexpr auto kSA = SearchMethod::SimulatedAnnealing;
+  constexpr auto kEdges = SpaceStructure::Edges;
+  constexpr auto kHeur = SpaceStructure::Heuristic;
+  constexpr auto kBudget = TerminationReason::BudgetExhausted;
+  constexpr auto kStall = TerminationReason::Stall;
+  const Pin pins[] = {
+      {"add_1x1", kRS, kEdges, kBudget, 400},
+      {"add_1x1", kRS, kHeur, kBudget, 400},
+      {"add_1x1", kSA, kEdges, kBudget, 400},
+      {"add_1x1", kSA, kHeur, kBudget, 400},
+      {"vec_relu_1", kRS, kEdges, kStall, 228},
+      {"vec_relu_1", kRS, kHeur, kBudget, 400},
+      {"vec_relu_1", kSA, kEdges, kBudget, 400},
+      {"vec_relu_1", kSA, kHeur, kBudget, 400},
+      {"scalar_relu", kRS, kEdges, kStall, 1},
+      {"scalar_relu", kRS, kHeur, kStall, 2},
+      {"scalar_relu", kSA, kEdges, kStall, 1},
+      {"scalar_relu", kSA, kHeur, kStall, 2},
+  };
+  for (const Pin& pin : pins) {
+    const std::string name = pin.kernel;
+    const ir::Program p = name == "add_1x1"      ? kernels::makeAdd(1, 1)
+                          : name == "vec_relu_1" ? kernels::makeVecRelu(1)
+                                                 : scalarRelu();
+    SearchConfig cfg;
+    cfg.method = pin.method;
+    cfg.structure = pin.structure;
+    cfg.budget = 400;
+    const auto r = runSearch(p, machines::xeon(), cfg);
+    SCOPED_TRACE(::testing::Message()
+                 << name << " " << searchMethodName(pin.method) << "/"
+                 << spaceStructureName(pin.structure));
+    EXPECT_EQ(r.reason, pin.reason) << terminationReasonName(r.reason);
+    EXPECT_EQ(r.evals, pin.evals);
   }
 }
 
