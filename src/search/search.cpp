@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
+#include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "ir/canonical.h"
 #include "ir/incremental.h"
-#include "ir/walk.h"
 #include "search/delta.h"
 #include "transform/action_set.h"
 #include "search/evalcache.h"
@@ -21,7 +23,6 @@
 namespace perfdojo::search {
 
 using transform::Action;
-using transform::Location;
 using transform::MachineCaps;
 using transform::Step;
 
@@ -175,15 +176,16 @@ struct Tracker {
   int evals = 0;
   int budget;
   std::int64_t nonfinite = 0;  // recorded evaluations with NaN/inf cost
-  /// Drivers downgrade this to Stall when they give up before the budget.
+  /// The search loops downgrade this to Stall when they give up before the
+  /// budget.
   TerminationReason reason = TerminationReason::BudgetExhausted;
   Telemetry* sink = nullptr;   // optional; record() runs on the decision
                                // thread only, so the event order is fixed
   bool trace_programs = false;  // add canonical text to search_eval events
 
-  // Prior-gate accounting (edges drivers fill these when a prior is active):
-  // skipped neighbors, and (predicted, exact) pairs plus the improving count
-  // for every kept candidate that reached exact pricing.
+  // Prior-gate accounting (the edges neighborhood fills these when a prior
+  // is active): skipped neighbors, and (predicted, exact) pairs plus the
+  // improving count for every kept candidate that reached exact pricing.
   std::int64_t prior_filtered = 0;
   std::int64_t prior_improving = 0;
   std::vector<double> prior_pred, prior_exact;
@@ -199,45 +201,28 @@ struct Tracker {
     return std::isfinite(runtime) && runtime >= 0;
   }
 
-  /// `text` renders the candidate's canonical form; it is only invoked in
-  /// dataset-recording mode, so the default trace pays nothing for it.
-  void emitEval(double runtime, const std::function<std::string()>& text) {
+  /// Records one evaluation. `program` is asked for the candidate's program
+  /// only when it becomes the best or, in dataset-recording mode, for its
+  /// canonical text, so a candidate priced in place is built only then.
+  void record(double runtime,
+              const std::function<const ir::Program&()>& program) {
+    ++evals;
+    if (!admissible(runtime)) {
+      ++nonfinite;
+    } else if (runtime < best_runtime) {
+      best_runtime = runtime;
+      // A fresh copy, not a copy-assignment: that would keep the capacity
+      // of every larger best before it, and callers keep results.
+      best = ir::Program(program());
+    }
+    trace.push_back(best_runtime);
     if (!sink) return;
     Event e("search_eval");
     e.integer("eval", evals).num("runtime", runtime).num("best", best_runtime);
-    if (trace_programs) e.str("program", text());
+    if (trace_programs) e.str("program", ir::canonicalText(program()));
     sink->emit(e);
   }
-
-  void record(const ir::Program& p, double runtime) {
-    ++evals;
-    if (!admissible(runtime)) {
-      ++nonfinite;
-    } else if (runtime < best_runtime) {
-      best_runtime = runtime;
-      best = p;
-    }
-    trace.push_back(best_runtime);
-    emitEval(runtime, [&] { return ir::canonicalText(p); });
-  }
-
-  /// Record an evaluation whose program is materialized lazily, only if it
-  /// becomes the best — used by the edges annealer, which prices candidates
-  /// without copying them.
-  void record(double runtime, const std::function<ir::Program()>& make) {
-    ++evals;
-    if (!admissible(runtime)) {
-      ++nonfinite;
-    } else if (runtime < best_runtime) {
-      best_runtime = runtime;
-      best = make();
-    }
-    trace.push_back(best_runtime);
-    emitEval(runtime, [&] { return ir::canonicalText(make()); });
-  }
 };
-
-// --- Edges structure: nodes are programs, neighbors are single actions. ---
 
 /// Per-state neighbor filter around the learned prior: rebind() scores a
 /// state's whole neighbor set from canonical text and keeps the top-k
@@ -260,28 +245,22 @@ class PriorGate {
     active_ = prior_ != nullptr && prior_->valid() && topk_ > 0;
   }
 
-  bool active() const { return active_; }
-
-  /// Rescores for a new current state. `dctx` (when non-null and bound to
-  /// `cur`) renders neighbors in place on the delta scratch; otherwise each
-  /// neighbor is applied into a copy just for scoring.
-  void rebind(const std::vector<Action>& actions, const ir::Program& cur,
-              DeltaContext* dctx) {
+  /// Rescores for a new current state. Each neighbor is rendered in place on
+  /// the scratch of `delta()`, a context bound to the state, which is asked
+  /// for only when the state is scored.
+  void rebind(const std::vector<Action>& actions,
+              const std::function<DeltaContext&()>& delta) {
     scores_.clear();
     allowed_.resize(actions.size());
     for (std::size_t i = 0; i < allowed_.size(); ++i) allowed_[i] = i;
     if (!active_ || actions.size() <= topk_) return;
+    DeltaContext& dctx = delta();
     scores_.resize(actions.size());
     for (std::size_t i = 0; i < actions.size(); ++i) {
       std::string text;
-      if (dctx) {
-        dctx->neighborVisit(actions[i],
-                            [&](std::uint64_t, const ir::Program& q) {
-                              text = ir::canonicalText(q);
-                            });
-      } else {
-        text = ir::canonicalText(actions[i].apply(cur));
-      }
+      dctx.neighborVisit(actions[i], [&](std::uint64_t, const ir::Program& q) {
+        text = ir::canonicalText(q);
+      });
       scores_[i] = prior_->predict(prior_->features(text));
     }
     allowed_ = PriorModel::topK(scores_, topk_);
@@ -295,7 +274,6 @@ class PriorGate {
   /// Whether the current state was actually scored (active and over-budget
   /// neighbor set); only scored states contribute co-evolution pairs.
   bool scored() const { return !scores_.empty(); }
-  double scoreOf(std::size_t ai) const { return scores_[ai]; }
 
   /// Logs one kept candidate's exact price against its prediction; `ref_rt`
   /// is the cost the candidate had to beat (current state / parent).
@@ -315,6 +293,216 @@ class PriorGate {
   std::vector<std::size_t> allowed_;
 };
 
+/// What the parts of one search run share.
+struct Run {
+  const ir::Program& kernel;
+  double kernel_rt;
+  const machines::Machine& m;
+  const SearchConfig& cfg;
+  Eval& ev;
+  Tracker& tr;
+};
+
+// --- Neighborhoods: both loops below drive either structure through bind,
+//     propose (a candidate, or Retry or Stop), price, program (built on
+//     first use), take (as a pool State), accept, cost, seed (the initial
+//     candidate beyond the kernel, if any) and the sa_step fields. Every RNG
+//     draw of a proposal happens in propose, so both loops draw alike.
+
+enum class Proposal { Candidate, Retry, Stop };
+
+/// Edges structure: states are programs, neighbors are single actions. A
+/// candidate is priced in place on a DeltaContext bound to the current state
+/// on first use (its hash is canonicalHash(a.apply(cur)) bit for bit) unless
+/// a sampling pool already had it built; an accepted move is committed in
+/// place. The ActionSet's list equals a fresh allActions. Each action's cost
+/// is memoized per state, so a re-draw costs a lookup, not a pricing.
+class EdgesNeighborhood {
+ public:
+  using State = ir::Program;
+
+  explicit EdgesNeighborhood(const Run& run)
+      : run_(run), gate_(run.cfg, run.tr) {
+    bind(run.kernel, run.kernel_rt);
+    dead_root_ = aset_.actions().empty();
+  }
+
+  const State& root() const { return run_.kernel; }
+  std::optional<std::pair<State, double>> seed() { return std::nullopt; }
+
+  /// `s` is not copied, so it must stay in place while it is bound.
+  void bind(const State& s, double rt) {
+    cur_ = &s;
+    bound_to_delta_ = false;
+    aset_.bind(s, run_.m.caps());
+    refresh(rt);
+    steps_ = 0;
+  }
+
+  /// An annealing walk starts again from the kernel once it reaches a dead
+  /// end or max_steps. A dead-end kernel stops the search; a dead-end
+  /// sampled parent only asks for another draw.
+  Proposal propose(Rng& rng) {
+    if (steps_ > 0 &&
+        (aset_.actions().empty() || steps_ >= run_.cfg.max_steps))
+      bind(run_.kernel, run_.kernel_rt);
+    if (aset_.actions().empty())
+      return dead_root_ ? Proposal::Stop : Proposal::Retry;
+    const std::vector<std::size_t>& allowed = gate_.allowed();
+    ai_ = allowed[rng.uniform(allowed.size())];
+    built_.reset();
+    return Proposal::Candidate;
+  }
+
+  double price() {
+    memo_hit_ = run_.ev.memoizing() && cost_[ai_] != kUnpriced;
+    if (memo_hit_) {
+      run_.ev.countMemoHit();  // no apply, hash or evaluate
+      return cost_[ai_];
+    }
+    double rt = 0;
+    if (built_)
+      rt = run_.ev.cost(*built_);
+    else
+      delta().neighborVisit(action(), [&](std::uint64_t h, const ir::Program& q) {
+        rt = run_.ev.costInPlace(h, q);
+      });
+    gate_.note(ai_, rt, cur_rt_);
+    return cost_[ai_] = rt;
+  }
+
+  const ir::Program& program() {
+    if (!built_) built_ = action().apply(*cur_);
+    return *built_;
+  }
+
+  State take() {
+    program();
+    return *std::exchange(built_, std::nullopt);
+  }
+
+  /// DeltaContext::accept applies the move and rebases the canonical form
+  /// in place; the ActionSet then updates from the mutation summary.
+  void accept(double rt) {
+    ir::MutationSummary mut;
+    cur_ = &delta().accept(action(), &mut);
+    aset_.update(*cur_, mut);
+    refresh(rt);
+    ++steps_;
+  }
+
+  double cost() const { return cur_rt_; }
+
+  void stepFields(Event& e) const {
+    e.str("action", action().transform->name())
+        .str("loc", transform::locationToText(action().loc));
+  }
+  void stepFlags(Event& e) const { e.boolean("memo_hit", memo_hit_); }
+
+ private:
+  static constexpr double kUnpriced = -1.0;  // cost_ entry not yet priced
+
+  const Action& action() const { return aset_.actions()[ai_]; }
+
+  /// The delta context, bound to the current state.
+  DeltaContext& delta() {
+    if (!bound_to_delta_) dctx_.bind(*cur_);
+    bound_to_delta_ = true;
+    return dctx_;
+  }
+
+  /// Clears the memo and rescores the prior gate for the current state.
+  void refresh(double rt) {
+    cost_.assign(aset_.actions().size(), kUnpriced);
+    gate_.rebind(aset_.actions(), [&]() -> DeltaContext& { return delta(); });
+    cur_rt_ = rt;
+  }
+
+  const Run& run_;
+  PriorGate gate_;
+  const ir::Program* cur_ = nullptr;  // the current state
+  DeltaContext dctx_;
+  bool bound_to_delta_ = false;  // dctx_'s base is the current state
+  transform::ActionSet aset_;
+  std::vector<double> cost_;          // per-action memo of the current state
+  std::optional<ir::Program> built_;  // the candidate's program, once built
+  std::size_t ai_ = 0;                // the candidate's action index
+  bool memo_hit_ = false;             // the candidate's price came from cost_
+  bool dead_root_ = false;            // no action applies to the kernel
+  double cur_rt_ = 0;
+  int steps_ = 0;  // accepted moves since the walk left the kernel
+};
+
+/// Heuristic structure: states are whole transformation sequences, refined
+/// at arbitrary points (Section 4.2.1). The PrefixReplayer records the
+/// current sequence's states, so a candidate replays only its edited tail.
+class HeuristicNeighborhood {
+ public:
+  using State = std::vector<Step>;
+
+  explicit HeuristicNeighborhood(const Run& run)
+      : run_(run), seq_(run.kernel), cur_rt_(run.kernel_rt) {}
+
+  State root() const { return {}; }
+
+  /// Section 4.2.1's initial candidate is the expert pass's sequence. The
+  /// pass recorded its states, so binding it replays nothing.
+  std::optional<std::pair<State, double>> seed() {
+    transform::History pass = heuristicPass(run_.kernel, run_.m);
+    const double rt = run_.ev.cost(pass.current());
+    run_.tr.record(rt, [&]() -> const ir::Program& { return pass.current(); });
+    seq_.bind(std::move(pass));
+    cur_rt_ = rt;
+    return std::pair{seq_.steps(), rt};
+  }
+
+  void bind(const State& s, double rt) {
+    seq_.bind(s);
+    cur_rt_ = rt;
+  }
+
+  /// A proposal asks for another draw when no action applies at its edit
+  /// point or the edited sequence no longer replays.
+  Proposal propose(Rng& rng) {
+    const bool ok = seq_.propose(run_.m.caps(), rng, run_.cfg.max_steps);
+    return ok ? Proposal::Candidate : Proposal::Retry;
+  }
+
+  double price() { return run_.ev.cost(seq_.candidateProgram()); }
+  const ir::Program& program() const { return seq_.candidateProgram(); }
+  State take() const { return seq_.candidate(); }
+
+  void accept(double rt) {
+    seq_.accept();
+    cur_rt_ = rt;
+  }
+
+  double cost() const { return cur_rt_; }
+
+  void stepFields(Event& e) const {
+    const State& cand = seq_.candidate();
+    e.integer("seq_len", static_cast<std::int64_t>(cand.size()));
+    if (!cand.empty())
+      e.str("action", cand.back().transform->name())
+          .str("loc", transform::locationToText(cand.back().loc));
+  }
+  void stepFlags(Event&) const {}
+
+ private:
+  const Run& run_;
+  PrefixReplayer seq_;
+  double cur_rt_;
+};
+
+/// Proposals in a row without a candidate after which a loop gives up.
+constexpr int kBarrenLimit = 1024;
+
+/// The count of barren proposals in a row after `p`; a Stop ends the loop.
+int barrenAfter(int barren, Proposal p) {
+  if (p == Proposal::Candidate) return 0;
+  return p == Proposal::Retry ? barren + 1 : kBarrenLimit;
+}
+
 /// Runtimes stored in sampling pools feed 1/runtime draw weights; one NaN or
 /// inf entry would poison every subsequent Rng::weightedIndex call. Store
 /// degenerate costs as a huge-but-finite sentinel instead (weight ~0: such a
@@ -323,273 +511,75 @@ double poolRuntime(double rt) {
   return (std::isfinite(rt) && rt > 0) ? rt : 1e300;
 }
 
-struct PoolEntry {
-  ir::Program program;
-  double runtime;
-  double parent_runtime;  // cost used for sampling (paper Section 4.2.2)
-};
-
-void randomSamplingEdges(const ir::Program& kernel,
-                         const machines::Machine& m, const SearchConfig& cfg,
-                         Eval& ev, Tracker& tr) {
-  Rng rng(cfg.seed);
-  std::vector<PoolEntry> pool;
-  const double t0 = ev.cost(kernel);
-  tr.record(kernel, t0);
-  pool.push_back({kernel, poolRuntime(t0), poolRuntime(t0)});
-  // The weighted draw concentrates on fast parents, so the same pool entry
-  // is drawn many times in a row; its enumeration is bound once and reused
-  // until the draw moves on (pool entries are immutable, so the cached list
-  // stays exact).
-  transform::ActionSet aset;
-  std::size_t cached_pi = static_cast<std::size_t>(-1);
-  // The prior gate follows the same reuse pattern as the ActionSet: a drawn
-  // parent's neighbor scores stay valid until the draw moves to another pool
-  // entry (entries are immutable), so rescoring happens once per parent
-  // streak, not once per draw. The allowed indices target the ActionSet's
-  // action list.
-  PriorGate gate(cfg, tr);
-  std::size_t gate_pi = static_cast<std::size_t>(-1);
-  int barren = 0;  // consecutive proposals that yielded no candidate
-  while (!tr.exhausted() && barren < 1024) {
-    // Sample proportionally to 1/parent_runtime: children of fast parents.
-    std::vector<double> w;
-    w.reserve(pool.size());
-    for (const auto& e : pool) w.push_back(1.0 / e.parent_runtime);
-    const std::size_t pi = rng.weightedIndex(w);
-    const auto& parent = pool[pi];
-    if (pi != cached_pi) {
-      aset.bind(parent.program, m.caps());
-      cached_pi = pi;
-    }
-    const std::vector<Action>& actions = aset.actions();
-    if (actions.empty()) {
-      ++barren;  // a dead-end parent may be drawn forever; bound the retries
-      continue;
-    }
-    barren = 0;
-    if (pi != gate_pi) {
-      gate.rebind(actions, parent.program, nullptr);
-      gate_pi = pi;
-    }
-    const std::vector<std::size_t>& allowed = gate.allowed();
-    const std::size_t ai = allowed[rng.uniform(allowed.size())];
-    const double parent_rt = parent.runtime;  // push_back invalidates `parent`
-    ir::Program child = actions[ai].apply(parent.program);
-    const double rt = ev.cost(child);
-    tr.record(child, rt);
-    gate.note(ai, rt, parent_rt);
-    pool.push_back({std::move(child), poolRuntime(rt), parent_rt});
-    if (pool.size() > 4096) {
-      pool.erase(pool.begin(), pool.begin() + 1024);
-      cached_pi = static_cast<std::size_t>(-1);  // indices shifted
-      gate_pi = static_cast<std::size_t>(-1);
-    }
-  }
-  if (!tr.exhausted()) tr.reason = TerminationReason::Stall;
-}
-
-void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
-                    const SearchConfig& cfg, Eval& ev, Tracker& tr) {
-  Rng rng(cfg.seed);
-  const double base_rt = ev.cost(kernel);
-  tr.record(kernel, base_rt);
-  double cur_rt = base_rt;
-  double temp = cfg.sa_t0;
-  int steps = 0;
-  // The current state is the DeltaContext's base: neighbors are hashed
-  // incrementally against it and model-priced live on its scratch tree, and
-  // an accepted move is committed in place, so the walk copies a program
-  // only for a new best. The hash is canonicalHash(a.apply(cur)) bit for bit.
-  DeltaContext dctx;
-  // The action list of the current state comes from the ActionSet, which
-  // enumerates each accepted state through one shared index; it is
-  // element-identical to a fresh allActions, so ai-indexed draws land on the
-  // definition's action.
-  // Each action's candidate cost is memoized per state: a re-drawn action
-  // costs a table lookup instead of an apply + evaluate, with identical
-  // values, so the decision sequence matches a memo-free run exactly.
-  transform::ActionSet aset;
-  constexpr double kUnpriced = -1.0;  // action_cost entry not yet priced
-  std::vector<double> action_cost;
-  // Prior gate: rescored at every state (re)bind, after the delta context is
-  // aimed at the new state so scoring can render neighbors in place.
-  PriorGate gate(cfg, tr);
-  auto restart = [&] {
-    dctx.bind(kernel);
-    aset.bind(dctx.base(), m.caps());
-    action_cost.assign(aset.actions().size(), kUnpriced);
-    gate.rebind(aset.actions(), dctx.base(), &dctx);
-    cur_rt = base_rt;
-    steps = 0;
+/// Cost-weighted global random sampling (Section 4.2.2): each round draws a
+/// pool entry with weight 1/(its parent's cost) and prices one neighbor.
+template <class Space>
+void sample(Space& sp, const Run& run, Rng& rng) {
+  struct Entry {
+    typename Space::State state;
+    double runtime;
+    double parent_runtime;  // cost used for sampling (paper Section 4.2.2)
   };
-  restart();
-  while (!tr.exhausted()) {
-    const std::vector<Action>& actions = aset.actions();
-    if (actions.empty() || steps >= cfg.max_steps) {
-      restart();  // from the source program
-      if (aset.actions().empty()) {
-        tr.reason = TerminationReason::Stall;
-        break;  // nothing applicable at the root: done
-      }
-      continue;
-    }
-    const std::vector<std::size_t>& allowed = gate.allowed();
-    const std::size_t ai = allowed[rng.uniform(allowed.size())];
-    const Action& a = actions[ai];
-    double rt;
-    const bool memo_hit = ev.memoizing() && action_cost[ai] != kUnpriced;
-    if (memo_hit) {
-      // Re-drawn action on an unchanged state: the cost is known, so skip
-      // the apply + hash + evaluate entirely.
-      rt = action_cost[ai];
-      ev.countMemoHit();
-    } else {
-      // Price the neighbor while it is still live in the delta scratch.
-      dctx.neighborVisit(a, [&](std::uint64_t h, const ir::Program& q) {
-        rt = ev.costInPlace(h, q);
-      });
-      action_cost[ai] = rt;
-      gate.note(ai, rt, cur_rt);
-    }
-    // Materialized only if the candidate improves the best — never on a
-    // memo hit, whose first evaluation already set best_runtime <= rt.
-    tr.record(rt, [&] { return a.apply(dctx.base()); });
-    const double delta = (rt - cur_rt) / base_rt;
-    const bool accepted = saAccept(delta, temp, rng);
-    if (cfg.telemetry)
-      cfg.telemetry->emit(Event("sa_step")
-                              .integer("eval", tr.evals)
-                              .str("action", a.transform->name())
-                              .str("loc", transform::locationToText(a.loc))
-                              .num("runtime", rt)
-                              .num("delta", delta)
-                              .num("temp", temp)
-                              .boolean("accepted", accepted)
-                              .boolean("memo_hit", memo_hit));
-    if (accepted) {
-      // accept() applies the move and rebases the canonical form in place;
-      // the action list is then enumerated afresh (which invalidates `a`).
-      ir::MutationSummary mut;
-      const ir::Program& cur = dctx.accept(a, &mut);
-      aset.update(cur, mut);
-      action_cost.assign(aset.actions().size(), kUnpriced);
-      gate.rebind(aset.actions(), cur, &dctx);
-      cur_rt = rt;
-      ++steps;
-    }
-    temp *= cfg.sa_decay;  // decays once per recorded evaluation
-  }
-}
-
-// --- Heuristic structure: states are whole transformation sequences,
-//     refined at arbitrary points (Section 4.2.1). ---
-
-struct SeqState {
-  std::vector<Step> steps;
-  double runtime;
-  double parent_runtime;
-};
-
-void randomSamplingHeuristic(const ir::Program& kernel,
-                             const machines::Machine& m,
-                             const SearchConfig& cfg, Eval& ev, Tracker& tr) {
-  Rng rng(cfg.seed);
-  std::vector<SeqState> pool;
-  const double t0 = ev.cost(kernel);
-  tr.record(kernel, t0);
-  pool.push_back({{}, poolRuntime(t0), poolRuntime(t0)});
-  // Section 4.2.1's initial candidate is the expert pass's sequence. The
-  // replayer is bound to the last parent drawn, initially the seed, whose
-  // states the pass recorded; pool entries are immutable, and a rebind keeps
-  // the states of the prefix the new parent shares with the last one.
-  transform::History seed = heuristicPass(kernel, m);
-  const double seed_rt = ev.cost(seed.current());
-  tr.record(seed.current(), seed_rt);
-  pool.push_back({seed.steps(), poolRuntime(seed_rt), poolRuntime(t0)});
-  PrefixReplayer seq(kernel);
-  seq.bind(std::move(seed));
-  std::size_t bound_pi = 1;
+  const double root_rt = poolRuntime(run.kernel_rt);
+  // A deque: an entry keeps its address while others are added or trimmed,
+  // so the space can hold the bound entry's state without a copy.
+  std::deque<Entry> pool{{sp.root(), root_rt, root_rt}};
+  if (auto s = sp.seed())
+    pool.push_back({std::move(s->first), poolRuntime(s->second), root_rt});
+  // The space holds the entry made last. The draw concentrates on fast
+  // parents, so the same entry is drawn many times in a row; it stays bound.
+  std::size_t bound = pool.size() - 1;
+  std::vector<double> w;
   int barren = 0;
-  while (!tr.exhausted() && barren < 1024) {
-    std::vector<double> w;
-    w.reserve(pool.size());
-    for (const auto& e : pool) w.push_back(1.0 / e.parent_runtime);
+  while (!run.tr.exhausted() && barren < kBarrenLimit) {
+    // Sample proportionally to 1/parent_runtime: children of fast parents.
+    w.clear();
+    for (const Entry& e : pool) w.push_back(1.0 / e.parent_runtime);
     const std::size_t pi = rng.weightedIndex(w);
-    if (pi != bound_pi) {
-      seq.bind(pool[pi].steps);
-      bound_pi = pi;
-    }
-    if (!seq.propose(m.caps(), rng, cfg.max_steps)) {
-      ++barren;
-      continue;
-    }
-    barren = 0;
-    const ir::Program& child = seq.candidateProgram();
-    const double rt = ev.cost(child);
-    tr.record(child, rt);
-    pool.push_back({seq.candidate(), poolRuntime(rt), pool[pi].runtime});
+    if (pi != bound) sp.bind(pool[pi].state, pool[pi].runtime);
+    bound = pi;
+    barren = barrenAfter(barren, sp.propose(rng));
+    if (barren > 0) continue;
+    sp.program();  // built for the pool anyway, so it is priced whole
+    const double rt = sp.price();
+    run.tr.record(rt, [&]() -> const ir::Program& { return sp.program(); });
+    pool.push_back({sp.take(), poolRuntime(rt), pool[pi].runtime});
     if (pool.size() > 4096) {
       pool.erase(pool.begin(), pool.begin() + 1024);
-      bound_pi = static_cast<std::size_t>(-1);  // indices shifted
+      bound = static_cast<std::size_t>(-1);  // indices shifted
     }
   }
-  if (!tr.exhausted()) tr.reason = TerminationReason::Stall;
 }
 
-void annealingHeuristic(const ir::Program& kernel, const machines::Machine& m,
-                        const SearchConfig& cfg, Eval& ev, Tracker& tr) {
-  Rng rng(cfg.seed);
-  double cur_rt = ev.cost(kernel);
-  const double base_rt = cur_rt;
-  tr.record(kernel, cur_rt);
-  // The incumbent starts as the empty sequence and becomes the expert pass's
-  // sequence (Section 4.2.1's initial candidate) if that beats the kernel;
-  // the pass recorded its states, so nothing is replayed.
-  PrefixReplayer seq(kernel);
-  {
-    transform::History seed = heuristicPass(kernel, m);
-    const double rt = ev.cost(seed.current());
-    tr.record(seed.current(), rt);
-    if (rt < cur_rt) {
-      seq.bind(std::move(seed));
-      cur_rt = rt;
-    }
-  }
-  double temp = cfg.sa_t0;
-  int barren = 0;  // consecutive failed proposals (mutation or replay)
-  while (!tr.exhausted() && barren < 1024) {
-    if (!seq.propose(m.caps(), rng, cfg.max_steps)) {
-      ++barren;
-      continue;
-    }
-    barren = 0;
-    const ir::Program& prog = seq.candidateProgram();
-    const double rt = ev.cost(prog);
-    tr.record(prog, rt);
-    const double delta = (rt - cur_rt) / base_rt;
+/// Simulated annealing (Section 4.2.2): Metropolis acceptance of the cost
+/// change relative to the kernel's cost, at a temperature that decays once
+/// per recorded evaluation. A seed is the first incumbent only if it beats
+/// the kernel.
+template <class Space>
+void anneal(Space& sp, const Run& run, Rng& rng) {
+  if (const auto s = sp.seed(); s && !(s->second < run.kernel_rt))
+    sp.bind(sp.root(), run.kernel_rt);
+  double temp = run.cfg.sa_t0;
+  int barren = 0;
+  while (!run.tr.exhausted() && barren < kBarrenLimit) {
+    barren = barrenAfter(barren, sp.propose(rng));
+    if (barren > 0) continue;
+    const double rt = sp.price();
+    run.tr.record(rt, [&]() -> const ir::Program& { return sp.program(); });
+    const double delta = (rt - sp.cost()) / run.kernel_rt;
     const bool accepted = saAccept(delta, temp, rng);
-    if (cfg.telemetry) {
-      const std::vector<Step>& cand = seq.candidate();
+    if (run.cfg.telemetry) {
       Event e("sa_step");
-      e.integer("eval", tr.evals)
-          .integer("seq_len", static_cast<std::int64_t>(cand.size()));
-      if (!cand.empty())
-        e.str("action", cand.back().transform->name())
-            .str("loc", transform::locationToText(cand.back().loc));
-      e.num("runtime", rt)
-          .num("delta", delta)
-          .num("temp", temp)
-          .boolean("accepted", accepted);
-      cfg.telemetry->emit(e);
+      e.integer("eval", run.tr.evals);
+      sp.stepFields(e);
+      e.num("runtime", rt).num("delta", delta).num("temp", temp);
+      e.boolean("accepted", accepted);
+      sp.stepFlags(e);
+      run.cfg.telemetry->emit(e);
     }
-    if (accepted) {
-      seq.accept();
-      cur_rt = rt;
-    }
-    temp *= cfg.sa_decay;  // decays once per recorded evaluation
+    if (accepted) sp.accept(rt);
+    temp *= run.cfg.sa_decay;
   }
-  if (!tr.exhausted()) tr.reason = TerminationReason::Stall;
 }
 
 }  // namespace
@@ -597,6 +587,12 @@ void annealingHeuristic(const ir::Program& kernel, const machines::Machine& m,
 SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
                        const SearchConfig& cfg, EvalCache* shared_cache) {
   const auto start = std::chrono::steady_clock::now();
+  const bool prior_active =
+      cfg.prior != nullptr && cfg.prior->valid() && cfg.prior_topk > 0;
+  // Only the edges neighborhood consults a prior; on the heuristic structure
+  // it would silently do nothing.
+  if (prior_active && cfg.structure == SpaceStructure::Heuristic)
+    fail("runSearch: a prior with prior_topk > 0 needs the edges structure");
   EvalCache local_cache;
   EvalCache* cache =
       shared_cache ? shared_cache : (cfg.use_cache ? &local_cache : nullptr);
@@ -619,17 +615,21 @@ SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
     if (cfg.trace_programs) b.integer("prior_schema", kPriorSchemaVersion);
     cfg.telemetry->emit(b);
   }
-  if (cfg.structure == SpaceStructure::Edges) {
+  Rng rng(cfg.seed);
+  const double kernel_rt = ev.cost(kernel);
+  tr.record(kernel_rt, [&]() -> const ir::Program& { return kernel; });
+  const Run run{kernel, kernel_rt, m, cfg, ev, tr};
+  auto search = [&](auto&& space) {
     if (cfg.method == SearchMethod::RandomSampling)
-      randomSamplingEdges(kernel, m, cfg, ev, tr);
+      sample(space, run, rng);
     else
-      annealingEdges(kernel, m, cfg, ev, tr);
-  } else {
-    if (cfg.method == SearchMethod::RandomSampling)
-      randomSamplingHeuristic(kernel, m, cfg, ev, tr);
-    else
-      annealingHeuristic(kernel, m, cfg, ev, tr);
-  }
+      anneal(space, run, rng);
+  };
+  if (cfg.structure == SpaceStructure::Edges)
+    search(EdgesNeighborhood(run));
+  else
+    search(HeuristicNeighborhood(run));
+  if (!tr.exhausted()) tr.reason = TerminationReason::Stall;
   SearchResult r;
   r.best = std::move(tr.best);
   r.best_runtime = tr.best_runtime;
@@ -639,10 +639,7 @@ SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
   ev.fillStats(r.stats);
   r.stats.nonfinite_rejected = tr.nonfinite;
   // Co-evolution diagnostics: how the prior's predictions fared against the
-  // exact prices it let through. Only the edges drivers consult the gate.
-  const bool prior_active = cfg.prior != nullptr && cfg.prior->valid() &&
-                            cfg.prior_topk > 0 &&
-                            cfg.structure == SpaceStructure::Edges;
+  // exact prices it let through.
   r.stats.prior_filtered = tr.prior_filtered;
   r.stats.prior_kept = static_cast<std::int64_t>(tr.prior_pred.size());
   if (!tr.prior_pred.empty()) {

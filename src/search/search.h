@@ -61,12 +61,12 @@ struct SearchConfig {
   /// so this changes wall-clock and raw machine-eval counts, never results.
   bool use_cache = true;
   /// Optional learned cost-model prior (search/prior.h) for the edges
-  /// structure: each state's neighbor set is scored from canonical text and
-  /// only the prior_topk best-predicted neighbors stay drawable; the rest
-  /// are skipped before any exact pricing and counted in
-  /// SearchStats::prior_filtered. Decisions are still made exclusively on
-  /// exact costs — the prior chooses what gets priced, never what a price
-  /// is. nullptr = no prior (the CLI's --no-prior).
+  /// structure; runSearch throws Error for an active one (valid, topk > 0)
+  /// on the heuristic structure. Each state's neighbors are scored from
+  /// canonical text and only the prior_topk best-predicted stay drawable;
+  /// the rest are skipped before any exact pricing and counted in
+  /// SearchStats::prior_filtered. The prior chooses what gets priced, never
+  /// what a price is. nullptr = no prior (the CLI's --no-prior).
   const PriorModel* prior = nullptr;
   /// Neighbors kept per state by the prior filter. 0 spells "all": the
   /// prior scores nothing, the draw stream is untouched, and traces are

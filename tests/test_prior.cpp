@@ -392,5 +392,30 @@ TEST(Prior, ActiveTopkFiltersAndReportsCoEvolutionStats) {
   EXPECT_LE(r.best_runtime, m.evaluate(kernel));
 }
 
+TEST(Prior, ActivePriorOnHeuristicStructureIsRefused) {
+  // The heuristic structure never consults the prior, so a library caller
+  // that asks for one there gets an error instead of an inert filter. A
+  // prior at topk=all, or no prior, still runs on either structure.
+  const auto& m = machines::xeon();
+  const auto kernel = kernels::makeSoftmax(48, 24);
+  const PriorModel prior = trainFromSearch(kernel, m);
+  ASSERT_TRUE(prior.valid());
+  for (const auto method :
+       {SearchMethod::RandomSampling, SearchMethod::SimulatedAnnealing}) {
+    SearchConfig cfg;
+    cfg.method = method;
+    cfg.structure = SpaceStructure::Heuristic;
+    cfg.budget = 20;
+    cfg.prior = &prior;
+    cfg.prior_topk = 6;
+    EXPECT_THROW(search::runSearch(kernel, m, cfg), Error);
+    cfg.prior_topk = search::kPriorTopkAll;
+    EXPECT_EQ(search::runSearch(kernel, m, cfg).evals, cfg.budget);
+    cfg.prior_topk = 6;
+    cfg.structure = SpaceStructure::Edges;
+    EXPECT_EQ(search::runSearch(kernel, m, cfg).evals, cfg.budget);
+  }
+}
+
 }  // namespace
 }  // namespace perfdojo

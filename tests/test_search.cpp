@@ -222,6 +222,24 @@ TEST(Search, TerminatesOnActionStarvedPrograms) {
   }
 }
 
+TEST(Search, ZeroMaxStepsStillSpendsTheBudget) {
+  // max_steps = 0 must not trap the edges annealer restarting at the kernel
+  // without pricing anything: a walk restarts only after an accepted move,
+  // so every method spends its budget.
+  SearchConfig cfg;
+  cfg.budget = 60;
+  cfg.max_steps = 0;
+  for (auto method : {SearchMethod::RandomSampling, SearchMethod::SimulatedAnnealing}) {
+    for (auto structure : {SpaceStructure::Edges, SpaceStructure::Heuristic}) {
+      cfg.method = method;
+      cfg.structure = structure;
+      const auto r = runSearch(kernels::makeSoftmax(48, 24), machines::xeon(), cfg);
+      EXPECT_EQ(r.evals, cfg.budget)
+          << searchMethodName(method) << "/" << spaceStructureName(structure);
+    }
+  }
+}
+
 TEST(Search, ExpertSuggestionIsApplicable) {
   const auto p = kernels::makeDot(64);
   Rng rng(4);
