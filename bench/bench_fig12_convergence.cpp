@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench_util.h"
 #include "kernels/kernels.h"
@@ -125,6 +126,13 @@ PriorMeasurement measurePrior(const ir::Program& kernel,
   return pm;
 }
 
+/// A number as priorJson prints it (the stream's default precision).
+std::string printedNumber(double v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
 std::string priorJson(const PriorMeasurement& pm) {
   std::ostringstream os;
   os << "{\"budget\":" << kPriorBudget << ",\"topk\":" << kPriorTopk
@@ -180,6 +188,24 @@ int checkPrior(const PriorMeasurement& pm, const std::string& baseline_path) {
     std::fprintf(stderr, "FAIL: prior final cost worse than no-prior: "
                  "%.6g > %.6g\n", pm.prior_final, pm.noprior_final);
     return 1;
+  }
+  // The gate's hit rate and rank correlation are bit-deterministic (fixed
+  // seeds, analytic model), so each must print exactly as recorded: any
+  // drift in what the prior keeps fails here instead of passing unnoticed.
+  for (const auto& [key, measured] :
+       {std::pair<const char*, double>{"hit_rate", pm.hit_rate},
+        std::pair<const char*, double>{"rank_corr", pm.rank_corr}}) {
+    const JsonValue* want = doc.find(key);
+    const std::string got = printedNumber(measured);
+    const std::string recorded =
+        want && want->kind == JsonValue::Kind::Number ? printedNumber(want->num)
+                                                      : "(missing)";
+    std::printf("check: %s %s vs baseline %s\n", key, got.c_str(),
+                recorded.c_str());
+    if (got != recorded) {
+      std::fprintf(stderr, "FAIL: prior %s drifted from the baseline\n", key);
+      return 1;
+    }
   }
   return 0;
 }

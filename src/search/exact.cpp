@@ -28,10 +28,12 @@ struct Entry {
   std::vector<Step> steps;
 };
 
-/// Expansion of one frontier entry, produced by workers: the materialized
-/// program, its applicable actions, and each child's canonical hash.
+/// Expansion of one frontier entry, produced by workers: a DeltaContext
+/// bound to the materialized program (its base() IS the entry's program),
+/// the program's applicable actions, and each child's canonical hash. The
+/// same context later prices the entry's admitted children in place.
 struct Expansion {
-  ir::Program program;
+  DeltaContext dctx;
   std::vector<Action> actions;
   std::vector<std::uint64_t> hashes;
 };
@@ -192,16 +194,16 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
          base += kChunk) {
       const std::size_t n = std::min(kChunk, frontier.size() - base);
       // Phase A (workers): re-materialize each chunk entry from its replay
-      // path, enumerate its actions, hash every child. Pure per-entry work.
+      // path into the entry's context, enumerate its actions, hash every
+      // child. Pure per-entry work.
       std::vector<Expansion> ex(n);
       auto expand = [&](std::size_t i) {
-        ex[i].program = replayOrThrow(kernel, frontier[base + i].steps);
-        ex[i].actions = transform::allActions(ex[i].program, caps);
-        ex[i].hashes.resize(ex[i].actions.size());
-        DeltaContext dctx;
-        dctx.bind(ex[i].program);
-        for (std::size_t j = 0; j < ex[i].actions.size(); ++j)
-          ex[i].hashes[j] = dctx.neighborHash(ex[i].actions[j]);
+        Expansion& e = ex[i];
+        e.dctx.bind(replayOrThrow(kernel, frontier[base + i].steps));
+        e.actions = transform::allActions(e.dctx.base(), caps);
+        e.hashes.resize(e.actions.size());
+        for (std::size_t j = 0; j < e.actions.size(); ++j)
+          e.hashes[j] = e.dctx.neighborHash(e.actions[j]);
       };
       if (workers)
         workers->forEach(n, expand);
@@ -227,19 +229,32 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
           fresh.push_back({i, j, h, 0, 0});
         }
       }
-      // Phase C (workers): price the admitted children. Costs are pure
+      // Phase C (workers): price the admitted children in place. `fresh`
+      // is in (entry, action) order, so each entry's children form one
+      // contiguous run, priced through that entry's context: apply on its
+      // scratch tree, evaluate and bound the live tree, undo. One task per
+      // run, so no context is shared between threads. Costs are pure
       // functions of the program, so order of computation is irrelevant.
-      auto price = [&](std::size_t fi) {
-        Fresh& f = fresh[fi];
-        const ir::Program child =
-            ex[f.entry].actions[f.action].apply(ex[f.entry].program);
-        f.cost = m.evaluate(child);
-        f.lower = cfg.prune ? m.lowerBound(child) : 0.0;
+      std::vector<std::size_t> runs;  // first child of each run, then the end
+      for (std::size_t fi = 0; fi < fresh.size(); ++fi)
+        if (fi == 0 || fresh[fi].entry != fresh[fi - 1].entry)
+          runs.push_back(fi);
+      runs.push_back(fresh.size());
+      auto price = [&](std::size_t run) {
+        for (std::size_t fi = runs[run]; fi < runs[run + 1]; ++fi) {
+          Fresh& f = fresh[fi];
+          Expansion& e = ex[f.entry];
+          e.dctx.neighborVisit(
+              e.actions[f.action], [&](std::uint64_t, const ir::Program& child) {
+                f.cost = m.evaluate(child);
+                f.lower = cfg.prune ? m.lowerBound(child) : 0.0;
+              });
+        }
       };
       if (workers)
-        workers->forEach(fresh.size(), price);
+        workers->forEach(runs.size() - 1, price);
       else
-        for (std::size_t fi = 0; fi < fresh.size(); ++fi) price(fi);
+        for (std::size_t run = 0; run + 1 < runs.size(); ++run) price(run);
       r.machine_evals += static_cast<std::int64_t>(fresh.size());
       // Phase D (serial): best-update then prune, again in admission order.
       // The bound is admissible for the child AND all its descendants, so a

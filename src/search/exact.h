@@ -7,8 +7,9 @@
 // path (transform::Step sequence) that reaches it from the kernel — programs
 // are re-materialized per expansion by replaying that path instead of being
 // held resident, so memory stays O(frontier), not O(frontier * tree).
-// States are deduped by the incremental canonical hash (bit-exact), child
-// hashes are priced incrementally through DeltaContext, and subtrees are
+// States are deduped by the incremental canonical hash (bit-exact), each
+// entry's children are hashed and then priced in place through the
+// entry's DeltaContext (no per-child copy), and subtrees are
 // pruned by Machine::lowerBound — an admissible per-model floor that
 // provably never exceeds evaluate() for the state or any of its descendants.
 //

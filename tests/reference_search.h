@@ -156,20 +156,24 @@ inline Run randomSamplingEdges(const ir::Program& kernel,
 struct Ball {
   std::int64_t states = 0;  // distinct programs in the ball, root included
   double optimum = 0;       // cheapest finite cost among them
+  std::vector<std::uint64_t> hashes;  // their canonical hashes, root first
 };
 
 inline Ball exactBall(const ir::Program& kernel, const machines::Machine& m,
                       int depth) {
   Ball b;
   b.optimum = m.evaluate(kernel);
-  std::unordered_set<std::uint64_t> visited = {ir::canonicalHash(kernel)};
+  b.hashes = {ir::canonicalHash(kernel)};
+  std::unordered_set<std::uint64_t> visited = {b.hashes.front()};
   std::vector<ir::Program> frontier = {kernel};
   for (int level = 0; level < depth; ++level) {
     std::vector<ir::Program> next;
     for (const auto& p : frontier) {
       for (const auto& a : transform::allActions(p, m.caps())) {
         ir::Program q = a.apply(p);
-        if (!visited.insert(ir::canonicalHash(q)).second) continue;
+        const std::uint64_t h = ir::canonicalHash(q);
+        if (!visited.insert(h).second) continue;
+        b.hashes.push_back(h);
         const double cost = m.evaluate(q);
         if (std::isfinite(cost) && cost >= 0 && cost < b.optimum)
           b.optimum = cost;

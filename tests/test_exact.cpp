@@ -3,11 +3,14 @@
 // the proven optimum (the Fig. 7 quality gate), Machine::lowerBound is
 // admissible along random trajectories, pruning and dedup never change the
 // optimum, and certificates are bit-identical across thread counts and match
-// a reference enumeration that hashes children by full render.
+// a reference enumeration that hashes children by full render. The model is
+// handed exactly the admitted children, each a valid program.
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -328,6 +331,116 @@ TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndDelta) {
     EXPECT_EQ(r.machine_evals, ref.machine_evals);
     EXPECT_TRUE(ir::canonicallyEqual(r.best, ref.best));
     EXPECT_EQ(stripField(sink.buffered(), "wall_ms"), ref_trace);
+  }
+}
+
+/// A machine's cost model that records the canonical hash of every program
+/// handed to evaluate() and lowerBound(), and counts the ones that fail
+/// Program::validate. Workers price concurrently, so the record is guarded.
+class PriceRecordingMachine final : public machines::Machine {
+ public:
+  struct Record {
+    std::vector<std::uint64_t> evaluated, bounded;
+    int invalid = 0;
+  };
+
+  explicit PriceRecordingMachine(const machines::Machine& inner)
+      : inner_(inner) {}
+  const std::string& name() const override { return inner_.name(); }
+  const transform::MachineCaps& caps() const override { return inner_.caps(); }
+  double evaluate(const ir::Program& p) const override {
+    record(p, &Record::evaluated);
+    return inner_.evaluate(p);
+  }
+  double lowerBound(const ir::Program& p) const override {
+    record(p, &Record::bounded);
+    return inner_.lowerBound(p);
+  }
+  machines::CostBreakdown evaluateDetailed(
+      const ir::Program& p) const override {
+    return inner_.evaluateDetailed(p);
+  }
+  double peakTime(const ir::Program& p) const override {
+    return inner_.peakTime(p);
+  }
+
+  Record take() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return std::exchange(rec_, {});
+  }
+
+ private:
+  void record(const ir::Program& p,
+              std::vector<std::uint64_t> Record::*into) const {
+    const std::uint64_t h = ir::canonicalHash(p);
+    bool valid = true;
+    try {
+      p.validate();
+    } catch (const Error&) {
+      valid = false;
+    }
+    std::lock_guard<std::mutex> lk(mu_);
+    (rec_.*into).push_back(h);
+    if (!valid) ++rec_.invalid;
+  }
+
+  const machines::Machine& inner_;
+  mutable std::mutex mu_;
+  mutable Record rec_;
+};
+
+TEST(Frontier, PricesExactlyTheAdmittedChildren) {
+  // Each admitted child is priced in place on its entry's DeltaContext
+  // scratch tree. The model must be handed exactly the admitted children,
+  // each once and each a valid program: unpruned, the evaluated hashes after
+  // the root's base price are the reference ball minus the root; pruned,
+  // the bounded hashes are the evaluated ones. A missed undo or a stale
+  // scratch tree hands the model some other program, and the hashes stop
+  // matching.
+  for (const char* kernel : {"mul", "relu", "reducemean"}) {
+    const auto* k = kernels::findKernel(kernel);
+    ASSERT_NE(k, nullptr);
+    const ir::Program p = k->build_small();
+    for (const auto* inner :
+         {&machines::snitch(), &machines::xeon(), &machines::gh200()}) {
+      const auto ball = reference::exactBall(p, *inner, 2);
+      std::vector<std::uint64_t> children(ball.hashes.begin() + 1,
+                                          ball.hashes.end());
+      std::sort(children.begin(), children.end());
+      // The root's base price comes first; the rest are the children priced.
+      auto pricedChildren = [&](std::vector<std::uint64_t> evaluated) {
+        EXPECT_FALSE(evaluated.empty());
+        if (evaluated.empty()) return evaluated;
+        EXPECT_EQ(evaluated.front(), ball.hashes.front());
+        evaluated.erase(evaluated.begin());
+        std::sort(evaluated.begin(), evaluated.end());
+        return evaluated;
+      };
+      PriceRecordingMachine m(*inner);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << kernel << " on " << inner->name()
+                                          << " threads=" << threads);
+        ExactConfig cfg;
+        cfg.depth = 2;
+        cfg.threads = threads;
+        cfg.kernel_label = kernel;
+        cfg.prune = false;
+        runExact(p, m, cfg);
+        auto rec = m.take();
+        EXPECT_EQ(rec.invalid, 0);
+        EXPECT_TRUE(rec.bounded.empty());
+        EXPECT_EQ(pricedChildren(rec.evaluated), children);
+
+        cfg.prune = true;
+        runExact(p, m, cfg);
+        rec = m.take();
+        EXPECT_EQ(rec.invalid, 0);
+        EXPECT_FALSE(rec.bounded.empty());
+        std::sort(rec.bounded.begin(), rec.bounded.end());
+        EXPECT_EQ(rec.bounded, pricedChildren(rec.evaluated))
+            << "every admitted child is evaluated and bounded, once each";
+      }
+    }
   }
 }
 
