@@ -20,6 +20,15 @@
 // (`shared_index_speedup`) even where end-to-end wall is dominated by
 // pricing.
 //
+// A fourth leg, accept_after_visit, times search::DeltaContext::accept(a)
+// along the same trajectory two ways: right after neighborVisit(a), when the
+// visited move is still applied and is committed as it stands, and right
+// after neighborVisit(b) for some b != a, when the visit must be undone and
+// `a` applied afresh. Binding and visiting are not timed. An accept that
+// re-applied a move its pricing had just applied reads parity (1.0x), so the
+// gated ratio (`accept_after_visit_ratio`, same / other) pins the saved
+// apply and undo.
+//
 // What this gate means: end-to-end throughput on the in-tree analytic models
 // is dominated by neighbor enumeration and pricing, and the modern stack's
 // per-candidate pricing win (gated at >= 5x by bench_micro_hash) shows up
@@ -50,6 +59,7 @@
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
+#include "search/delta.h"
 #include "search/evalcache.h"
 #include "search/search.h"
 #include "support/rng.h"
@@ -149,6 +159,12 @@ struct Measurement {
   double enum_per_transform_ms = 0;
   /// Per-transform wall over shared wall of each rep, over both kernels.
   std::vector<double> enum_ratios;
+  // Accept leg: median wall of the accepts along the trajectory, right
+  // after a visit of the same action and right after a visit of another.
+  double accept_same_ms = 0;
+  double accept_other_ms = 0;
+  /// Same-action wall over other-action wall of each rep, over both kernels.
+  std::vector<double> accept_ratios;
   double modern_cps() const {
     return modern_ms > 0 ? 1e3 * static_cast<double>(candidates) / modern_ms
                          : 0;
@@ -167,6 +183,12 @@ struct Measurement {
   /// so their ratio cancels host noise slower than a rep.
   double enumSpeedup() const {
     return enum_ratios.empty() ? 0 : median(enum_ratios);
+  }
+  /// Accept-leg ratio: the median over reps of the wall of accepts that
+  /// commit the visited move over that of accepts that re-apply it. Lower is
+  /// better; 1.0 is parity.
+  double acceptRatio() const {
+    return accept_ratios.empty() ? 0 : median(accept_ratios);
   }
 };
 
@@ -219,6 +241,61 @@ double enumerationWall(const ir::Program& p0, bool shared,
     else timed([&] { perTransformIndexActions(p, caps, own); });
   }
   return std::chrono::duration<double, std::milli>(wall).count();
+}
+
+struct AcceptWalls {
+  double same_ms = 0;   // accept(a) right after neighborVisit(a)
+  double other_ms = 0;  // accept(a) right after neighborVisit(b), b != a
+};
+
+/// One pass of the accept leg along enumerationWall's trajectory: at each
+/// state, one context binds it and visits the trajectory's action `a`,
+/// another binds it and visits a different action `b`, and each then
+/// accepts `a`; only the accepts are timed. The side timed first alternates
+/// from step to step and, through `same_first`, from rep to rep. Exits 2 if
+/// the two contexts commit different programs.
+AcceptWalls acceptAfterVisitWalls(const ir::Program& p0, bool same_first) {
+  constexpr int kSteps = 64;
+  using Clock = std::chrono::steady_clock;
+  const auto& caps = machines::xeon().caps();
+  Clock::duration same_wall{}, other_wall{};
+  ir::Program p = p0;
+  Rng rng(13);
+  transform::ActionSet aset;
+  aset.bind(p, caps);
+  const std::vector<transform::Action>& actions = aset.actions();
+  search::DeltaContext same, other;
+  for (int step = 0; step < kSteps && !actions.empty(); ++step) {
+    const std::size_t ai = rng.uniform(actions.size());
+    const auto a = actions[ai];
+    if (actions.size() > 1) {
+      const auto b = actions[(ai + 1) % actions.size()];
+      auto side = [&](search::DeltaContext& c, const transform::Action& seen,
+                      Clock::duration& wall) {
+        c.bind(p);
+        c.neighborVisit(seen, nullptr);
+        const auto t0 = Clock::now();
+        c.accept(a);
+        wall += Clock::now() - t0;
+      };
+      if ((step % 2 == 0) == same_first) {
+        side(same, a, same_wall);
+        side(other, b, other_wall);
+      } else {
+        side(other, b, other_wall);
+        side(same, a, same_wall);
+      }
+      if (same.baseHash() != other.baseHash()) {
+        std::fprintf(stderr, "accept divergence at step %d\n", step);
+        std::exit(2);
+      }
+    }
+    ir::MutationSummary mut;
+    a.transform->applyInPlace(p, a.loc, &mut);
+    aset.update(p, mut);
+  }
+  using Ms = std::chrono::duration<double, std::milli>;
+  return {Ms(same_wall).count(), Ms(other_wall).count()};
 }
 
 Measurement measure() {
@@ -282,6 +359,18 @@ Measurement measure() {
     }
     mm.enum_shared_ms += median(shared_s);
     mm.enum_per_transform_ms += median(per_transform_s);
+
+    // Accept leg, rep 0 the warm-up again.
+    std::vector<double> same_s, other_s;
+    for (int rep = 0; rep <= kEnumReps; ++rep) {
+      const AcceptWalls w = acceptAfterVisitWalls(p, rep % 2 == 0);
+      if (rep == 0) continue;
+      same_s.push_back(w.same_ms);
+      other_s.push_back(w.other_ms);
+      mm.accept_ratios.push_back(w.same_ms / w.other_ms);
+    }
+    mm.accept_same_ms += median(same_s);
+    mm.accept_other_ms += median(other_s);
   }
   return mm;
 }
@@ -300,7 +389,10 @@ std::string toJson(const Measurement& m) {
      << ",\"enum_actions\":" << m.enum_actions
      << ",\"enum_shared_ms\":" << m.enum_shared_ms
      << ",\"enum_per_transform_ms\":" << m.enum_per_transform_ms
-     << ",\"shared_index_speedup\":" << m.enumSpeedup() << "}\n";
+     << ",\"shared_index_speedup\":" << m.enumSpeedup()
+     << ",\"accept_same_ms\":" << m.accept_same_ms
+     << ",\"accept_other_ms\":" << m.accept_other_ms
+     << ",\"accept_after_visit_ratio\":" << m.acceptRatio() << "}\n";
   return os.str();
 }
 
@@ -359,6 +451,27 @@ int check(const Measurement& m, const std::string& baseline_path) {
                  m.enumSpeedup(), floor);
     return 1;
   }
+  // The accept leg is a same-host ratio too. An accept that re-applied the
+  // move its visit had just applied reads parity (1.0x), so the ceiling
+  // sits halfway between parity and the checked-in ratio.
+  const double acc_base = doc.numberOr("accept_after_visit_ratio", 0);
+  if (acc_base <= 0 || acc_base >= 1.0) {
+    std::fprintf(stderr,
+                 "baseline %s lacks an accept_after_visit_ratio below 1\n",
+                 baseline_path.c_str());
+    return 1;
+  }
+  const double ceiling = 1.0 - 0.5 * (1.0 - acc_base);
+  std::printf("check: accept after visit %.2fx vs baseline %.2fx "
+              "(ceiling %.2fx)\n",
+              m.acceptRatio(), acc_base, ceiling);
+  if (m.acceptRatio() > ceiling) {
+    std::fprintf(stderr,
+                 "FAIL: accept after a visit of the same move regressed: "
+                 "%.2fx > %.2fx\n",
+                 m.acceptRatio(), ceiling);
+    return 1;
+  }
   return 0;
 }
 
@@ -384,6 +497,9 @@ int main(int argc, char** argv) {
                         m.enum_shared_ms
                   : 0,
               m.enumSpeedup());
+  std::printf("accept  %10.2f ms after a visit of the same move vs %10.2f ms "
+              "after another  %.2fx\n",
+              m.accept_same_ms, m.accept_other_ms, m.acceptRatio());
   const std::string json = perfdojo::toJson(m);
   std::ofstream(args.out) << json;
   std::printf("wrote %s: %s", args.out.c_str(), json.c_str());

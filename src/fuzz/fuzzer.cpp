@@ -59,8 +59,10 @@ OracleOptions restrictTo(const OracleOptions& opts, OracleLayer layer) {
 
 /// The arena-delta oracle: price the (base, action) pair through a
 /// DeltaContext and demand bit-identity with the full copy-based canonical
-/// hash of the applied result. `full_hash` is the caller's already-computed
-/// canonicalHash(action.apply(base)).
+/// hash of the applied result, then commit the same action while it is
+/// still applied from that visit and demand that the committed base hashes
+/// and renders to that value too. `full_hash` is the caller's
+/// already-computed canonicalHash(action.apply(base)).
 OracleReport checkArenaDelta(const ir::Program& base,
                              const transform::Action& a,
                              std::uint64_t full_hash,
@@ -68,23 +70,31 @@ OracleReport checkArenaDelta(const ir::Program& base,
   OracleReport r;
   search::DeltaContext dctx;
   dctx.bind(base);
-  std::uint64_t h = 0;
   std::string what;
   try {
-    h = dctx.neighborHash(a);
+    const std::uint64_t h = dctx.neighborVisit(a, nullptr);
+    if (h != full_hash) {
+      what = "delta hash " + std::to_string(h) +
+             " != full canonical hash " + std::to_string(full_hash);
+    } else {
+      dctx.accept(a);
+      if (dctx.baseHash() != full_hash)
+        what = "committed base hash " + std::to_string(dctx.baseHash()) +
+               " != full canonical hash " + std::to_string(full_hash);
+      else if (ir::canonicalHash(dctx.base()) != full_hash)
+        what = "committed base renders to hash " +
+               std::to_string(ir::canonicalHash(dctx.base())) +
+               " != full canonical hash " + std::to_string(full_hash);
+    }
   } catch (const Error& e) {
     // The copy-based apply succeeded (full_hash exists), so an in-place
     // refusal is a delta-pricing divergence, not an apply-layer finding.
-    what = std::string("neighborHash threw: ") + e.what();
+    what = std::string("delta context threw: ") + e.what();
   }
-  if (what.empty() && h == full_hash) return r;
+  if (what.empty()) return r;
   r.ok = false;
   r.layer = OracleLayer::ArenaDelta;
-  r.detail = "step " + std::to_string(step_index) + ": " +
-             (what.empty() ? "delta hash " + std::to_string(h) +
-                                 " != full canonical hash " +
-                                 std::to_string(full_hash)
-                           : what);
+  r.detail = "step " + std::to_string(step_index) + ": " + what;
   return r;
 }
 

@@ -20,10 +20,12 @@
 //                evaluation
 //   arena-delta — search::DeltaContext prices each walk step's (base,
 //                action) pair, which must agree bit-for-bit with
-//                ir::canonicalHash(action.apply(base)). A divergence means
-//                delta-hashed search would key the memo table wrong
-//                (checked by the fuzz walk and by runWitness during replay,
-//                like the apply layer)
+//                ir::canonicalHash(action.apply(base)), then commits the
+//                step while it is still applied from that pricing, and the
+//                committed base must hash and render to the same value. A
+//                divergence means delta-hashed search would key the memo
+//                table wrong or walk from a wrong state (checked by the fuzz
+//                walk and by runWitness during replay, like the apply layer)
 //   codegen    — compiled generateC() output agrees with the interpreter on
 //                the same random inputs (expensive: invokes the system C
 //                compiler; the fuzzer runs it on trajectory endpoints)

@@ -1,5 +1,7 @@
 #include "search/delta.h"
 
+#include <utility>
+
 #include "support/common.h"
 
 namespace perfdojo::search {
@@ -13,8 +15,9 @@ void indexNodes(const ir::Node& n, std::vector<const ir::Node*>& index) {
 
 }  // namespace
 
-void DeltaContext::bind(const ir::Program& base) {
-  base_ = base;
+void DeltaContext::bind(ir::Program base) {
+  pending_ = false;
+  base_ = std::move(base);
   scratch_ = base_;
   arena_.bind(base_);
   base_hash_ = arena_.hash();
@@ -23,64 +26,99 @@ void DeltaContext::bind(const ir::Program& base) {
   bound_ = true;
 }
 
-std::uint64_t DeltaContext::neighborHash(const transform::Action& a) {
-  return neighborVisit(a, nullptr);
+bool DeltaContext::pending(const transform::Action& a) const {
+  return pending_ && a.transform == pending_action_.transform &&
+         a.loc == pending_action_.loc;
+}
+
+void DeltaContext::resync() {
+  // Any throw in an undo/mutate/probe/visit sequence may leave scratch_
+  // partially mutated; resynchronize it so the context stays usable and
+  // the next neighbor hashes bit-exactly. The canonical form is only ever
+  // touched by accept(), which handles its own recovery.
+  pending_ = false;
+  scratch_ = base_;
+}
+
+void DeltaContext::applyNeighbor(const transform::Action& a) {
+  if (pending_) {
+    pending_ = false;
+    undo(pending_mut_);
+  }
+  // validate=false: the scratch program never escapes the context, and the
+  // action came from findApplicable on this very base.
+  a.transform->applyInPlace(scratch_, a.loc, &pending_mut_,
+                            /*validate=*/false);
+  pending_action_ = a;
+  pending_ = true;
+}
+
+void DeltaContext::visit(const transform::Action& a, const Visitor& fn) {
+  require(bound_, "DeltaContext: bind() a base program first");
+  try {
+    applyNeighbor(a);
+    // The scratch tree IS the candidate now, and stays it until the next
+    // call: the caller prices it in place.
+    if (fn) fn(scratch_);
+  } catch (...) {
+    resync();
+    throw;
+  }
 }
 
 std::uint64_t DeltaContext::neighborVisit(const transform::Action& a,
-                                          const NeighborVisitor& visit) {
+                                          const NeighborVisitor& fn) {
   require(bound_, "DeltaContext: bind() a base program first");
   ++stats_.neighbors_hashed;
-  ir::MutationSummary mut;
   try {
-    // validate=false: the scratch program is undone immediately and never
-    // escapes, and the action came from findApplicable on this very base.
-    a.transform->applyInPlace(scratch_, a.loc, &mut, /*validate=*/false);
-    if (mut.whole_tree) ++stats_.whole_tree_fallbacks;
+    applyNeighbor(a);
+    if (pending_mut_.whole_tree) ++stats_.whole_tree_fallbacks;
     // probe() hashes the mutated scratch against the base's read-only
-    // canonical form without committing anything, so the undo only has to
-    // restore the tree — the arena keeps describing the base throughout.
-    const std::uint64_t h = arena_.probe(scratch_, mut);
-    // The scratch tree IS the candidate right now; let the caller price it
-    // in place before the undo recycles its storage.
-    if (visit) visit(h, scratch_);
-    undo(mut);
+    // canonical form without committing anything, so the arena keeps
+    // describing the base while the neighbor stays applied.
+    const std::uint64_t h = arena_.probe(scratch_, pending_mut_);
+    if (fn) fn(h, scratch_);
     return h;
   } catch (...) {
-    // Any throw in the mutate/probe/undo sequence — not just the apply — may
-    // leave scratch_ partially mutated; resynchronize before propagating so
-    // the context stays usable and the next neighbor hashes bit-exactly.
-    // The canonical form was never touched, so it still renders the base.
-    scratch_ = base_;
+    resync();
     throw;
   }
+}
+
+std::uint64_t DeltaContext::neighborHash(const transform::Action& a) {
+  return neighborVisit(a, nullptr);
 }
 
 const ir::Program& DeltaContext::accept(const transform::Action& a,
                                         ir::MutationSummary* mut_out) {
   require(bound_, "DeltaContext: bind() a base program first");
-  ir::MutationSummary mut;
+  const bool in_place = pending(a);
   try {
-    // validate=false skips only the post-mutation structural validation (an
-    // O(program) walk with string rendering — the hot cost of an accepted
-    // move): applyInPlace still requires isApplicable on this exact base, so
-    // stale or forged locations throw either way, and transform-apply bugs
-    // are the apply/interp oracle layers' and the property suite's job, on
-    // every path including this one.
-    a.transform->applyInPlace(scratch_, a.loc, &mut, /*validate=*/false);
-    arena_.rebase(scratch_, mut);
-    foldIntoBase(mut);
+    // A visited neighbor that is the accepted move is committed as it
+    // stands. Otherwise the move is applied with validate=false, which skips
+    // only the post-mutation structural validation (an O(program) walk with
+    // string rendering — the hot cost of an accepted move): applyInPlace
+    // still requires isApplicable on this exact base, so stale or forged
+    // locations throw either way, and transform-apply bugs are the
+    // apply/interp oracle layers' and the property suite's job, on every
+    // path including this one.
+    if (!in_place) applyNeighbor(a);
+    pending_ = false;
+    arena_.rebase(scratch_, pending_mut_);
+    foldIntoBase(pending_mut_);
   } catch (...) {
-    // Any throw — in the apply, the arena's rebase or the fold's checks —
-    // may leave scratch_ and the canonical form part-way to the new state.
-    // base_ is untouched until the fold's checks pass, so resynchronize
-    // both to it; the context keeps describing the old base, usable.
-    scratch_ = base_;
+    // Any throw — in the undo, the apply, the arena's rebase or the fold's
+    // checks — may leave scratch_ and the canonical form part-way to the new
+    // state. base_ is untouched until the fold's checks pass, so
+    // resynchronize both to it; the context keeps describing the old base,
+    // usable.
+    resync();
     arena_.bind(base_);
     throw;
   }
   ++stats_.accepts;
-  if (mut_out) *mut_out = mut;
+  if (in_place) ++stats_.accepts_in_place;
+  if (mut_out) *mut_out = pending_mut_;
   base_hash_ = arena_.hash();
   base_index_.assign(base_.next_id, nullptr);
   indexNodes(base_.root, base_index_);

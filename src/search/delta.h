@@ -1,10 +1,15 @@
 // Delta-aware candidate generation: neighbors of a base program are treated
 // as (base, action) pairs. neighborHash() prices the pair's identity — the
 // canonical hash the memo table keys on — by mutating a scratch copy in
-// place, probing a read-only canonical form of the base, and undoing the
-// mutation by restoring only the reported-dirty subtrees. No tree copy is
-// made per neighbor: a cost model prices the live scratch tree inside
-// neighborVisit(), and an accepted move is committed in place by accept().
+// place and probing a read-only canonical form of the base. No tree copy is
+// made per neighbor: visit() hands the live scratch tree to a cost model,
+// and neighborVisit() is visit() plus the probe.
+//
+// A visited neighbor stays applied on the scratch tree until the next call
+// needs the base back: the next visit first undoes it by restoring only the
+// reported-dirty subtrees, while an accept() of that same action commits it
+// as it stands, with no undo and no second apply. A search that prices a
+// neighbor and then accepts it (most Metropolis steps) applies the move once.
 //
 // The canonical form is an ir::CanonicalArena: dense pre-order SoA
 // flattening with the canonical text in one contiguous slab. Probing splices
@@ -36,46 +41,55 @@ struct DeltaStats {
   std::int64_t whole_tree_fallbacks = 0;
   /// Accepted moves committed through accept().
   std::int64_t accepts = 0;
+  /// Of those, the accepts whose action was still applied from the last
+  /// visit and was committed as it stood (no undo, no second apply).
+  std::int64_t accepts_in_place = 0;
 };
 
 class DeltaContext {
  public:
   DeltaContext() = default;
 
-  /// Fixes the base program; copies it twice (base + scratch) and renders
-  /// its canonical form once. Amortized over every neighbor hashed from it.
-  void bind(const ir::Program& base);
+  /// Fixes the base program: takes it over, copies it once (the scratch
+  /// tree) and renders its canonical form once. Amortized over every
+  /// neighbor hashed from it. Drops any visited neighbor.
+  void bind(ir::Program base);
 
   bool bound() const { return bound_; }
   const ir::Program& base() const { return base_; }
   std::uint64_t baseHash() const { return base_hash_; }
 
-  /// Canonical hash of a.apply(base()) without performing the copy or the
-  /// validation: apply in place on the scratch tree, probe the base's
-  /// canonical form (read-only), undo. Throws if the action does not apply —
-  /// and on ANY throw (apply, probe, or an undo over a bad mutation report)
-  /// fully resynchronizes the scratch state, so the context stays usable and
-  /// the next neighborHash is bit-exact.
-  std::uint64_t neighborHash(const transform::Action& a);
+  /// Read-only visitor over a live neighbor, the mutated scratch tree.
+  using Visitor = std::function<void(const ir::Program&)>;
 
-  /// Read-only visitor over a live neighbor: (canonical hash, the mutated
-  /// scratch tree). The program reference is valid only for the duration of
-  /// the call — the undo that follows reuses its storage.
+  /// Applies `a` in place on the scratch tree (after undoing the neighbor
+  /// visited before, if any) and hands the tree to `fn`. The visited
+  /// program is content-identical to a.apply(base()), so a cost model
+  /// evaluated inside the visitor prices the candidate without a copy. The
+  /// neighbor stays applied afterwards: the program reference stays valid
+  /// until the next call on this context. Throws if the action does not
+  /// apply; on ANY throw (the undo of the previous neighbor, the apply, or
+  /// the visitor) the scratch tree is resynchronized to the base and no
+  /// neighbor is left applied, so the context stays usable.
+  void visit(const transform::Action& a, const Visitor& fn);
+
+  /// Visitor over a live neighbor that also receives its canonical hash.
   using NeighborVisitor =
       std::function<void(std::uint64_t, const ir::Program&)>;
 
-  /// neighborHash() that additionally hands the mutated scratch tree to
-  /// `visit` between the probe and the undo. The visited program is
-  /// content-identical to a.apply(base()) — so a cost model evaluated inside
-  /// the visitor prices the candidate without a second apply or a full base
-  /// copy. Same exception contract as neighborHash: any throw (including
-  /// from the visitor) resynchronizes the scratch state before propagating.
+  /// visit() plus a probe of the base's canonical form (read-only): returns
+  /// the canonical hash of a.apply(base()) and hands it to `fn` with the
+  /// tree. Same lifetime and exception contract as visit().
   std::uint64_t neighborVisit(const transform::Action& a,
-                              const NeighborVisitor& visit);
+                              const NeighborVisitor& fn);
+
+  /// neighborVisit() without a visitor.
+  std::uint64_t neighborHash(const transform::Action& a);
 
   /// Commits an accepted action: the context's base BECOMES a.apply(base()).
-  /// The mutation is applied (validated) in place on the scratch tree and
-  /// the canonical form is REBASED from the mutation summary — clean slabs
+  /// If `a` is the neighbor visited last it is committed as it stands;
+  /// otherwise that neighbor is undone and `a` applied in place. The
+  /// canonical form is then REBASED from the mutation summary — clean slabs
   /// and columns move, only dirty subtrees re-render — instead of being
   /// rebuilt from scratch, making acceptance O(dirty subtree) like pricing.
   /// The context afterwards is indistinguishable from a fresh bind of the
@@ -90,6 +104,13 @@ class DeltaContext {
   const DeltaStats& stats() const { return stats_; }
 
  private:
+  /// Undoes the pending neighbor, if any, then applies `a` in place on the
+  /// scratch tree and records it as the pending neighbor.
+  void applyNeighbor(const transform::Action& a);
+  /// Whether `a` is the neighbor still applied on the scratch tree.
+  bool pending(const transform::Action& a) const;
+  /// The recovery of every throw: scratch_ back to base_, nothing applied.
+  void resync();
   void undo(const ir::MutationSummary& mut);
   /// Folds the accepted mutation, already applied to scratch_ and rebased
   /// into the arena, into base_. Throws before touching base_ if the report
@@ -101,11 +122,16 @@ class DeltaContext {
   ir::Node* locateScratch(ir::NodeId id);
 
   ir::Program base_;
-  ir::Program scratch_;
+  ir::Program scratch_;  // base_, or base_ with the visited neighbor applied
   ir::CanonicalArena arena_;  // canonical form of base_
   /// NodeId -> node in base_ (dense, built at bind): O(1) undo sources.
   std::vector<const ir::Node*> base_index_;
   std::vector<ir::NodeId> chain_buf_;
+  /// The visited neighbor still applied on scratch_ and its mutation
+  /// summary; meaningful only while `pending_` is set.
+  transform::Action pending_action_;
+  ir::MutationSummary pending_mut_;
+  bool pending_ = false;
   std::uint64_t base_hash_ = 0;
   bool bound_ = false;
   DeltaStats stats_;

@@ -31,7 +31,8 @@ struct Entry {
 /// Expansion of one frontier entry, produced by workers: a DeltaContext
 /// bound to the materialized program (its base() IS the entry's program),
 /// the program's applicable actions, and each child's canonical hash. The
-/// same context later prices the entry's admitted children in place.
+/// same context later visits the entry's admitted children to price them
+/// in place, without hashing them a second time.
 struct Expansion {
   DeltaContext dctx;
   std::vector<Action> actions;
@@ -194,8 +195,8 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
          base += kChunk) {
       const std::size_t n = std::min(kChunk, frontier.size() - base);
       // Phase A (workers): re-materialize each chunk entry from its replay
-      // path into the entry's context, enumerate its actions, hash every
-      // child. Pure per-entry work.
+      // path and move it into the entry's context, enumerate its actions,
+      // hash every child. Pure per-entry work.
       std::vector<Expansion> ex(n);
       auto expand = [&](std::size_t i) {
         Expansion& e = ex[i];
@@ -231,8 +232,10 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
       }
       // Phase C (workers): price the admitted children in place. `fresh`
       // is in (entry, action) order, so each entry's children form one
-      // contiguous run, priced through that entry's context: apply on its
-      // scratch tree, evaluate and bound the live tree, undo. One task per
+      // contiguous run, priced through that entry's context: visit applies
+      // the child on its scratch tree (undoing the one before), and the live
+      // tree is evaluated and bounded. Phase A already hashed every child
+      // (`Fresh::hash`), so the visit does not probe again. One task per
       // run, so no context is shared between threads. Costs are pure
       // functions of the program, so order of computation is irrelevant.
       std::vector<std::size_t> runs;  // first child of each run, then the end
@@ -244,11 +247,10 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
         for (std::size_t fi = runs[run]; fi < runs[run + 1]; ++fi) {
           Fresh& f = fresh[fi];
           Expansion& e = ex[f.entry];
-          e.dctx.neighborVisit(
-              e.actions[f.action], [&](std::uint64_t, const ir::Program& child) {
-                f.cost = m.evaluate(child);
-                f.lower = cfg.prune ? m.lowerBound(child) : 0.0;
-              });
+          e.dctx.visit(e.actions[f.action], [&](const ir::Program& child) {
+            f.cost = m.evaluate(child);
+            f.lower = cfg.prune ? m.lowerBound(child) : 0.0;
+          });
         }
       };
       if (workers)

@@ -8,8 +8,9 @@
 // are re-materialized per expansion by replaying that path instead of being
 // held resident, so memory stays O(frontier), not O(frontier * tree).
 // States are deduped by the incremental canonical hash (bit-exact), each
-// entry's children are hashed and then priced in place through the
-// entry's DeltaContext (no per-child copy), and subtrees are
+// entry's children are hashed once and the admitted ones then priced in
+// place through the entry's DeltaContext (no per-child copy, no second
+// hash), and subtrees are
 // pruned by Machine::lowerBound — an admissible per-model floor that
 // provably never exceeds evaluate() for the state or any of its descendants.
 //

@@ -247,7 +247,8 @@ class PriorGate {
 
   /// Rescores for a new current state. Each neighbor is rendered in place on
   /// the scratch of `delta()`, a context bound to the state, which is asked
-  /// for only when the state is scored.
+  /// for only when the state is scored. Only the text is scored, so the
+  /// neighbor is visited, not probed for its hash.
   void rebind(const std::vector<Action>& actions,
               const std::function<DeltaContext&()>& delta) {
     scores_.clear();
@@ -258,9 +259,8 @@ class PriorGate {
     scores_.resize(actions.size());
     for (std::size_t i = 0; i < actions.size(); ++i) {
       std::string text;
-      dctx.neighborVisit(actions[i], [&](std::uint64_t, const ir::Program& q) {
-        text = ir::canonicalText(q);
-      });
+      dctx.visit(actions[i],
+                 [&](const ir::Program& q) { text = ir::canonicalText(q); });
       scores_[i] = prior_->predict(prior_->features(text));
     }
     allowed_ = PriorModel::topK(scores_, topk_);
@@ -315,8 +315,9 @@ enum class Proposal { Candidate, Retry, Stop };
 /// candidate is priced in place on a DeltaContext bound to the current state
 /// on first use (its hash is canonicalHash(a.apply(cur)) bit for bit) unless
 /// a sampling pool already had it built; an accepted move is committed in
-/// place. The ActionSet's list equals a fresh allActions. Each action's cost
-/// is memoized per state, so a re-draw costs a lookup, not a pricing.
+/// place, and one accepted right after its pricing is not applied again.
+/// The ActionSet's list equals a fresh allActions. Each action's cost is
+/// memoized per state, so a re-draw costs a lookup, not a pricing.
 class EdgesNeighborhood {
  public:
   using State = ir::Program;
@@ -381,8 +382,9 @@ class EdgesNeighborhood {
     return *std::exchange(built_, std::nullopt);
   }
 
-  /// DeltaContext::accept applies the move and rebases the canonical form
-  /// in place; the ActionSet then updates from the mutation summary.
+  /// DeltaContext::accept commits the move (as price() left it applied,
+  /// unless the price came from the memo) and rebases the canonical form in
+  /// place; the ActionSet then updates from the mutation summary.
   void accept(double rt) {
     ir::MutationSummary mut;
     cur_ = &delta().accept(action(), &mut);

@@ -12,6 +12,8 @@
 //
 // Suite names deliberately contain "ActionSet"/"Rebase" so the CI
 // ThreadSanitizer job's -R regex picks them up.
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "search/delta.h"
 #include "search/exact.h"
 #include "search/search.h"
+#include "support/common.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
 #include "transform/action_set.h"
@@ -207,6 +210,202 @@ TEST(Rebase, DeltaAcceptMatchesRebindOnBothBackends) {
   }
   EXPECT_EQ(dctx.stats().accepts, step);
   EXPECT_GT(step, 0);
+}
+
+void preOrderIds(const ir::Node& n, std::vector<ir::NodeId>& out) {
+  out.push_back(n.id);
+  for (const auto& c : n.children) preOrderIds(c, out);
+}
+
+/// Requires `got` to be indistinguishable from a context freshly bound to
+/// `want`: the same base (canonical text, node ids, id watermark, action
+/// list), the same hash, and the same hash for every neighbor.
+void expectMatchesFreshBind(DeltaContext& got, const ir::Program& want,
+                            const transform::MachineCaps& caps) {
+  DeltaContext fresh;
+  fresh.bind(want);
+  ASSERT_EQ(got.baseHash(), fresh.baseHash());
+  ASSERT_EQ(ir::canonicalText(got.base()), ir::canonicalText(want));
+  ASSERT_EQ(got.base().next_id, want.next_id);
+  std::vector<ir::NodeId> got_ids, want_ids;
+  preOrderIds(got.base().root, got_ids);
+  preOrderIds(want.root, want_ids);
+  ASSERT_EQ(got_ids, want_ids);
+  const auto actions = transform::allActions(want, caps);
+  const auto got_actions = transform::allActions(got.base(), caps);
+  ASSERT_EQ(got_actions.size(), actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i)
+    ASSERT_TRUE(got_actions[i].transform == actions[i].transform &&
+                got_actions[i].loc == actions[i].loc)
+        << actions[i].describe(want);
+  for (const auto& b : actions)
+    ASSERT_EQ(got.neighborHash(b), fresh.neighborHash(b)) << b.describe(want);
+}
+
+TEST(Rebase, AcceptAfterVisitMatchesFreshBind) {
+  // A visited neighbor stays applied on the context's scratch tree; accept()
+  // of that action commits it as it stands, and every other call first
+  // undoes it. Along seeded walks, each step runs one of these sequences
+  // and the context must then equal a fresh bind of a.apply(old base):
+  //   0: visit a -> accept a                 (committed in place)
+  //   1: visit a -> visit b -> accept a      (b undone, a applied again)
+  //   2: visit a, the visitor throws -> accept a
+  //   3: visit a -> bind the old base again -> accept a
+  //   4: visit a -> bind a.apply(old base)
+  // Odd walks visit through neighborVisit, even ones through visit. The
+  // neighbor hashes of each check leave a neighbor applied for the next
+  // step's sequence to undo.
+  int runs[5] = {};  // steps run per sequence kind
+  for (const auto& k : kernels::table3()) {
+    for (const auto* m :
+         {&machines::snitch(), &machines::xeon(), &machines::gh200()}) {
+      const auto& caps = m->caps();
+      for (const std::uint64_t seed : {5u, 23u}) {
+        SCOPED_TRACE(::testing::Message() << k.label << " on " << m->name()
+                                          << " seed " << seed);
+        Rng rng(seed);
+        ir::Program p = k.build();
+        DeltaContext dctx;
+        dctx.bind(p);
+        std::int64_t in_place = 0;
+        for (int step = 0; step < 10; ++step) {
+          const auto actions = transform::allActions(p, caps);
+          if (actions.empty()) break;
+          const std::size_t ai = rng.uniform(actions.size());
+          const auto& a = actions[ai];
+          const auto& b = actions[(ai + 1) % actions.size()];
+          const ir::Program next = a.apply(p);
+          auto visit = [&](const transform::Action& x,
+                           const DeltaContext::Visitor& fn) {
+            if (seed == 23u)
+              dctx.neighborVisit(x, [&](std::uint64_t, const ir::Program& q) {
+                if (fn) fn(q);
+              });
+            else
+              dctx.visit(x, fn);
+          };
+          SCOPED_TRACE(::testing::Message() << "step " << step << " kind "
+                                            << step % 5 << ": "
+                                            << a.describe(p));
+          switch (step % 5) {
+            case 0:
+              visit(a, [&](const ir::Program& q) {
+                ASSERT_TRUE(ir::canonicallyEqual(q, next));
+              });
+              dctx.accept(a);
+              ++in_place;
+              break;
+            case 1:
+              visit(a, nullptr);
+              visit(b, [&](const ir::Program& q) {
+                ASSERT_TRUE(ir::canonicallyEqual(q, b.apply(p)));
+              });
+              dctx.accept(a);
+              if (&b == &a) ++in_place;
+              break;
+            case 2:
+              EXPECT_THROW(visit(a, [](const ir::Program&) {
+                             fail("visitor threw");
+                           }),
+                           Error);
+              dctx.accept(a);
+              break;
+            case 3:
+              visit(a, nullptr);
+              dctx.bind(p);
+              dctx.accept(a);
+              break;
+            case 4:
+              visit(a, nullptr);
+              dctx.bind(next);
+              break;
+          }
+          expectMatchesFreshBind(dctx, next, caps);
+          if (::testing::Test::HasFatalFailure()) return;
+          ++runs[step % 5];
+          p = next;
+        }
+        EXPECT_EQ(dctx.stats().accepts_in_place, in_place);
+      }
+    }
+  }
+  for (int kind = 0; kind < 5; ++kind)
+    EXPECT_GT(runs[kind], 50) << "sequence kind " << kind;
+}
+
+TEST(Rebase, EdgesAnnealingCommitsMostAcceptsInPlace) {
+  // The edges annealer prices a drawn neighbor through neighborVisit and,
+  // when Metropolis accepts it, commits it through accept(): unless its
+  // price came from the per-state memo, that accept finds the move still
+  // applied. This loop is that annealing run — its trace must equal
+  // runSearch's — driven through one DeltaContext, whose counters must show
+  // exactly the accepts that followed a pricing committed in place, and
+  // those must be most of them.
+  const auto& m = machines::xeon();
+  for (const char* label : {"softmax", "layernorm_1"}) {
+    SCOPED_TRACE(label);
+    const ir::Program kernel = kernels::findKernel(label)->build();
+    SearchConfig cfg;
+    cfg.method = SearchMethod::SimulatedAnnealing;
+    cfg.structure = SpaceStructure::Edges;
+    cfg.budget = 400;
+    cfg.max_steps = 16;
+    cfg.seed = 7;
+    const auto want = runSearch(kernel, m, cfg);
+
+    Rng rng(cfg.seed);
+    std::vector<double> trace;
+    double best = std::numeric_limits<double>::infinity();
+    auto record = [&](double rt) {
+      if (std::isfinite(rt) && rt >= 0 && rt < best) best = rt;
+      trace.push_back(best);
+    };
+    const double base_rt = m.evaluate(kernel);
+    record(base_rt);
+    DeltaContext dctx;
+    dctx.bind(kernel);
+    double cur_rt = base_rt;
+    double temp = cfg.sa_t0;
+    int steps = 0;
+    std::int64_t accepts = 0, priced_accepts = 0;
+    auto actions = transform::allActions(dctx.base(), m.caps());
+    std::vector<double> memo(actions.size(), -1.0);
+    while (static_cast<int>(trace.size()) < cfg.budget) {
+      if (actions.empty() || steps >= cfg.max_steps) {
+        dctx.bind(kernel);
+        cur_rt = base_rt;
+        steps = 0;
+        actions = transform::allActions(dctx.base(), m.caps());
+        memo.assign(actions.size(), -1.0);
+        ASSERT_FALSE(actions.empty());
+        continue;
+      }
+      const std::size_t ai = rng.uniform(actions.size());
+      const bool memo_hit = memo[ai] >= 0;
+      if (!memo_hit)
+        dctx.neighborVisit(actions[ai], [&](std::uint64_t,
+                                            const ir::Program& q) {
+          memo[ai] = m.evaluate(q);
+        });
+      const double rt = memo[ai];
+      record(rt);
+      if (saAccept((rt - cur_rt) / base_rt, temp, rng)) {
+        dctx.accept(actions[ai]);
+        ++accepts;
+        if (!memo_hit) ++priced_accepts;
+        cur_rt = rt;
+        ++steps;
+        actions = transform::allActions(dctx.base(), m.caps());
+        memo.assign(actions.size(), -1.0);
+      }
+      temp *= cfg.sa_decay;
+    }
+    EXPECT_EQ(trace, want.trace);
+    EXPECT_EQ(best, want.best_runtime);
+    EXPECT_EQ(dctx.stats().accepts, accepts);
+    EXPECT_EQ(dctx.stats().accepts_in_place, priced_accepts);
+    EXPECT_GT(2 * dctx.stats().accepts_in_place, accepts);
+  }
 }
 
 TEST(ActionSet, SearchTracesBitIdenticalIndexOnOffAcrossThreads) {
