@@ -11,10 +11,6 @@ namespace perfdojo::ir {
 
 namespace {
 
-bool containsId(const std::vector<NodeId>& ids, NodeId id) {
-  return std::find(ids.begin(), ids.end(), id) != ids.end();
-}
-
 template <typename T>
 void appendRange(std::vector<T>& dst, const std::vector<T>& src,
                  std::size_t begin, std::size_t end) {
@@ -101,21 +97,22 @@ std::uint64_t CanonicalArena::fullRender(const Program& q) const {
   return fnv1a(text.data(), text.size());
 }
 
+std::int32_t CanonicalArena::dirtySlot(const Program& q,
+                                       const MutationSummary& mut) const {
+  if (!bound_ || mut.whole_tree || mut.dirty == q.root.id) return kRenderAll;
+  if (mut.dirty == kInvalidNode) return kCleanTree;
+  // A report naming a node the base never had violates the MutationSummary
+  // contract; the only always-correct answer is a full render.
+  const std::int32_t s = slotOf(mut.dirty);
+  return s < 0 ? kRenderAll : s;
+}
+
 void CanonicalArena::rebase(const Program& q, const MutationSummary& mut) {
-  if (!bound_ || mut.whole_tree || containsId(mut.dirty_scopes, q.root.id)) {
+  const std::int32_t dirty = dirtySlot(q, mut);
+  if (dirty == kRenderAll) {
     bind(q);
     return;
   }
-  dirty_slots_.clear();
-  for (NodeId id : mut.dirty_scopes) {
-    const std::int32_t s = slotOf(id);
-    if (s < 0) {
-      bind(q);
-      return;
-    }
-    dirty_slots_.push_back(static_cast<std::uint32_t>(s));
-  }
-  std::sort(dirty_slots_.begin(), dirty_slots_.end());
 
   // The bound columns become the read-only `old` side of the walk below,
   // which rebuilds cols_ in the spare storage of the previous rebase.
@@ -124,11 +121,6 @@ void CanonicalArena::rebase(const Program& q, const MutationSummary& mut) {
   bound_ = false;
   cols_.clear();
   chain_buf_.clear();
-
-  auto dirtyIn = [&](std::uint32_t begin, std::uint32_t end) {
-    auto it = std::lower_bound(dirty_slots_.begin(), dirty_slots_.end(), begin);
-    return it != dirty_slots_.end() && *it < end;
-  };
 
   // Bulk-copies a whole clean old subtree [ob, oe): every column entry moves
   // by a constant slot delta, every byte offset by a constant byte delta,
@@ -165,13 +157,12 @@ void CanonicalArena::rebase(const Program& q, const MutationSummary& mut) {
 
   auto walk = [&](auto&& self, const Node& n, std::int32_t parent,
                   int depth) -> void {
-    if (containsId(mut.dirty_scopes, n.id)) {
+    const std::int32_t os = old.slotOf(n.id);
+    if (os == dirty) {
       flatten(n, parent, depth);
       return;
     }
-    const std::int32_t os = old.slotOf(n.id);
-    if (os >= 0 && !dirtyIn(static_cast<std::uint32_t>(os),
-                            old.subtree_end[os])) {
+    if (os >= 0 && !old.encloses(os, dirty)) {
       copyBlock(static_cast<std::uint32_t>(os), old.subtree_end[os], parent);
       return;
     }
@@ -200,19 +191,8 @@ void CanonicalArena::rebase(const Program& q, const MutationSummary& mut) {
 
 std::uint64_t CanonicalArena::probe(const Program& q,
                                     const MutationSummary& mut) const {
-  if (!bound_ || mut.whole_tree || containsId(mut.dirty_scopes, q.root.id))
-    return fullRender(q);
-
-  // Resolve the dirty roots to base slots once; a report naming a node the
-  // base never had violates the MutationSummary contract, and the only
-  // always-correct answer is a full render.
-  dirty_slots_.clear();
-  for (NodeId id : mut.dirty_scopes) {
-    const std::int32_t s = slotOf(id);
-    if (s < 0) return fullRender(q);
-    dirty_slots_.push_back(static_cast<std::uint32_t>(s));
-  }
-  std::sort(dirty_slots_.begin(), dirty_slots_.end());
+  const std::int32_t dirty = dirtySlot(q, mut);
+  if (dirty == kRenderAll) return fullRender(q);
 
   std::uint64_t h;
   if (mut.buffers_changed) {
@@ -245,18 +225,14 @@ std::uint64_t CanonicalArena::probe(const Program& q,
       run_end = e;
     }
   };
-  // True iff any dirty root's slot lies inside the half-open slot interval.
-  auto dirtyIn = [&](std::uint32_t begin, std::uint32_t end) {
-    auto it = std::lower_bound(dirty_slots_.begin(), dirty_slots_.end(), begin);
-    return it != dirty_slots_.end() && *it < end;
-  };
   auto hashRendered = [&] {
     h = fnv1a(render_buf_.data(), render_buf_.size(), h);
   };
 
   chain_buf_.clear();
   auto walk = [&](auto&& self, const Node& n, int depth) -> void {
-    if (containsId(mut.dirty_scopes, n.id)) {
+    const std::int32_t slot = slotOf(n.id);
+    if (slot == dirty) {
       // Dirty root: the base bytes of this subtree are replaced by a fresh
       // render of the post-mutation subtree.
       flush();
@@ -265,7 +241,6 @@ std::uint64_t CanonicalArena::probe(const Program& q,
       hashRendered();
       return;
     }
-    const std::int32_t slot = slotOf(n.id);
     if (slot < 0) {
       // A clean node the base never had — outside the reported subtrees, so
       // the report is inadequate; render it fresh (always byte-correct) and
@@ -281,13 +256,12 @@ std::uint64_t CanonicalArena::probe(const Program& q,
       }
       return;
     }
-    const std::uint32_t end = cols_.subtree_end[slot];
-    if (!dirtyIn(static_cast<std::uint32_t>(slot), end)) {
+    if (!cols_.encloses(slot, dirty)) {
       // Clean subtree with no dirty root inside: by the MutationSummary
       // contract nothing in it was created, destroyed, moved or re-rendered,
       // so its slab bytes are the post-mutation bytes verbatim. One interval
       // extension covers the whole subtree — no descent.
-      extend(line_begin[slot], line_begin[end]);
+      extend(line_begin[slot], line_begin[cols_.subtree_end[slot]]);
       return;
     }
     // Own line clean, dirt strictly below: splice the line, descend.

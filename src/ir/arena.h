@@ -17,14 +17,16 @@
 //   * the canonical tree text lives in ONE contiguous slab, with per-slot
 //     byte offsets. Because slots are pre-order, the bytes of any subtree
 //     are one contiguous range: [line_begin(s), line_begin(subtree_end(s))).
-//   * probe() SPLICES instead of walking: clean regions between dirty
-//     subtrees are hashed as single fnv1a calls over slab byte ranges; each
-//     reported-dirty subtree of the mutated tree is rendered into a reused
-//     scratch buffer and hashed in one call. The walk visits only the
-//     ancestor spine of the dirty roots, never the clean interior. Once the
-//     scratch buffers have grown to size, a probe whose summary names dirty
-//     roots and leaves the buffers unchanged makes no allocation
-//     (tests/test_probe_alloc.cpp checks this).
+//   * probe() SPLICES instead of walking: a mutation report names at most
+//     one dirty root (ir::MutationSummary), resolved once to its base slot,
+//     so "is this subtree clean?" is one interval compare against that
+//     slot. Clean regions around the dirty subtree are hashed as single
+//     fnv1a calls over slab byte ranges; the dirty subtree of the mutated
+//     tree is rendered into a reused scratch buffer and hashed in one call.
+//     The walk visits only the ancestor spine of the dirty root, never the
+//     clean interior. Once the scratch buffers have grown to size, a probe
+//     whose summary names a dirty root and leaves the buffers unchanged
+//     makes no allocation (tests/test_probe_alloc.cpp checks this).
 //   * rebase() builds the new columns into a spare set kept from the
 //     previous rebase and swaps the two, so an accepted move reuses the
 //     storage of the one before.
@@ -77,17 +79,18 @@ class CanonicalArena {
 
   /// fnv1a(canonicalText(q)) for a program `q` mutated *away from* the bound
   /// one as described by `mut`, computed read-only: clean regions are hashed
-  /// straight from the slab, dirty subtrees are rendered into a reused
-  /// scratch string and hashed. Falls back to a full render for conservative summaries (or a
-  /// report naming nodes the arena has never seen).
+  /// straight from the slab, the dirty subtree is rendered into a reused
+  /// scratch string and hashed. Falls back to a full render for a
+  /// whole-tree summary (or a report naming a node the arena has never
+  /// seen).
   std::uint64_t probe(const Program& q, const MutationSummary& mut) const;
 
   /// Re-binds the arena IN PLACE to a program `q` mutated *away from* the
   /// bound one — the accepted-move path. Columns and slab bytes of clean
   /// subtrees are bulk-copied with slot/byte deltas (memory-bound, no
-  /// rendering); only the reported-dirty subtrees are re-rendered, exactly
-  /// the regions probe() would have rendered. Falls back to bind(q) on
-  /// conservative summaries. Afterwards the arena is indistinguishable from
+  /// rendering); only the reported-dirty subtree is re-rendered, exactly
+  /// the region probe() would have rendered. Falls back to bind(q) where
+  /// probe() renders in full. Afterwards the arena is indistinguishable from
   /// a fresh bind(q): hash(), text() and every accessor agree bit-for-bit
   /// (the property suite checks this column by column). Like bind(), a
   /// throw leaves the arena unbound.
@@ -143,6 +146,11 @@ class CanonicalArena {
     std::int32_t slotOf(NodeId id) const {
       return id < slot_of_id.size() ? slot_of_id[id] : -1;
     }
+    /// Whether slot `s` lies in the subtree rooted at `slot`: an interval
+    /// compare, false for a negative `s`.
+    bool encloses(std::int32_t slot, std::int32_t s) const {
+      return s >= slot && static_cast<std::uint32_t>(s) < subtree_end[slot];
+    }
     /// Empties every column, keeping its capacity.
     void clear();
     /// Appends the column entries of node `n` (its line not yet rendered;
@@ -152,6 +160,17 @@ class CanonicalArena {
     void finish(NodeId next_id);
   };
 
+  // dirtySlot() results that name no slot. kCleanTree equals slotOf() of an
+  // id the base never had, so probe() and rebase() render such a node's
+  // subtree fresh, like the dirty root's: always byte-correct.
+  static constexpr std::int32_t kCleanTree = -1;
+  static constexpr std::int32_t kRenderAll = -2;
+
+  /// What probe() and rebase() re-render for `mut`: the base slot of its
+  /// dirty root, kCleanTree for an untouched tree, or kRenderAll when only a
+  /// full render is correct (an unbound arena, a whole-tree report, the root
+  /// container, or a root the base never had).
+  std::int32_t dirtySlot(const Program& q, const MutationSummary& mut) const;
   std::uint64_t fullRender(const Program& q) const;
   /// Appends the subtree rooted at `n` to cols_, rendering every line.
   void flatten(const Node& n, std::int32_t parent, int depth);
@@ -163,12 +182,11 @@ class CanonicalArena {
   std::uint64_t hash_ = 0;
   bool bound_ = false;
 
-  // Reused scratch: rendered dirty lines, dirty slot list, iterator chains.
+  // Reused scratch: rendered dirty lines, iterator chains.
   // probe() is logically const; these make it allocation-free in steady
   // state. A CanonicalArena is not safe for concurrent probes — each thread
   // owns its own instance (matching DeltaContext's contract).
   mutable std::string render_buf_;
-  mutable std::vector<std::uint32_t> dirty_slots_;
   mutable std::vector<NodeId> chain_buf_;
 };
 

@@ -8,9 +8,14 @@ namespace perfdojo::search {
 
 namespace {
 
-void indexNodes(const ir::Node& n, std::vector<const ir::Node*>& index) {
-  if (n.id < index.size()) index[n.id] = &n;
-  for (const auto& c : n.children) indexNodes(c, index);
+/// Index of `n`'s child with id `id`, trying `hint` first;
+/// n.children.size() if there is none.
+std::size_t childIndex(const ir::Node& n, ir::NodeId id, std::size_t hint) {
+  const auto& c = n.children;
+  if (hint < c.size() && c[hint].id == id) return hint;
+  std::size_t i = 0;
+  while (i < c.size() && c[i].id != id) ++i;
+  return i;
 }
 
 }  // namespace
@@ -21,8 +26,6 @@ void DeltaContext::bind(ir::Program base) {
   scratch_ = base_;
   arena_.bind(base_);
   base_hash_ = arena_.hash();
-  base_index_.assign(base_.next_id, nullptr);
-  indexNodes(base_.root, base_index_);
   bound_ = true;
 }
 
@@ -43,7 +46,7 @@ void DeltaContext::resync() {
 void DeltaContext::applyNeighbor(const transform::Action& a) {
   if (pending_) {
     pending_ = false;
-    undo(pending_mut_);
+    copyDirty(pending_mut_, base_, scratch_);
   }
   // validate=false: the scratch program never escapes the context, and the
   // action came from findApplicable on this very base.
@@ -105,13 +108,14 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
     if (!in_place) applyNeighbor(a);
     pending_ = false;
     arena_.rebase(scratch_, pending_mut_);
-    foldIntoBase(pending_mut_);
+    // The arena now describes scratch_, the source of the copy.
+    copyDirty(pending_mut_, scratch_, base_);
   } catch (...) {
-    // Any throw — in the undo, the apply, the arena's rebase or the fold's
-    // checks — may leave scratch_ and the canonical form part-way to the new
-    // state. base_ is untouched until the fold's checks pass, so
-    // resynchronize both to it; the context keeps describing the old base,
-    // usable.
+    // Any throw — in the undo, the apply, the arena's rebase or the
+    // commit's copy — may leave scratch_ and the canonical form part-way to
+    // the new state. base_ is untouched until the copy has located both of
+    // its ends, so resynchronize both to it; the context keeps describing
+    // the old base, usable.
     resync();
     arena_.bind(base_);
     throw;
@@ -120,83 +124,43 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
   if (in_place) ++stats_.accepts_in_place;
   if (mut_out) *mut_out = pending_mut_;
   base_hash_ = arena_.hash();
-  base_index_.assign(base_.next_id, nullptr);
-  indexNodes(base_.root, base_index_);
   return base_;
 }
 
-void DeltaContext::foldIntoBase(const ir::MutationSummary& mut) {
-  // The undo in reverse: copy only the reported-dirty subtree instead of
-  // the whole program. Multi-root reports fall back to the full copy (roots
-  // may nest, and a prior fold would invalidate the base index entries
-  // under an outer root).
-  if (mut.whole_tree || mut.dirty_scopes.size() != 1) {
-    base_ = scratch_;
-    return;
-  }
-  const ir::NodeId id = mut.dirty_scopes.front();
-  ir::Node* dst = nullptr;
-  const ir::Node* src = nullptr;
-  if (id != scratch_.root.id) {
-    // The arena was just rebased, so its chains describe scratch_ (the
-    // NEW tree); the base index still describes the old base.
-    src = locateScratch(id);
-    dst = id < base_index_.size() ? const_cast<ir::Node*>(base_index_[id])
-                                  : nullptr;
-    require(dst != nullptr && src != nullptr,
-            "DeltaContext: dirty subtree " + std::to_string(id) +
-                " missing during accept (bad mutation report)");
-  }
-  if (mut.buffers_changed) base_.buffers = scratch_.buffers;
-  base_.next_id = scratch_.next_id;
-  if (dst)
-    *dst = *src;
-  else
-    base_.root = scratch_.root;
-}
-
-ir::Node* DeltaContext::locateScratch(ir::NodeId id) {
-  const std::int32_t slot = arena_.slotOf(id);
-  if (slot < 0) return nullptr;
-  // The arena's parent column gives the base ancestor chain; by the
-  // MutationSummary contract a dirty root's chain is unchanged in the
-  // mutated tree, so descending scratch_ by those ids lands on the node.
-  arena_.chainOf(static_cast<std::size_t>(slot), chain_buf_);
-  ir::Node* cur = &scratch_.root;
-  for (ir::NodeId cid : chain_buf_) {
-    ir::Node* next = nullptr;
-    for (auto& c : cur->children)
-      if (c.id == cid) {
-        next = &c;
-        break;
-      }
-    if (!next) return nullptr;
-    cur = next;
-  }
-  for (auto& c : cur->children)
-    if (c.id == id) return &c;
-  return nullptr;
-}
-
-void DeltaContext::undo(const ir::MutationSummary& mut) {
+void DeltaContext::copyDirty(const ir::MutationSummary& mut,
+                             const ir::Program& from, ir::Program& to) {
   if (mut.whole_tree) {
-    scratch_ = base_;
+    to = from;
     return;
   }
-  if (mut.buffers_changed) scratch_.buffers = base_.buffers;
-  scratch_.next_id = base_.next_id;  // watermark: ids past it never existed
-  for (ir::NodeId id : mut.dirty_scopes) {
-    if (id == scratch_.root.id) {
-      scratch_.root = base_.root;
-      continue;
+  const ir::Node* src = &from.root;
+  ir::Node* dst = &to.root;
+  if (mut.dirty != ir::kInvalidNode && mut.dirty != from.root.id) {
+    // The arena's parent column gives the dirty root's ancestor chain, which
+    // by the MutationSummary contract is the same in both trees: descend
+    // them in lockstep, trying each chain node in `to` at its position in
+    // `from`.
+    const std::int32_t slot = arena_.slotOf(mut.dirty);
+    bool found = slot >= 0;
+    if (found) {
+      arena_.chainOf(static_cast<std::size_t>(slot), chain_buf_);
+      chain_buf_.push_back(mut.dirty);
     }
-    const ir::Node* src = id < base_index_.size() ? base_index_[id] : nullptr;
-    ir::Node* dst = locateScratch(id);
-    require(dst != nullptr && src != nullptr,
-            "DeltaContext: dirty subtree " + std::to_string(id) +
-                " missing during undo (bad mutation report)");
-    *dst = *src;
+    for (std::size_t k = 0; found && k < chain_buf_.size(); ++k) {
+      const std::size_t i = childIndex(*src, chain_buf_[k], 0);
+      const std::size_t j = childIndex(*dst, chain_buf_[k], i);
+      found = i < src->children.size() && j < dst->children.size();
+      if (found) {
+        src = &src->children[i];
+        dst = &dst->children[j];
+      }
+    }
+    require(found, "DeltaContext: dirty subtree " + std::to_string(mut.dirty) +
+                       " missing (bad mutation report)");
   }
+  if (mut.buffers_changed) to.buffers = from.buffers;
+  to.next_id = from.next_id;  // watermark: ids past it never existed
+  if (mut.dirty != ir::kInvalidNode) *dst = *src;
 }
 
 }  // namespace perfdojo::search

@@ -6,17 +6,21 @@
 // and neighborVisit() is visit() plus the probe.
 //
 // A visited neighbor stays applied on the scratch tree until the next call
-// needs the base back: the next visit first undoes it by restoring only the
-// reported-dirty subtrees, while an accept() of that same action commits it
-// as it stands, with no undo and no second apply. A search that prices a
-// neighbor and then accepts it (most Metropolis steps) applies the move once.
+// needs the base back: the next visit first undoes it by copying the one
+// reported-dirty subtree back from the base, while an accept() of that same
+// action commits it as it stands, with no undo and no second apply. A search
+// that prices a neighbor and then accepts it (most Metropolis steps) applies
+// the move once.
 //
 // The canonical form is an ir::CanonicalArena: dense pre-order SoA
 // flattening with the canonical text in one contiguous slab. Probing splices
-// — clean byte ranges hash in single FNV calls, undo looks nodes up through
-// the arena's NodeId->slot index and parent chains instead of O(n) tree
-// searches, and the id watermark (`next_id`) resets in O(1). Accepting
-// rebases the arena in place from the mutation summary.
+// — clean byte ranges hash in single FNV calls — and accepting rebases the
+// arena in place from the mutation summary. Undo and commit are one copy in
+// opposite directions: the dirty root is found in both trees by one lockstep
+// descent along the arena's parent chain, and the id watermark (`next_id`)
+// resets in O(1). A header-only mutation copies only the buffers. Neither
+// undo nor commit walks or copies the tree outside the dirty root's chain
+// and subtree unless the mutation report is whole-tree.
 //
 // Hashes are bit-identical to ir::canonicalHash(action.apply(base)) — the
 // property suite and the fuzzer's arena-delta oracle layer enforce this — so
@@ -90,8 +94,8 @@ class DeltaContext {
   /// If `a` is the neighbor visited last it is committed as it stands;
   /// otherwise that neighbor is undone and `a` applied in place. The
   /// canonical form is then REBASED from the mutation summary — clean slabs
-  /// and columns move, only dirty subtrees re-render — instead of being
-  /// rebuilt from scratch, making acceptance O(dirty subtree) like pricing.
+  /// and columns move, only the dirty subtree re-renders — instead of being
+  /// rebuilt from scratch, and the same subtree is copied into the base.
   /// The context afterwards is indistinguishable from a fresh bind of the
   /// new base (bit-identical hashes). Throws if the action does not apply
   /// or the new base does not render; the context then still describes the
@@ -111,21 +115,19 @@ class DeltaContext {
   bool pending(const transform::Action& a) const;
   /// The recovery of every throw: scratch_ back to base_, nothing applied.
   void resync();
-  void undo(const ir::MutationSummary& mut);
-  /// Folds the accepted mutation, already applied to scratch_ and rebased
-  /// into the arena, into base_. Throws before touching base_ if the report
-  /// names a subtree it cannot locate.
-  void foldIntoBase(const ir::MutationSummary& mut);
-  /// Finds the node with `id` in the scratch tree by walking the base
-  /// parent chain from the arena (O(depth * siblings), not O(n)); nullptr
-  /// if the mutation report broke the unchanged-ancestors contract.
-  ir::Node* locateScratch(ir::NodeId id);
+  /// Copies what `mut` reports changed from `from` into `to`, which holds
+  /// `from` before (the undo) or after (the commit) that mutation: the
+  /// buffers if they changed, the id watermark and the dirty subtree, or
+  /// the whole program for a whole-tree report. The arena must describe one
+  /// of the two trees. Both ends of the copy are located before anything is
+  /// written, so a report naming a root either tree lacks throws with `to`
+  /// untouched.
+  void copyDirty(const ir::MutationSummary& mut, const ir::Program& from,
+                 ir::Program& to);
 
   ir::Program base_;
   ir::Program scratch_;  // base_, or base_ with the visited neighbor applied
   ir::CanonicalArena arena_;  // canonical form of base_
-  /// NodeId -> node in base_ (dense, built at bind): O(1) undo sources.
-  std::vector<const ir::Node*> base_index_;
   std::vector<ir::NodeId> chain_buf_;
   /// The visited neighbor still applied on scratch_ and its mutation
   /// summary; meaningful only while `pending_` is set.

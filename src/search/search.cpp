@@ -384,7 +384,8 @@ class EdgesNeighborhood {
 
   /// DeltaContext::accept commits the move (as price() left it applied,
   /// unless the price came from the memo) and rebases the canonical form in
-  /// place; the ActionSet then updates from the mutation summary.
+  /// place; the ActionSet then enumerates the new base afresh (it reads
+  /// nothing of the mutation summary).
   void accept(double rt) {
     ir::MutationSummary mut;
     cur_ = &delta().accept(action(), &mut);

@@ -62,11 +62,16 @@ class ReportScope {
 
 /// Declares that every canonical-text change of this mutation lies inside
 /// the subtree rooted at `id` (which must exist, with an unchanged ancestor
-/// chain, both before and after the mutation).
+/// chain, both before and after the mutation). A summary holds one root: a
+/// second, different root degrades it to whole-tree, which is always correct.
 inline void reportDirtySubtree(ir::NodeId id) {
   if (detail::ReportCapture* r = detail::tl_report) {
     r->any = true;
-    r->out->dirty_scopes.push_back(id);
+    ir::MutationSummary& m = *r->out;
+    if (m.dirty == ir::kInvalidNode)
+      m.dirty = id;
+    else if (m.dirty != id)
+      m.whole_tree = true;
   }
 }
 

@@ -163,7 +163,7 @@ class DanglingIterForger : public transform::Transform {
     op->out.idx[0] = ir::IndexExpr::iter(9999);
     if (mut) {
       *mut = ir::MutationSummary::none();
-      mut->dirty_scopes = {loc.node};
+      mut->dirty = loc.node;
     }
   }
 };
@@ -194,6 +194,78 @@ TEST(ArenaDelta, ThrowingRebaseLeavesContextBitExact) {
       ASSERT_TRUE(ir::canonicallyEqual(dctx->accept(actions.front()), r));
       EXPECT_EQ(dctx->baseHash(), ir::canonicalHash(r));
       EXPECT_EQ(dctx->baseHash(), ir::CanonicalArena(r).hash());
+    }
+  }
+}
+
+/// A transform that appends an empty top-level scope and reports that new
+/// scope as its dirty root: a root the base does not have, which breaks the
+/// MutationSummary contract. The mutated tree itself renders fine.
+class NewRootForger : public transform::Transform {
+ public:
+  std::string name() const override { return "test_new_root"; }
+  using Transform::findApplicable;
+  std::vector<transform::Location> findApplicable(
+      const ir::ProgramIndex& ix, const transform::MachineCaps&) const override {
+    transform::Location l;
+    l.node = ix.program().root.id;
+    return {l};
+  }
+  ir::Program apply(const ir::Program& p,
+                    const transform::Location& loc) const override {
+    ir::Program q = p;
+    applyInPlace(q, loc, nullptr, true);
+    return q;
+  }
+  void applyInPlace(ir::Program& q, const transform::Location& loc,
+                    ir::MutationSummary* mut, bool) const override {
+    require(loc.node == q.root.id, "test_new_root: stale location");
+    const ir::NodeId id = q.freshId();
+    q.root.children.push_back(ir::Node::scope(id, 1));
+    if (mut) {
+      *mut = ir::MutationSummary::none();
+      mut->dirty = id;
+    }
+  }
+};
+
+TEST(ArenaDelta, MisreportedDirtyRootLeavesContextBitExact) {
+  // Undo and commit locate the reported root in both trees before they
+  // write anything. A root the base lacks must throw on the undo path (a
+  // visit after the forged one, or an accept of another action) and on the
+  // commit path (accepting the forged visit itself), and leave the context
+  // equal to a fresh bind of the old base.
+  const NewRootForger forger;
+  const auto& caps = machines::xeon().caps();
+  for (const auto& p : propertyCorpus()) {
+    DeltaContext fresh, rebased;
+    ASSERT_TRUE(bothBackends(p, fresh, rebased));
+    const ir::Program q = fresh.base();
+    const auto actions = transform::allActions(q, caps);
+    const transform::Action forged{&forger, forger.findApplicable(q, caps)[0]};
+    const transform::Action& other = actions.front();
+    DeltaContext reference;
+    reference.bind(q);
+    for (DeltaContext* dctx : {&fresh, &rebased}) {
+      SCOPED_TRACE(dctx == &fresh ? "bound context" : "rebased context");
+      auto expectOldBase = [&](const char* path) {
+        SCOPED_TRACE(path);
+        ASSERT_TRUE(ir::canonicallyEqual(dctx->base(), q));
+        EXPECT_EQ(dctx->base().next_id, q.next_id);
+        EXPECT_EQ(dctx->baseHash(), reference.baseHash());
+        for (const auto& a : actions)
+          ASSERT_EQ(dctx->neighborHash(a), reference.neighborHash(a))
+              << a.describe(q);
+      };
+      dctx->visit(forged, nullptr);
+      EXPECT_THROW(dctx->visit(other, nullptr), Error);
+      expectOldBase("visit after the forged visit");
+      dctx->visit(forged, nullptr);
+      EXPECT_THROW(dctx->accept(forged), Error);
+      expectOldBase("accept of the forged visit");
+      dctx->visit(forged, nullptr);
+      EXPECT_THROW(dctx->accept(other), Error);
+      expectOldBase("accept of another action after the forged visit");
     }
   }
 }

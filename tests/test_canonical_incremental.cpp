@@ -6,7 +6,7 @@
 // applicable transform (single-step exhaustive) and with seeded random
 // trajectories (multi-step, DeltaContext hash/undo and accept, History
 // push/undo),
-// plus the conservative-fallback and header-only paths.
+// plus the conservative-fallback, header-only and two-root paths.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,6 +22,7 @@
 #include "search/delta.h"
 #include "support/common.h"
 #include "support/rng.h"
+#include "transform/checked.h"
 #include "transform/history.h"
 #include "transform/transform.h"
 
@@ -97,6 +98,7 @@ TEST(CanonicalArena, EveryApplicableTransformSingleStep) {
   // single-step core of the tentpole invariant; anything reachable deeper is
   // covered statistically by the trajectory suite below.
   std::size_t checked = 0;
+  std::size_t shapes[3] = {};  // whole tree, header only, one root
   for (const auto& k : kernels::table3()) {
     const Program p = k.build_small();
     for (const auto* m : profileMachines()) {
@@ -104,9 +106,21 @@ TEST(CanonicalArena, EveryApplicableTransformSingleStep) {
         Program q = p;
         MutationSummary mut;
         a.transform->applyInPlace(q, a.loc, &mut);
-        expectProbeAndRebase(p, q, mut,
-                             k.label + " on " + m->name() + ": " +
-                                 a.describe(p));
+        const std::string what =
+            k.label + " on " + m->name() + ": " + a.describe(p);
+        expectProbeAndRebase(p, q, mut, what);
+        // The report shape each transform gives: a transform that started
+        // reporting two roots (degraded to whole-tree) would otherwise fall
+        // back to full renders unnoticed.
+        const std::string name = a.transform->name();
+        const bool header_only = name == "reuse_dims" ||
+                                 name == "materialize_dims" ||
+                                 name == "pad_dim" || name == "set_storage";
+        EXPECT_EQ(mut.whole_tree, name == "reorder_dims") << what;
+        if (!mut.whole_tree) {
+          EXPECT_EQ(mut.dirty == kInvalidNode, header_only) << what;
+        }
+        ++shapes[mut.whole_tree ? 0 : header_only ? 1 : 2];
         if (::testing::Test::HasFailure()) return;
         ++checked;
       }
@@ -114,6 +128,64 @@ TEST(CanonicalArena, EveryApplicableTransformSingleStep) {
   }
   // The cross product must actually exercise the library, not vacuously pass.
   EXPECT_GT(checked, 500u);
+  for (std::size_t n : shapes) EXPECT_GT(n, 0u);
+}
+
+/// A transform that rewrites two sibling scopes and reports each as a dirty
+/// root. A summary holds one root, so the second degrades it to whole-tree.
+class TwoRootDoubler : public transform::CheckedTransform {
+ public:
+  std::string name() const override { return "test_two_root_doubler"; }
+  using Transform::findApplicable;
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps&) const override {
+    std::vector<Location> locs;
+    const auto& top = ix.program().root.children;
+    for (std::size_t i = 0; i + 1 < top.size(); ++i)
+      if (top[i].isScope() && top[i + 1].isScope()) {
+        Location l;
+        l.node = top[i].id;
+        locs.push_back(l);
+      }
+    return locs;
+  }
+  bool isApplicable(const Program& p, const Location& loc) const override {
+    return pairAt(p, loc) < p.root.children.size();
+  }
+
+ protected:
+  void applyChecked(Program& q, const Location& loc) const override {
+    const std::size_t i = pairAt(q, loc);
+    for (Node* n : {&q.root.children[i], &q.root.children[i + 1]}) {
+      n->extent *= 2;  // not semantics-preserving; irrelevant for hashing
+      transform::reportDirtySubtree(n->id);
+    }
+  }
+
+ private:
+  /// Index of the top-level scope `loc` names if a scope follows it, else
+  /// the number of top-level nodes.
+  static std::size_t pairAt(const Program& p, const Location& loc) {
+    const auto& top = p.root.children;
+    for (std::size_t i = 0; i + 1 < top.size(); ++i)
+      if (top[i].id == loc.node && top[i].isScope() && top[i + 1].isScope())
+        return i;
+    return top.size();
+  }
+};
+
+TEST(CanonicalArena, SecondDirtyRootReportsWholeTree) {
+  const TwoRootDoubler t;
+  const Program p = kernels::makeSoftmax(4, 8);
+  const auto locs = t.findApplicable(p, machines::xeon().caps());
+  ASSERT_FALSE(locs.empty());
+  for (const auto& loc : locs) {
+    Program q = p;
+    MutationSummary mut = MutationSummary::none();
+    t.applyInPlace(q, loc, &mut, /*validate=*/false);
+    EXPECT_TRUE(mut.whole_tree);
+    expectProbeAndRebase(p, q, mut, t.name());
+  }
 }
 
 TEST(CanonicalArena, HeaderOnlyMutationsRehashWithoutTreeRender) {
@@ -129,7 +201,7 @@ TEST(CanonicalArena, HeaderOnlyMutationsRehashWithoutTreeRender) {
       t->applyInPlace(q, loc, &mut);
       EXPECT_FALSE(mut.whole_tree) << t->name();
       EXPECT_TRUE(mut.buffers_changed) << t->name();
-      EXPECT_TRUE(mut.dirty_scopes.empty()) << t->name();
+      EXPECT_EQ(mut.dirty, kInvalidNode) << t->name();
       expectProbeAndRebase(p, q, mut, t->name());
       exercised = true;
     }
@@ -187,7 +259,7 @@ TEST(CanonicalArena, FailedBindLeavesArenaUnbound) {
   Node* op = collectOps(bad.root).front();
   op->out.idx[0] = IndexExpr::iter(9999);
   MutationSummary mut = MutationSummary::none();
-  mut.dirty_scopes = {findParent(bad.root, op->id)->id};
+  mut.dirty = findParent(bad.root, op->id)->id;
 
   CanonicalArena bound(good);
   EXPECT_THROW(bound.bind(bad), Error);

@@ -72,10 +72,8 @@ TEST(ArenaProbeAllocations, SecondPassMakesNoAllocations) {
         Neighbor n{base, {}, a.describe(base)};
         a.transform->applyInPlace(n.program, a.loc, &n.mut, false);
         if (n.mut.whole_tree || n.mut.buffers_changed) continue;
-        bool root_dirty = false;
-        for (NodeId id : n.mut.dirty_scopes)
-          root_dirty |= id == n.program.root.id;
-        if (!root_dirty) neighbors.push_back(std::move(n));
+        if (n.mut.dirty != n.program.root.id)
+          neighbors.push_back(std::move(n));
       }
       ASSERT_FALSE(neighbors.empty());
 
