@@ -48,8 +48,8 @@ void DeltaContext::applyNeighbor(const transform::Action& a) {
     pending_ = false;
     copyDirty(pending_mut_, base_, scratch_);
   }
-  // validate=false: the scratch program never escapes the context, and the
-  // action came from findApplicable on this very base.
+  // validate=false skips only the post-mutation Program::validate;
+  // applyInPlace still checks isApplicable on this very base.
   a.transform->applyInPlace(scratch_, a.loc, &pending_mut_,
                             /*validate=*/false);
   pending_action_ = a;

@@ -155,8 +155,7 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
   require(cfg.depth >= 1, "exact tier: depth must be >= 1");
   require(cfg.max_states >= 1, "exact tier: max_states must be >= 1");
   const auto start = std::chrono::steady_clock::now();
-  ParallelEvaluator pool(cfg.threads == 0 ? 0 : cfg.threads);
-  ParallelEvaluator* workers = pool.threads() > 1 ? &pool : nullptr;
+  ParallelEvaluator pool(cfg.threads);
   const auto& caps = m.caps();
 
   ExactResult r;
@@ -206,10 +205,7 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
         for (std::size_t j = 0; j < e.actions.size(); ++j)
           e.hashes[j] = e.dctx.neighborHash(e.actions[j]);
       };
-      if (workers)
-        workers->forEach(n, expand);
-      else
-        for (std::size_t i = 0; i < n; ++i) expand(i);
+      pool.forEach(n, expand);
       expanded += static_cast<std::int64_t>(n);
       // Phase B (serial): dedup sweep in (entry, action) order against the
       // global visited set; the state budget is charged here, in the same
@@ -253,10 +249,7 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
           });
         }
       };
-      if (workers)
-        workers->forEach(runs.size() - 1, price);
-      else
-        for (std::size_t run = 0; run + 1 < runs.size(); ++run) price(run);
+      pool.forEach(runs.size() - 1, price);
       r.machine_evals += static_cast<std::int64_t>(fresh.size());
       // Phase D (serial): best-update then prune, again in admission order.
       // The bound is admissible for the child AND all its descendants, so a

@@ -1,7 +1,7 @@
 // Exact search tier: breadth-first exhaustive enumeration of the
-// transformation graph to a depth bound, with optimality certificates
-// (ROADMAP item 3; the percy-style canonical-DAG enumeration idea applied to
-// the PerfDojo transformation space).
+// transformation graph to a depth bound, with optimality certificates (the
+// percy-style canonical-DAG enumeration idea applied to the PerfDojo
+// transformation space).
 //
 // The frontier is compressed: a state is a canonical hash plus the replay
 // path (transform::Step sequence) that reaches it from the kernel — programs
@@ -41,7 +41,9 @@ struct ExactConfig {
   int depth = 3;                     // expand the full ball of this radius
   std::int64_t max_states = 200000;  // distinct-state budget (>= 1)
   /// Worker threads for expansion/pricing; 0 = hardware_concurrency,
-  /// 1 = fully serial. Results do not depend on this value.
+  /// 1 = fully serial. The pool starts at most one fewer worker than the
+  /// widest batch (a chunk: 128 entries), so a depth-1 run starts none.
+  /// Results do not depend on this value.
   int threads = 0;
   /// Lower-bound pruning: drop a frontier state when its admissible floor
   /// already meets the best cost found. Never changes the optimal cost
@@ -96,7 +98,7 @@ struct ExactResult {
   TerminationReason reason = TerminationReason::BudgetExhausted;
   ExactCertificate cert;
   std::int64_t machine_evals = 0;  // evaluate() calls (== states with dedup)
-  int threads_used = 1;
+  int threads_used = 1;  // ExactConfig::threads resolved (0 -> cores)
   double wall_ms = 0;
 };
 

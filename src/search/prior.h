@@ -1,4 +1,4 @@
-// Learned cost-model prior (ROADMAP item 2, K-Search-style world model).
+// Learned cost-model prior (a K-Search-style world model).
 //
 // A tiny MLP regressor over the hashed-n-gram program embedding
 // (rl::TextEmbedder) predicts the machine-model cost of a candidate from its

@@ -87,8 +87,12 @@ class Transform {
   /// Applies at `loc` by mutating `q`, filling `mut` (when non-null) with
   /// the mutation's footprint for incremental consumers (delta candidate
   /// hashing, the fuzzer's incremental-hash layer). `validate=false` skips
-  /// the O(n) Program::validate — only for callers that immediately undo the
-  /// mutation and never hand `q` onward. The base implementation falls back
+  /// only the O(n) Program::validate after the mutation: isApplicable is
+  /// still checked on `q` (a stale or forged location throws either way),
+  /// and the result may be kept — DeltaContext prices and commits it.
+  /// Correctness of the mutation itself is owned by the fuzzer's apply and
+  /// interpreter oracles and the property suite, on every path including
+  /// this one. The base implementation falls back
   /// to apply() with a conservative (whole-program) summary, so transforms
   /// that do not report stay correct, just not fast.
   ///

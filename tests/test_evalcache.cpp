@@ -3,7 +3,11 @@
 // thread to validate the locking discipline).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +104,94 @@ TEST(ParallelEvaluator, PropagatesWorkerExceptions) {
   std::atomic<int> n{0};
   pool.forEach(8, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 8);
+}
+
+TEST(ParallelEvaluator, GrowingBatchesTouchEachIndexOnce) {
+  // Workers start at the first batch that can use them, so the 64-index
+  // batch runs with one worker started for the 2-index batch before it and
+  // two started for itself, and the last batch with all three.
+  ParallelEvaluator pool(4);
+  for (std::size_t n : {2, 64, 3, 1, 0, 128}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    std::vector<std::atomic<int>> touched(n);
+    pool.forEach(n, [&](std::size_t i) { ++touched[i]; });
+    for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  }
+}
+
+TEST(ParallelEvaluator, BackToBackBatchesWithAThrowingOne) {
+  // The exact tier's steady state: short batches one after another, so the
+  // workers' poll and the caller's check-out wait overlap the next batch.
+  ParallelEvaluator pool(4);
+  constexpr int kBatches = 3000, kThrowing = 1777;
+  std::vector<std::atomic<int>> touched(9);
+  for (int b = 0; b < kBatches; ++b) {
+    const std::size_t n = 1 + static_cast<std::size_t>(b) % 9;
+    for (auto& t : touched) t = 0;
+    auto fn = [&](std::size_t i) {
+      ++touched[i];
+      if (b == kThrowing && i == n / 2) throw std::runtime_error("boom");
+    };
+    if (b == kThrowing) {
+      EXPECT_THROW(pool.forEach(n, fn), std::runtime_error);
+      continue;
+    }
+    pool.forEach(n, fn);
+    for (std::size_t i = 0; i < touched.size(); ++i)
+      ASSERT_EQ(touched[i].load(), i < n ? 1 : 0) << "batch " << b;
+  }
+}
+
+/// The process's thread count, from /proc/self/status.
+int processThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
+
+/// The thread count to compare a pool against. A sanitizer runtime starts a
+/// thread of its own at the first thread start, so one is started and
+/// joined first; and a joined thread can still be counted for a moment after
+/// join() returns, so the count is read until it holds still.
+int settledThreads() {
+  std::thread([] {}).join();
+  int n = processThreads();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int now = processThreads();
+    if (now == n) break;
+    n = now;
+  }
+  return n;
+}
+
+TEST(ParallelEvaluator, SmallBatchesRunOnTheCallerAndStartNoThread) {
+  const int before = settledThreads();
+  ParallelEvaluator pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran;
+  pool.forEach(0, [&](std::size_t) { ADD_FAILURE() << "empty batch ran"; });
+  pool.forEach(1, [&](std::size_t) { ran.push_back(std::this_thread::get_id()); });
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_EQ(ran[0], caller);
+  EXPECT_LE(processThreads(), before);
+}
+
+TEST(ParallelEvaluator, BatchStartsAtMostNMinusOneWorkers) {
+  // --threads accepts up to 4096, but no batch of the exact tier exceeds its
+  // chunk width, and a batch of n indices starts at most n - 1 workers.
+  const int before = settledThreads();
+  ParallelEvaluator pool(16);
+  EXPECT_EQ(pool.threads(), 16);
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<std::atomic<int>> touched(3);
+    pool.forEach(touched.size(), [&](std::size_t i) { ++touched[i]; });
+    for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+    EXPECT_LE(processThreads(), before + 2) << "rep " << rep;
+  }
 }
 
 TEST(EvalCache, ConcurrentInsertStress) {

@@ -4,11 +4,13 @@
 // admissible along random trajectories, pruning and dedup never change the
 // optimum, and certificates are bit-identical across thread counts and match
 // a reference enumeration that hashes children by full render. The model is
-// handed exactly the admitted children, each a valid program.
+// handed exactly the admitted children, each a valid program, and a model
+// that throws on a worker fails the run without poisoning the next one.
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -442,6 +444,78 @@ TEST(Frontier, PricesExactlyTheAdmittedChildren) {
       }
     }
   }
+}
+
+/// A machine's cost model whose evaluate() throws on one program, by
+/// canonical hash, until disarmed.
+class ThrowingMachine final : public machines::Machine {
+ public:
+  ThrowingMachine(const machines::Machine& inner, std::uint64_t target)
+      : inner_(inner), target_(target) {}
+  const std::string& name() const override { return inner_.name(); }
+  const transform::MachineCaps& caps() const override { return inner_.caps(); }
+  double evaluate(const ir::Program& p) const override {
+    if (armed_ && ir::canonicalHash(p) == target_)
+      throw std::runtime_error("injected evaluate failure");
+    return inner_.evaluate(p);
+  }
+  double lowerBound(const ir::Program& p) const override {
+    return inner_.lowerBound(p);
+  }
+  machines::CostBreakdown evaluateDetailed(
+      const ir::Program& p) const override {
+    return inner_.evaluateDetailed(p);
+  }
+  double peakTime(const ir::Program& p) const override {
+    return inner_.peakTime(p);
+  }
+  void disarm() { armed_ = false; }
+
+ private:
+  const machines::Machine& inner_;
+  const std::uint64_t target_;
+  bool armed_ = true;
+};
+
+TEST(Frontier, WorkerExceptionSurfacesFromRunExact) {
+  // A cost model that throws while the pool prices a level fails the run
+  // with that error once the batch drains, and leaves nothing behind: the
+  // same pair then reproduces its recorded certificate.
+  ExactCertificate want;
+  std::string err;
+  ASSERT_TRUE(parseCertificate(
+      readTextFile(std::string(PD_EXACT_BASELINE_DIR) + "/relu_xeon_d3.json"),
+      want, &err))
+      << err;
+  const auto* k = kernels::findKernel(want.kernel);
+  const auto* inner = machines::findMachine(want.machine);
+  ASSERT_NE(k, nullptr);
+  ASSERT_NE(inner, nullptr);
+  const ir::Program p = k->build_small();
+  ExactConfig cfg;
+  cfg.depth = want.depth;
+  cfg.threads = 1;
+  cfg.kernel_label = want.kernel;
+  // The failing child is the one priced halfway through a serial run: deep
+  // in the ball, where one pricing batch spans many frontier entries.
+  PriceRecordingMachine recorder(*inner);
+  runExact(p, recorder, cfg);
+  const auto evaluated = recorder.take().evaluated;
+  ASSERT_GT(evaluated.size(), 2u);
+
+  ThrowingMachine m(*inner, evaluated[evaluated.size() / 2]);
+  cfg.threads = 4;
+  try {
+    runExact(p, m, cfg);
+    ADD_FAILURE() << "runExact swallowed the evaluate failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "injected evaluate failure");
+  }
+  m.disarm();
+  auto r = runExact(p, m, cfg);
+  r.cert.sa_gate = want.sa_gate;
+  r.cert.heuristic_gate = want.heuristic_gate;
+  EXPECT_EQ(r.cert.toJson(), want.toJson());
 }
 
 TEST(Frontier, TelemetryCarriesBeginLevelsEnd) {
