@@ -12,7 +12,10 @@
 //
 // Suite names deliberately contain "ActionSet"/"Rebase" so the CI
 // ThreadSanitizer job's -R regex picks them up.
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -493,6 +496,108 @@ TEST(ActionSet, ExactCertificatesBitIdenticalIndexOnOffAcrossThreads) {
   EXPECT_EQ(r.cert.toJson(), serial.cert.toJson());
   EXPECT_EQ(r.best_cost, serial.best_cost);
   EXPECT_TRUE(ir::canonicallyEqual(r.best, serial.best));
+}
+
+/// One transform's share of the enumerations a golden sweep saw: how many
+/// locations it offered and an fnv1a chained over their describe() texts.
+struct ListFingerprint {
+  std::int64_t count = 0;
+  std::uint64_t hash = 1469598103934665603ull;  // fnv1a's offset basis
+};
+
+TEST(ActionSet, ListsMatchGoldenOverTable3) {
+  // Every ActionSet test above compares the list to allActions, which runs
+  // the same emitters, so an emitter that silently offers nothing passes
+  // them all. This pins the lists themselves: per transform, the location
+  // count and the describe() texts over every Table-3 kernel on four caps
+  // profiles, at build_small and at each state of a seeded 20-step walk
+  // from build (each step applies a uniformly drawn action of the list).
+  struct Pin {
+    const char* transform;
+    std::int64_t small_count;
+    std::uint64_t small_hash;
+    std::int64_t walk_count;
+    std::uint64_t walk_hash;
+  };
+  const Pin pins[] = {
+      {"split_scope", 348, 0xefc26efa375fd02bull, 43806, 0xd48d79ad2aeb5742ull},
+      {"collapse_scopes", 192, 0xe13e1950ad9b4383ull, 7009, 0x7f63e8fe50a7172eull},
+      {"interchange_scopes", 192, 0xe77f337d8acf6de7ull, 6209, 0x4927a81bcd8acad9ull},
+      {"join_scopes", 96, 0x706695c68f161643ull, 811, 0x4088b3af0f5a4918ull},
+      {"fission_scope", 96, 0x9f1301a900fdad23ull, 1360, 0x991bf72a07a19b9aull},
+      {"reorder_ops", 24, 0x648065ef007b3ef7ull, 575, 0x52c7cc01f81bab98ull},
+      {"partial_reduce", 56, 0x76dd206e11b44777ull, 1951, 0x671ba136af774813ull},
+      {"unroll", 389, 0x83e8bf5ebb823790ull, 6270, 0x2d13b946d74ccac6ull},
+      {"vectorize", 24, 0x9e13e8df4ba76992ull, 388, 0x0049f87ce71744daull},
+      {"parallelize", 83, 0xcfb425b8169cdf2dull, 1744, 0x7713c5d1ad47a48aull},
+      {"gpu_map_grid", 166, 0x0f8765c3518c5a33ull, 3872, 0x8c88dc607536375bull},
+      {"gpu_map_block", 0, 0x14650fb0739d0383ull, 593, 0x49b7bf3d0716dd25ull},
+      {"gpu_map_warp", 0, 0x14650fb0739d0383ull, 21, 0x2fcac82e539380d6ull},
+      {"ssr_stream", 41, 0x32d1a8f043c94315ull, 759, 0x8f54e690fd0f79feull},
+      {"frep", 0, 0x14650fb0739d0383ull, 138, 0x79d0c0c4b6969071ull},
+      {"reuse_dims", 32, 0xbdf0ea0297082863ull, 209, 0x25d36430a14d3d1aull},
+      {"materialize_dims", 0, 0x14650fb0739d0383ull, 55, 0xdffc6da35c331037ull},
+      {"reorder_dims", 60, 0x81240e77cbfd8077ull, 1260, 0xf2d092760b18e687ull},
+      {"pad_dim", 101, 0x80ffa2372619e116ull, 402, 0xed0d05285df1f8e2ull},
+      {"set_storage", 226, 0x70a6a75d2ae54bedull, 3093, 0xb4abcdf0e88fabb5ull},
+  };
+  const auto& all = transform::allTransforms();
+  std::vector<ListFingerprint> small(all.size()), walk(all.size());
+  auto note = [&](const ir::Program& p,
+                  const std::vector<transform::Action>& actions,
+                  std::vector<ListFingerprint>& into) {
+    for (const auto& a : actions) {
+      const auto t = static_cast<std::size_t>(
+          std::find(all.begin(), all.end(), a.transform) - all.begin());
+      ASSERT_LT(t, all.size()) << a.describe(p);
+      ++into[t].count;
+      into[t].hash = fnv1a(a.describe(p), into[t].hash);
+    }
+  };
+  for (const auto& k : kernels::table3()) {
+    for (const auto* m : {&machines::snitch(), &machines::xeon(),
+                          &machines::gh200(), &machines::mi300a()}) {
+      SCOPED_TRACE(::testing::Message() << k.label << " on " << m->name());
+      const ir::Program small_p = k.build_small();
+      transform::ActionSet aset;
+      aset.bind(small_p, m->caps());
+      note(small_p, aset.actions(), small);
+      ir::Program p = k.build();
+      Rng rng(fnv1a(m->name(), fnv1a(k.label)));
+      aset.bind(p, m->caps());
+      note(p, aset.actions(), walk);
+      for (int step = 0; step < 20 && !aset.actions().empty(); ++step) {
+        const auto a = aset.actions()[rng.uniform(aset.actions().size())];
+        ir::MutationSummary mut;
+        a.transform->applyInPlace(p, a.loc, &mut);
+        aset.update(p, mut);
+        note(p, aset.actions(), walk);
+      }
+    }
+  }
+  // The observed fingerprints, printed in the table's own syntax.
+  std::string table;
+  for (std::size_t t = 0; t < all.size(); ++t) {
+    char row[192];
+    std::snprintf(row, sizeof row, "      {\"%s\", %lld, 0x%016llxull, %lld, 0x%016llxull},\n",
+                  all[t]->name().c_str(),
+                  static_cast<long long>(small[t].count),
+                  static_cast<unsigned long long>(small[t].hash),
+                  static_cast<long long>(walk[t].count),
+                  static_cast<unsigned long long>(walk[t].hash));
+    table += row;
+  }
+  ASSERT_EQ(std::size(pins), all.size()) << table;
+  for (std::size_t t = 0; t < all.size(); ++t) {
+    const Pin& pin = pins[t];
+    SCOPED_TRACE(pin.transform);
+    EXPECT_EQ(all[t]->name(), pin.transform);
+    EXPECT_EQ(small[t].count, pin.small_count);
+    EXPECT_EQ(small[t].hash, pin.small_hash);
+    EXPECT_EQ(walk[t].count, pin.walk_count);
+    EXPECT_EQ(walk[t].hash, pin.walk_hash);
+  }
+  if (HasFailure()) ADD_FAILURE() << "observed fingerprints:\n" << table;
 }
 
 }  // namespace
