@@ -4,6 +4,7 @@
 //
 // Suite names contain "ProgramIndex" so the CI ThreadSanitizer job's -R
 // regex picks them up (the copied-set test updates copies on four threads).
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,32 +127,77 @@ void expectIndexMatchesWalks(const Program& p) {
   EXPECT_EQ(ix.bufferOf("__no_such_array"), nullptr);
 }
 
-TEST(ProgramIndex, MatchesWalkHelpersAlongSeededWalks) {
-  // Every Table-3 kernel on every caps profile, before and after each
-  // accepted move of a seeded 200-step random walk.
+/// A Table-3 kernel and the number of moves its seeded walks take over the
+/// four caps profiles. A walk ends early at a state that offers no action.
+struct KernelWalk {
+  const char* label;
+  int states;
+};
+
+void PrintTo(const KernelWalk& w, std::ostream* os) { *os << w.label; }
+
+constexpr KernelWalk kKernelWalks[] = {
+    {"add", 152},         {"batchnorm_1", 800}, {"batchnorm_2", 800},
+    {"bmm", 800},         {"conv_1", 76},       {"conv_2", 145},
+    {"layernorm_1", 800}, {"layernorm_2", 800}, {"matmul", 661},
+    {"mul", 118},         {"reducemean", 800},  {"relu", 174},
+    {"relu_ffn", 800},    {"rmsnorm", 800},     {"softmax", 800},
+    {"swiglu", 800},
+};
+
+constexpr int totalWalkStates() {
+  int n = 0;
+  for (const KernelWalk& w : kKernelWalks) n += w.states;
+  return n;
+}
+// The sweep as a whole must still take more than 100 moves per
+// (kernel, profile) pair on average.
+static_assert(totalWalkStates() > 64 * 100);
+
+/// One case per Table-3 kernel, so that no case of the sweep comes near the
+/// per-case test timeout under ThreadSanitizer.
+class ProgramIndexWalks : public ::testing::TestWithParam<KernelWalk> {};
+
+TEST_P(ProgramIndexWalks, MatchesWalkHelpersAlongSeededWalks) {
+  // The kernel on every caps profile, before and after each accepted move
+  // of a seeded 200-step random walk.
+  const auto* k = kernels::findKernel(GetParam().label);
+  ASSERT_NE(k, nullptr);
   int states = 0;
-  for (const auto& k : kernels::table3()) {
-    for (const auto* m : capsProfiles()) {
-      SCOPED_TRACE(::testing::Message() << k.label << " on " << m->name());
-      Rng rng(1);
-      Program p = k.build();
+  for (const auto* m : capsProfiles()) {
+    SCOPED_TRACE(::testing::Message() << k->label << " on " << m->name());
+    Rng rng(1);
+    Program p = k->build();
+    expectIndexMatchesWalks(p);
+    if (HasFatalFailure()) return;
+    for (int step = 0; step < 200; ++step) {
+      const auto actions = transform::allActions(p, m->caps());
+      if (actions.empty()) break;
+      const auto& a = actions[rng.uniform(actions.size())];
+      SCOPED_TRACE(::testing::Message() << "step " << step << ": "
+                                        << a.describe(p));
+      a.transform->applyInPlace(p, a.loc, nullptr);
       expectIndexMatchesWalks(p);
       if (HasFatalFailure()) return;
-      for (int step = 0; step < 200; ++step) {
-        const auto actions = transform::allActions(p, m->caps());
-        if (actions.empty()) break;
-        const auto& a = actions[rng.uniform(actions.size())];
-        SCOPED_TRACE(::testing::Message() << "step " << step << ": "
-                                          << a.describe(p));
-        a.transform->applyInPlace(p, a.loc, nullptr);
-        expectIndexMatchesWalks(p);
-        if (HasFatalFailure()) return;
-        ++states;
-      }
+      ++states;
     }
   }
-  EXPECT_GT(states, 64 * 100);
+  EXPECT_EQ(states, GetParam().states);
 }
+
+TEST(ProgramIndex, WalksCoverEveryTable3Kernel) {
+  std::vector<std::string> walked;
+  for (const KernelWalk& w : kKernelWalks) walked.push_back(w.label);
+  std::vector<std::string> table3;
+  for (const auto& k : kernels::table3()) table3.push_back(k.label);
+  EXPECT_EQ(walked, table3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table3, ProgramIndexWalks,
+                         ::testing::ValuesIn(kKernelWalks),
+                         [](const auto& info) {
+                           return std::string(info.param.label);
+                         });
 
 TEST(ProgramIndex, CopiedActionSetUpdatesAgainstAnotherProgram) {
   // The exact tier's replayIndexed pattern: one set is bound on the kernel,
