@@ -72,7 +72,33 @@ IndexExpr IndexExpr::substitute(NodeId from, const IndexExpr& repl) const {
   return binary(kind_, std::move(a), std::move(b));
 }
 
+bool IndexExpr::mayFold() const {
+  if (!isBinary()) return false;
+  const IndexExpr& l = u_.pair->kid[0];
+  const IndexExpr& r = u_.pair->kid[1];
+  if (l.mayFold() || r.mayFold()) return true;
+  // The kids are their own simplified forms: the rules below are
+  // simplifiedFolding's, read on them.
+  auto is = [](const IndexExpr& e, std::int64_t v) {
+    return e.isConst() && e.u_.value == v;
+  };
+  if (l.isConst() && r.isConst()) return true;
+  switch (kind_) {
+    case Kind::Add: return is(l, 0) || is(r, 0);
+    case Kind::Sub: return is(r, 0);
+    case Kind::Mul: return is(l, 0) || is(l, 1) || is(r, 0) || is(r, 1);
+    case Kind::Div: return is(r, 1);
+    default: return false;
+  }
+}
+
 IndexExpr IndexExpr::simplified() const {
+  // Most expressions a transform or a legality check simplifies fold
+  // nothing; they are returned without copying their subtrees.
+  return mayFold() ? simplifiedFolding() : *this;
+}
+
+IndexExpr IndexExpr::simplifiedFolding() const {
   if (!isBinary()) return *this;
   const IndexExpr& l = u_.pair->kid[0];
   const IndexExpr& r = u_.pair->kid[1];
@@ -164,6 +190,41 @@ bool IndexExpr::asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) c
         }
         if (!found) terms.push_back({t.scope, t.coef * c->u_.value});
       }
+      return true;
+    }
+    case Kind::Div:
+    case Kind::Mod:
+      return false;
+  }
+  return false;
+}
+
+bool IndexExpr::affineCoef(NodeId scope, std::int64_t& coef) const {
+  switch (kind_) {
+    case Kind::Const:
+      return true;
+    case Kind::Iter:
+      if (u_.iter == scope) coef += 1;
+      return true;
+    case Kind::Add:
+      return u_.pair->kid[0].affineCoef(scope, coef) &&
+             u_.pair->kid[1].affineCoef(scope, coef);
+    case Kind::Sub: {
+      std::int64_t neg = 0;
+      if (!u_.pair->kid[0].affineCoef(scope, coef) ||
+          !u_.pair->kid[1].affineCoef(scope, neg))
+        return false;
+      coef -= neg;
+      return true;
+    }
+    case Kind::Mul: {
+      // The same choice of constant factor as asAffine.
+      const IndexExpr* kid = u_.pair->kid;
+      const int c = kid[0].isConst() ? 0 : kid[1].isConst() ? 1 : -1;
+      if (c < 0) return false;
+      std::int64_t sub = 0;
+      if (!kid[1 - c].affineCoef(scope, sub)) return false;
+      coef += sub * kid[c].u_.value;
       return true;
     }
     case Kind::Div:

@@ -104,6 +104,18 @@ class IndexExpr {
   };
   bool asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) const;
 
+  /// asAffine's coefficient of `iter(scope)` without building the term
+  /// list: if the expression is affine, adds that coefficient (0 when the
+  /// iterator does not occur) to `coef` and returns true; otherwise returns
+  /// false. Allocates nothing, for the legality predicates enumeration runs
+  /// millions of times.
+  bool affineCoef(NodeId scope, std::int64_t& coef) const;
+  /// Whether asAffine would succeed, without building the term list.
+  bool isAffine() const {
+    std::int64_t ignored = 0;
+    return affineCoef(kInvalidNode, ignored);
+  }
+
   bool operator==(const IndexExpr& other) const;
 
  private:
@@ -112,6 +124,10 @@ class IndexExpr {
   bool isBinary() const { return kind_ > Kind::Iter; }
   /// True if `o` is this very node: an equal leaf, or the same shared pair.
   bool sameNode(const IndexExpr& o) const;
+  /// False only if simplified() returns `*this`: no rule of it applies
+  /// anywhere in the expression. Copies nothing.
+  bool mayFold() const;
+  IndexExpr simplifiedFolding() const;
   void swap(IndexExpr& o) noexcept {
     std::swap(kind_, o.kind_);
     std::swap(u_, o.u_);

@@ -24,14 +24,19 @@ using ir::Program;
 namespace {
 
 class SetAnnoBase : public ScopeSiteTransform {
- protected:
+ public:
   // All annotation transforms enumerate the same way — every scope passing a
-  // caps gate plus a per-scope predicate — so subclasses only override
-  // capsGate/okWithCaps.
-  void emitAt(const ir::ProgramIndex& ix, const MachineCaps& caps,
-              const Node& s, std::vector<Location>& out) const final {
-    if (capsGate(caps) && okWithCaps(ix, caps, s)) out.push_back(at(s.id));
+  // per-scope predicate, on caps passing a gate — so subclasses only
+  // override capsGate/okWithCaps. The gate is asked once per state.
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps& caps) const final {
+    if (!capsGate(caps)) return {};
+    return scopeSites(ix, [&](const Node& s, std::vector<Location>& out) {
+      if (okWithCaps(ix, caps, s)) out.push_back(at(s.id));
+    });
   }
+
+ protected:
   void applyChecked(Program& q, const Location& loc) const override {
     // Only the scope's own line (the anno suffix) changes.
     reportDirtySubtree(loc.node);
@@ -117,11 +122,8 @@ bool vectorizableBody(const Node& s) {
     for (std::size_t i = 0; i < a.idx.size(); ++i) {
       if (!a.idx[i].usesIter(s.id)) continue;
       if (i != a.idx.size() - 1) return false;  // non-innermost dimension
-      std::vector<ir::IndexExpr::AffineTerm> terms;
-      std::int64_t off = 0;
-      if (!a.idx[i].asAffine(terms, off)) return false;
-      for (const auto& t : terms)
-        if (t.scope == s.id && t.coef != 1) return false;
+      std::int64_t coef = 0;
+      if (!a.idx[i].affineCoef(s.id, coef) || coef != 1) return false;
       used = true;
     }
     (void)used;
@@ -274,11 +276,8 @@ class SsrStream final : public LocalAnnoBase {
     const Node& op = *body;
     int streams = 0;
     auto affineAccess = [&](const ir::Access& a) {
-      for (const auto& e : a.idx) {
-        std::vector<ir::IndexExpr::AffineTerm> terms;
-        std::int64_t off = 0;
-        if (!e.asAffine(terms, off)) return false;
-      }
+      for (const auto& e : a.idx)
+        if (!e.isAffine()) return false;
       return true;
     };
     // An accumulator held constant across the streamed loop lives in an FP

@@ -128,23 +128,22 @@ inline const ir::Node* scopeSite(const ir::Program& p, const Location& loc) {
 }
 
 /// Transforms whose sites are scopes (the location is the scope plus
-/// parameters). The enumeration is the same pre-order scope walk over the
-/// index for all of them, so it lives here once and subclasses only say which
-/// locations one scope offers.
+/// parameters). Each one enumerates by the same pre-order walk over the
+/// index's scopes, written once here as scopeSites; a subclass's
+/// findApplicable first computes what depends on the caps alone (a factor
+/// list, a gate), once per call, and then says which locations one scope
+/// offers.
 class ScopeSiteTransform : public CheckedTransform {
- public:
-  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
-                                       const MachineCaps& caps) const override {
+ protected:
+  /// The locations `emit(s, out)` appends at each scope site `s` of the
+  /// indexed state, pre-order.
+  template <typename Emit>
+  static std::vector<Location> scopeSites(const ir::ProgramIndex& ix,
+                                          Emit&& emit) {
     std::vector<Location> out;
-    ix.forEachScope(ix.rootId(),
-                    [&](const ir::Node& s) { emitAt(ix, caps, s, out); });
+    ix.forEachScope(ix.rootId(), [&](const ir::Node& s) { emit(s, out); });
     return out;
   }
-
- protected:
-  /// Appends the applicable locations at scope `s`, in enumeration order.
-  virtual void emitAt(const ir::ProgramIndex& ix, const MachineCaps& caps,
-                      const ir::Node& s, std::vector<Location>& out) const = 0;
 
   static Location at(ir::NodeId node, std::int64_t param = 0) {
     Location loc;

@@ -23,12 +23,8 @@ namespace {
 /// injectivity witness used to prove distinct iterations touch distinct
 /// elements.
 bool affineNonzeroIn(const IndexExpr& e, NodeId iter) {
-  std::vector<IndexExpr::AffineTerm> terms;
-  std::int64_t off = 0;
-  if (!e.asAffine(terms, off)) return false;
-  for (const auto& t : terms)
-    if (t.scope == iter && t.coef != 0) return true;
-  return false;
+  std::int64_t coef = 0;
+  return e.affineCoef(iter, coef) && coef != 0;
 }
 
 }  // namespace
@@ -52,13 +48,18 @@ bool sameElementUnderIterMap(const AccessRef& a, NodeId iter_a,
                              const AccessRef& b, NodeId iter_b) {
   if (a.access->array != b.access->array) return false;
   const Buffer* ba = a.buffer;
-  require(ba != nullptr, "deps: unknown array '" + a.access->array + "'");
-  const IndexExpr unified = IndexExpr::iter(iter_a);
+  if (ba == nullptr) fail("deps: unknown array '" + a.access->array + "'");
   bool uses_iter_injectively = false;
   for (std::size_t d = 0; d < ba->materialized.size(); ++d) {
     if (!ba->materialized[d]) continue;
     const IndexExpr& ea = a.access->idx[d];
-    const IndexExpr eb = b.access->idx[d].substitute(iter_b, unified).simplified();
+    // Fission compares its two halves under one iterator, where the
+    // substitution is the identity; b's expression is still simplified.
+    const IndexExpr& b_idx = b.access->idx[d];
+    const IndexExpr eb =
+        iter_a == iter_b
+            ? b_idx.simplified()
+            : b_idx.substitute(iter_b, IndexExpr::iter(iter_a)).simplified();
     if (!(ea == eb)) return false;
     if (affineNonzeroIn(ea, iter_a)) uses_iter_injectively = true;
   }
@@ -138,25 +139,22 @@ bool iterationsIndependent(std::span<const OpInfo> ops, NodeId scope) {
   for (const auto& w : ops) {
     const Access& wa = *w.write.access;
     const Buffer* wb = w.write.buffer;
-    require(wb != nullptr, "deps: unknown array '" + wa.array + "'");
-    // Dimensions (materialized) in which the write uses the scope iterator.
-    std::vector<std::size_t> iter_dims;
+    if (wb == nullptr) fail("deps: unknown array '" + wa.array + "'");
+    // The materialized dimensions in which the write uses the scope
+    // iterator: at least one must, injectively.
     bool injective = false;
-    for (std::size_t d = 0; d < wb->materialized.size(); ++d) {
-      if (!wb->materialized[d]) continue;
-      if (wa.idx[d].usesIter(scope)) {
-        iter_dims.push_back(d);
-        if (affineNonzeroIn(wa.idx[d], scope)) injective = true;
-      }
-    }
-    if (iter_dims.empty() || !injective) return false;  // reduction over scope
+    for (std::size_t d = 0; d < wb->materialized.size() && !injective; ++d)
+      injective = wb->materialized[d] && affineNonzeroIn(wa.idx[d], scope);
+    if (!injective) return false;  // reduction over scope
     // Every access (read or write) in the subtree that may alias this write
     // must agree with it syntactically on those dimensions.
     auto agree = [&](const AccessRef& a) {
       if (a.buffer != wb) return true;                 // different storage
       if (a.access->array != wa.array) return false;  // shared-buffer alias
-      for (std::size_t d : iter_dims)
-        if (!(a.access->idx[d] == wa.idx[d])) return false;
+      for (std::size_t d = 0; d < wb->materialized.size(); ++d)
+        if (wb->materialized[d] && !(a.access->idx[d] == wa.idx[d]) &&
+            wa.idx[d].usesIter(scope))
+          return false;
       return true;
     };
     for (const auto& o : ops) {

@@ -1,7 +1,6 @@
 // Loop-structure transformations: split (tiling), collapse, interchange,
 // fusion (join_scopes), fission, and sibling reordering.
 #include <algorithm>
-#include <set>
 
 #include "ir/walk.h"
 #include "support/common.h"
@@ -35,6 +34,25 @@ class SplitScope final : public ScopeSiteTransform {
     return s != nullptr && splits(*s, loc.param);
   }
 
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps& caps) const override {
+    // The candidate factors, ascending and distinct, depend on the caps
+    // alone.
+    std::vector<std::int64_t> factors = caps.split_factors;
+    factors.insert(factors.end(), caps.vector_widths.begin(),
+                   caps.vector_widths.end());
+    if (caps.is_gpu) factors.push_back(caps.warp_size);
+    std::sort(factors.begin(), factors.end());
+    factors.erase(std::unique(factors.begin(), factors.end()), factors.end());
+    return scopeSites(ix, [&](const Node& s, std::vector<Location>& out) {
+      if (s.anno != LoopAnno::None) return;
+      for (std::int64_t f : factors) {
+        if (f >= s.extent) break;  // so does every later factor
+        if (splits(s, f)) out.push_back(at(s.id, f));
+      }
+    });
+  }
+
  private:
   static bool splits(const Node& s, std::int64_t f) {
     return s.anno == LoopAnno::None && f >= 2 && f < s.extent &&
@@ -42,17 +60,6 @@ class SplitScope final : public ScopeSiteTransform {
   }
 
  protected:
-  void emitAt(const ir::ProgramIndex&, const MachineCaps& caps, const Node& s,
-              std::vector<Location>& out) const override {
-    if (s.anno != LoopAnno::None) return;
-    std::set<std::int64_t> factors(caps.split_factors.begin(),
-                                   caps.split_factors.end());
-    for (std::int64_t w : caps.vector_widths) factors.insert(w);
-    if (caps.is_gpu) factors.insert(caps.warp_size);
-    for (std::int64_t f : factors)
-      if (splits(s, f)) out.push_back(at(s.id, f));
-  }
-
   void applyChecked(Program& q, const Location& loc) const override {
     Node* s = ir::findNode(q.root, loc.node);
     // `s` keeps its id and stays in place: all text changes are inside it.
@@ -91,12 +98,14 @@ class CollapseScopes final : public ScopeSiteTransform {
     return s != nullptr && plainNest(*s);
   }
 
- protected:
-  void emitAt(const ir::ProgramIndex&, const MachineCaps&, const Node& s,
-              std::vector<Location>& out) const override {
-    if (plainNest(s)) out.push_back(at(s.id));
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps&) const override {
+    return scopeSites(ix, [&](const Node& s, std::vector<Location>& out) {
+      if (plainNest(s)) out.push_back(at(s.id));
+    });
   }
 
+ protected:
   void applyChecked(Program& q, const Location& loc) const override {
     // The collapsed scope changes its own id, so the stable dirty root is
     // its parent (the root container when collapsing a top-level nest).
@@ -130,6 +139,13 @@ class InterchangeScopes final : public ScopeSiteTransform {
     return s != nullptr && legal(ix, *s);
   }
 
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps&) const override {
+    return scopeSites(ix, [&](const Node& s, std::vector<Location>& out) {
+      if (legal(ix, s)) out.push_back(at(s.id));
+    });
+  }
+
  private:
   static bool legal(const ir::ProgramIndex& ix, const Node& outer) {
     if (!plainNest(outer)) return false;
@@ -138,11 +154,6 @@ class InterchangeScopes final : public ScopeSiteTransform {
   }
 
  protected:
-  void emitAt(const ir::ProgramIndex& ix, const MachineCaps&, const Node& s,
-              std::vector<Location>& out) const override {
-    if (legal(ix, s)) out.push_back(at(s.id));
-  }
-
   void applyChecked(Program& q, const Location& loc) const override {
     // Both nests swap ids, so neither is a stable dirty root; the parent is.
     reportDirtySubtree(ir::findParent(q.root, loc.node)->id);
@@ -168,6 +179,13 @@ class JoinScopes final : public ScopeSiteTransform {
     return s != nullptr && legal(ix, *s);
   }
 
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps&) const override {
+    return scopeSites(ix, [&](const Node& s, std::vector<Location>& out) {
+      if (legal(ix, s)) out.push_back(at(s.id));
+    });
+  }
+
  private:
   /// Scope `s` fuses with its next sibling.
   static bool legal(const ir::ProgramIndex& ix, const Node& s) {
@@ -181,11 +199,6 @@ class JoinScopes final : public ScopeSiteTransform {
   }
 
  protected:
-  void emitAt(const ir::ProgramIndex& ix, const MachineCaps&, const Node& s,
-              std::vector<Location>& out) const override {
-    if (legal(ix, s)) out.push_back(at(s.id));
-  }
-
   void applyChecked(Program& q, const Location& loc) const override {
     Node* parent = ir::findParent(q.root, loc.node);
     // The fused sibling disappears from the parent's child list.
@@ -211,6 +224,15 @@ class FissionScope final : public ScopeSiteTransform {
     return s != nullptr && legal(ix, *s, loc.param);
   }
 
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps&) const override {
+    return scopeSites(ix, [&](const Node& s, std::vector<Location>& out) {
+      for (std::size_t cut = 1; cut < s.children.size(); ++cut)
+        if (legal(ix, s, static_cast<std::int64_t>(cut)))
+          out.push_back(at(s.id, static_cast<std::int64_t>(cut)));
+    });
+  }
+
  private:
   /// Scope `s` splits into children [0, cut) and [cut, end).
   static bool legal(const ir::ProgramIndex& ix, const Node& s, std::int64_t cut) {
@@ -224,13 +246,6 @@ class FissionScope final : public ScopeSiteTransform {
   }
 
  protected:
-  void emitAt(const ir::ProgramIndex& ix, const MachineCaps&, const Node& s,
-              std::vector<Location>& out) const override {
-    for (std::size_t cut = 1; cut < s.children.size(); ++cut)
-      if (legal(ix, s, static_cast<std::int64_t>(cut)))
-        out.push_back(at(s.id, static_cast<std::int64_t>(cut)));
-  }
-
   void applyChecked(Program& q, const Location& loc) const override {
     // A new sibling scope appears next to `s` in the parent's child list.
     reportDirtySubtree(ir::findParent(q.root, loc.node)->id);

@@ -66,8 +66,21 @@ class PartialReduce final : public ScopeSiteTransform {
 
   bool isApplicable(const Program& p, const Location& loc) const override {
     const Node* s = scopeSite(p, loc);
-    return s != nullptr && wrapsOneOp(*s) &&
-           legal(*s, ir::opInfo(p, s->children[0]), loc.param);
+    return s != nullptr && wrapsOneOp(*s) && splitsInto(*s, loc.param) &&
+           reducible(*s, ir::opInfo(p, s->children[0]));
+  }
+
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps& caps) const override {
+    // The candidate accumulator counts depend on the caps alone.
+    std::vector<std::int64_t> ks = {2, 4, 8, 16};
+    for (std::int64_t w : caps.vector_widths)
+      if (std::find(ks.begin(), ks.end(), w) == ks.end()) ks.push_back(w);
+    return scopeSites(ix, [&](const Node& s, std::vector<Location>& out) {
+      if (!wrapsOneOp(s) || !reducible(s, ix.ops(s.id).front())) return;
+      for (std::int64_t k : ks)
+        if (splitsInto(s, k)) out.push_back(at(s.id, k));
+    });
   }
 
  private:
@@ -76,16 +89,15 @@ class PartialReduce final : public ScopeSiteTransform {
            s.children[0].isOp();
   }
 
-  /// Scope `s` wrapping the single op described by `info` splits into `k`
-  /// partial accumulators.
-  static bool legal(const Node& s, const ir::OpInfo& info, std::int64_t k) {
+  /// Scope `s`, wrapping the single op described by `info`, is a reduction
+  /// that partial accumulators may reassociate.
+  static bool reducible(const Node& s, const ir::OpInfo& info) {
     const Node& op = *info.op;
     if (!info.is_accumulation) return false;
     if (op.out.usesIter(s.id)) return false;  // must reduce over S
     double identity;
     OpCode combine;
     if (!reductionIdentity(op.op, identity, combine)) return false;
-    if (k < 2 || k > 64 || s.extent % k != 0 || s.extent == k) return false;
     // Non-accumulator operands must not alias the accumulator.
     for (const AccessRef& r : info.reads()) {
       if (*r.access == op.out) continue;
@@ -94,17 +106,12 @@ class PartialReduce final : public ScopeSiteTransform {
     return true;
   }
 
- protected:
-  void emitAt(const ir::ProgramIndex& ix, const MachineCaps& caps, const Node& s,
-              std::vector<Location>& out) const override {
-    if (!wrapsOneOp(s)) return;
-    const ir::OpInfo& info = ix.ops(s.id).front();
-    std::vector<std::int64_t> ks = {2, 4, 8, 16};
-    for (std::int64_t w : caps.vector_widths)
-      if (std::find(ks.begin(), ks.end(), w) == ks.end()) ks.push_back(w);
-    for (std::int64_t k : ks)
-      if (legal(s, info, k)) out.push_back(at(s.id, k));
+  /// Scope `s` splits into `k` partial accumulators.
+  static bool splitsInto(const Node& s, std::int64_t k) {
+    return k >= 2 && k <= 64 && s.extent % k == 0 && s.extent != k;
   }
+
+ protected:
 
   void applyChecked(Program& q, const Location& loc) const override {
     // init/combine loops are inserted as siblings of S, and a fresh partial

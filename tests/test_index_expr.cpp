@@ -8,6 +8,7 @@
 #include "ir/index_expr.h"
 #include "ir/walk.h"
 #include "support/common.h"
+#include "support/rng.h"
 
 namespace perfdojo::ir {
 namespace {
@@ -96,6 +97,111 @@ TEST(IndexExpr, AffineSubtraction) {
   ASSERT_TRUE(e.asAffine(terms, off));
   EXPECT_EQ(terms[0].coef, 1);
   EXPECT_EQ(terms[1].coef, -1);
+}
+
+/// A random expression over iterators 1..3 and small constants, `depth`
+/// levels deep; every binary kind occurs.
+IndexExpr randomExpr(Rng& rng, int depth) {
+  if (depth == 0 || rng.bernoulli(0.25)) {
+    if (rng.bernoulli(0.5)) return IndexExpr::iter(static_cast<NodeId>(1 + rng.uniform(3)));
+    return IndexExpr::constant(static_cast<std::int64_t>(rng.uniform(5)) - 1);
+  }
+  const auto kind = static_cast<IndexExpr::Kind>(
+      static_cast<int>(IndexExpr::Kind::Add) + static_cast<int>(rng.uniform(5)));
+  return IndexExpr::binary(kind, randomExpr(rng, depth - 1),
+                           randomExpr(rng, depth - 1));
+}
+
+TEST(IndexExpr, AffineCoefMatchesAsAffine) {
+  // affineCoef and isAffine against the term list asAffine builds, for
+  // every iterator (and one that never occurs) of random expressions.
+  Rng rng(7);
+  int affine = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const IndexExpr e = randomExpr(rng, 4);
+    std::vector<IndexExpr::AffineTerm> terms;
+    std::int64_t off = 0;
+    const bool want = e.asAffine(terms, off);
+    EXPECT_EQ(e.isAffine(), want);
+    affine += want;
+    for (NodeId scope = 1; scope <= 4; ++scope) {
+      std::int64_t coef = 0;
+      ASSERT_EQ(e.affineCoef(scope, coef), want) << "scope " << scope;
+      if (!want) continue;
+      std::int64_t want_coef = 0;
+      for (const auto& t : terms)
+        if (t.scope == scope) want_coef = t.coef;
+      EXPECT_EQ(coef, want_coef) << "scope " << scope;
+    }
+  }
+  // Both verdicts occur often enough to mean something.
+  EXPECT_GT(affine, 400);
+  EXPECT_LT(affine, 3600);
+}
+
+TEST(IndexExpr, AffineCoefAddsToTheGivenCoefficient) {
+  // 2*i - (j - i) : coef(i) = 3, added to what the caller passes in.
+  const auto e = IndexExpr::sub(
+      IndexExpr::mul(IndexExpr::constant(2), IndexExpr::iter(1)),
+      IndexExpr::sub(IndexExpr::iter(2), IndexExpr::iter(1)));
+  std::int64_t coef = 10;
+  ASSERT_TRUE(e.affineCoef(1, coef));
+  EXPECT_EQ(coef, 13);
+  coef = 0;
+  ASSERT_TRUE(e.affineCoef(2, coef));
+  EXPECT_EQ(coef, -1);
+  coef = 0;
+  EXPECT_FALSE(IndexExpr::mod(IndexExpr::iter(1), IndexExpr::constant(2))
+                   .affineCoef(1, coef));
+  EXPECT_FALSE(IndexExpr::mul(IndexExpr::iter(1), IndexExpr::iter(2)).isAffine());
+}
+
+/// simplified()'s rules written out as one bottom-up pass that always
+/// rebuilds: the reference its copy-free fast path is checked against.
+IndexExpr referenceSimplified(const IndexExpr& e) {
+  using K = IndexExpr::Kind;
+  if (e.isConst() || e.isIter()) return e;
+  const IndexExpr a = referenceSimplified(e.lhs());
+  const IndexExpr b = referenceSimplified(e.rhs());
+  auto is = [](const IndexExpr& x, std::int64_t v) {
+    return x.isConst() && x.constValue() == v;
+  };
+  if (a.isConst() && b.isConst()) {
+    const std::int64_t x = a.constValue(), y = b.constValue();
+    switch (e.kind()) {
+      case K::Add: return IndexExpr::constant(x + y);
+      case K::Sub: return IndexExpr::constant(x - y);
+      case K::Mul: return IndexExpr::constant(x * y);
+      case K::Div: return y != 0 ? IndexExpr::constant(x / y) : e;
+      case K::Mod: return y != 0 ? IndexExpr::constant(x % y) : e;
+      default: break;
+    }
+  }
+  if (e.kind() == K::Add && is(a, 0)) return b;
+  if (e.kind() == K::Add && is(b, 0)) return a;
+  if (e.kind() == K::Sub && is(b, 0)) return a;
+  if (e.kind() == K::Mul && is(a, 1)) return b;
+  if (e.kind() == K::Mul && is(b, 1)) return a;
+  if (e.kind() == K::Mul && (is(a, 0) || is(b, 0))) return IndexExpr::constant(0);
+  if (e.kind() == K::Div && is(b, 1)) return a;
+  return IndexExpr::binary(e.kind(), a, b);
+}
+
+TEST(IndexExpr, SimplifiedMatchesReferenceAndSharesWhatDoesNotFold) {
+  Rng rng(11);
+  int unchanged = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const IndexExpr e = randomExpr(rng, 4);
+    const IndexExpr want = referenceSimplified(e);
+    const IndexExpr got = e.simplified();
+    ASSERT_TRUE(got == want) << "expression " << i;
+    // Nothing folded: the result is the input itself, children shared.
+    if (want == e && e.kind() > IndexExpr::Kind::Iter) {
+      ++unchanged;
+      EXPECT_EQ(&got.lhs(), &e.lhs()) << "expression " << i;
+    }
+  }
+  EXPECT_GT(unchanged, 400);
 }
 
 TEST(IndexExpr, Equality) {
