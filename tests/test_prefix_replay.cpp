@@ -146,10 +146,7 @@ TEST_P(SearchPrefixReplayWalks, StatesMatchReplayAlongSeededWalks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Table3, SearchPrefixReplayWalks,
-                         ::testing::Values("softmax", "matmul", "layernorm_1"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
+                         ::testing::Values("softmax", "matmul", "layernorm_1"));
 
 class SearchPrefixReplayEdges : public ::testing::Test {
  protected:

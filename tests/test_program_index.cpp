@@ -194,10 +194,7 @@ TEST(ProgramIndex, WalksCoverEveryTable3Kernel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Table3, ProgramIndexWalks,
-                         ::testing::ValuesIn(kKernelWalks),
-                         [](const auto& info) {
-                           return std::string(info.param.label);
-                         });
+                         ::testing::ValuesIn(kKernelWalks));
 
 TEST(ProgramIndex, CopiedActionSetUpdatesAgainstAnotherProgram) {
   // The exact tier's replayIndexed pattern: one set is bound on the kernel,
