@@ -29,6 +29,14 @@
 // gated ratio (`accept_after_visit_ratio`, same / other) pins the saved
 // apply and undo.
 //
+// A fifth leg, enumeration per index build, times ActionSet::update against
+// the construction of one ir::ProgramIndex of the same state, along the same
+// trajectory. The index build is the floor of any enumeration that shares
+// one index, so the ratio (`enum_per_index_build`, lower is better) is the
+// cost of the transforms' own emitters in units of one index. The
+// shared-index leg cannot show an emitter getting cheaper, since both of its
+// sides run the same emitters; this ratio does.
+//
 // What this gate means: end-to-end throughput on the in-tree analytic models
 // is dominated by neighbor enumeration and pricing, and the modern stack's
 // per-candidate pricing win (gated at >= 5x by bench_micro_hash) shows up
@@ -57,6 +65,7 @@
 
 #include "bench_util.h"
 #include "ir/incremental.h"
+#include "ir/program_index.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
 #include "search/delta.h"
@@ -73,6 +82,10 @@ namespace {
 constexpr int kReps = 5;
 constexpr int kEnumReps = 41;  // an enumeration rep is milliseconds
 constexpr int kBudget = 2000;
+/// enum_per_index_build of emitters that built their per-caps lists and
+/// asked their caps gates at every scope, with legality predicates that
+/// allocated: 20.3-21.2x over three runs (Release, 4-core x86 host).
+constexpr double kParentEnumPerIndexBuild = 20.5;
 
 search::SearchConfig modernConfig() {
   search::SearchConfig cfg;
@@ -159,6 +172,12 @@ struct Measurement {
   double enum_per_transform_ms = 0;
   /// Per-transform wall over shared wall of each rep, over both kernels.
   std::vector<double> enum_ratios;
+  // Enumeration-per-index-build leg: median walls of the enumerations and
+  // of one index build per state along the trajectory.
+  double enum_update_ms = 0;
+  double enum_index_ms = 0;
+  /// Enumeration wall over index-build wall of each rep, over both kernels.
+  std::vector<double> enum_index_ratios;
   // Accept leg: median wall of the accepts along the trajectory, right
   // after a visit of the same action and right after a visit of another.
   double accept_same_ms = 0;
@@ -183,6 +202,12 @@ struct Measurement {
   /// so their ratio cancels host noise slower than a rep.
   double enumSpeedup() const {
     return enum_ratios.empty() ? 0 : median(enum_ratios);
+  }
+  /// Enumeration per index build: the median over reps of the wall of
+  /// ActionSet::update over that of one ProgramIndex build of the same
+  /// states. Lower is better.
+  double enumPerIndexBuild() const {
+    return enum_index_ratios.empty() ? 0 : median(enum_index_ratios);
   }
   /// Accept-leg ratio: the median over reps of the wall of accepts that
   /// commit the visited move over that of accepts that re-apply it. Lower is
@@ -241,6 +266,58 @@ double enumerationWall(const ir::Program& p0, bool shared,
     else timed([&] { perTransformIndexActions(p, caps, own); });
   }
   return std::chrono::duration<double, std::milli>(wall).count();
+}
+
+struct EnumIndexWalls {
+  double update_ms = 0;  // ActionSet::update at each state
+  double index_ms = 0;   // one ir::ProgramIndex build of the same state
+};
+
+/// One pass of the enumeration-per-index-build leg along enumerationWall's
+/// trajectory: at each state, times the set's update and, separately, one
+/// index build of the state. The side timed first alternates from step to
+/// step and, through `update_first`, from rep to rep.
+EnumIndexWalls enumerationPerIndexBuildWalls(const ir::Program& p0,
+                                             bool update_first) {
+  constexpr int kSteps = 64;
+  using Clock = std::chrono::steady_clock;
+  const auto& caps = machines::xeon().caps();
+  Clock::duration update_wall{}, index_wall{};
+  ir::Program p = p0;
+  Rng rng(13);
+  transform::ActionSet aset;
+  aset.bind(p, caps);
+  const std::vector<transform::Action>& actions = aset.actions();
+  ir::MutationSummary mut;
+  std::size_t index_nodes = 0;  // keeps the timed builds observable
+  auto update = [&] {
+    const auto t0 = Clock::now();
+    aset.update(p, mut);
+    update_wall += Clock::now() - t0;
+  };
+  auto index = [&] {
+    const auto t0 = Clock::now();
+    const ir::ProgramIndex ix(p);
+    index_wall += Clock::now() - t0;
+    index_nodes += ix.subtree(ix.rootId()).size();
+  };
+  for (int step = 0; step < kSteps && !actions.empty(); ++step) {
+    const auto a = actions[rng.uniform(actions.size())];
+    a.transform->applyInPlace(p, a.loc, &mut);
+    if ((step % 2 == 0) == update_first) {
+      update();
+      index();
+    } else {
+      index();
+      update();
+    }
+  }
+  if (index_nodes == 0) {
+    std::fprintf(stderr, "enumeration-per-index-build leg indexed nothing\n");
+    std::exit(2);
+  }
+  using Ms = std::chrono::duration<double, std::milli>;
+  return {Ms(update_wall).count(), Ms(index_wall).count()};
 }
 
 struct AcceptWalls {
@@ -360,6 +437,18 @@ Measurement measure() {
     mm.enum_shared_ms += median(shared_s);
     mm.enum_per_transform_ms += median(per_transform_s);
 
+    // Enumeration per index build, rep 0 the warm-up again.
+    std::vector<double> update_s, index_s;
+    for (int rep = 0; rep <= kEnumReps; ++rep) {
+      const EnumIndexWalls w = enumerationPerIndexBuildWalls(p, rep % 2 == 0);
+      if (rep == 0) continue;
+      update_s.push_back(w.update_ms);
+      index_s.push_back(w.index_ms);
+      mm.enum_index_ratios.push_back(w.update_ms / w.index_ms);
+    }
+    mm.enum_update_ms += median(update_s);
+    mm.enum_index_ms += median(index_s);
+
     // Accept leg, rep 0 the warm-up again.
     std::vector<double> same_s, other_s;
     for (int rep = 0; rep <= kEnumReps; ++rep) {
@@ -390,6 +479,9 @@ std::string toJson(const Measurement& m) {
      << ",\"enum_shared_ms\":" << m.enum_shared_ms
      << ",\"enum_per_transform_ms\":" << m.enum_per_transform_ms
      << ",\"shared_index_speedup\":" << m.enumSpeedup()
+     << ",\"enum_update_ms\":" << m.enum_update_ms
+     << ",\"enum_index_ms\":" << m.enum_index_ms
+     << ",\"enum_per_index_build\":" << m.enumPerIndexBuild()
      << ",\"accept_same_ms\":" << m.accept_same_ms
      << ",\"accept_other_ms\":" << m.accept_other_ms
      << ",\"accept_after_visit_ratio\":" << m.acceptRatio() << "}\n";
@@ -451,6 +543,27 @@ int check(const Measurement& m, const std::string& baseline_path) {
                  m.enumSpeedup(), floor);
     return 1;
   }
+  // Enumeration per index build, a same-host ratio as well. Its ceiling
+  // sits halfway between the checked-in reading and kParentEnumPerIndexBuild,
+  // the reading of emitters that rebuilt their per-caps lists and asked
+  // their caps gates at every scope.
+  const double epi_base = doc.numberOr("enum_per_index_build", 0);
+  if (epi_base <= 0 || epi_base >= kParentEnumPerIndexBuild) {
+    std::fprintf(stderr,
+                 "baseline %s lacks an enum_per_index_build below %.2f\n",
+                 baseline_path.c_str(), kParentEnumPerIndexBuild);
+    return 1;
+  }
+  const double epi_ceiling = 0.5 * (epi_base + kParentEnumPerIndexBuild);
+  std::printf("check: enumeration per index build %.2fx vs baseline %.2fx "
+              "(ceiling %.2fx)\n",
+              m.enumPerIndexBuild(), epi_base, epi_ceiling);
+  if (m.enumPerIndexBuild() > epi_ceiling) {
+    std::fprintf(stderr,
+                 "FAIL: enumeration per index build regressed: %.2fx > %.2fx\n",
+                 m.enumPerIndexBuild(), epi_ceiling);
+    return 1;
+  }
   // The accept leg is a same-host ratio too. An accept that re-applied the
   // move its visit had just applied reads parity (1.0x), so the ceiling
   // sits halfway between parity and the checked-in ratio.
@@ -497,6 +610,9 @@ int main(int argc, char** argv) {
                         m.enum_shared_ms
                   : 0,
               m.enumSpeedup());
+  std::printf("enum    %10.2f ms update vs %10.2f ms one index build per "
+              "state  %.2fx\n",
+              m.enum_update_ms, m.enum_index_ms, m.enumPerIndexBuild());
   std::printf("accept  %10.2f ms after a visit of the same move vs %10.2f ms "
               "after another  %.2fx\n",
               m.accept_same_ms, m.accept_other_ms, m.acceptRatio());
