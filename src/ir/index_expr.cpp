@@ -132,73 +132,6 @@ IndexExpr IndexExpr::simplifiedFolding() const {
   return binary(kind_, std::move(a), std::move(b));
 }
 
-bool IndexExpr::asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) const {
-  switch (kind_) {
-    case Kind::Const:
-      offset += u_.value;
-      return true;
-    case Kind::Iter: {
-      for (auto& t : terms) {
-        if (t.scope == u_.iter) {
-          t.coef += 1;
-          return true;
-        }
-      }
-      terms.push_back({u_.iter, 1});
-      return true;
-    }
-    case Kind::Add:
-      return u_.pair->kid[0].asAffine(terms, offset) && u_.pair->kid[1].asAffine(terms, offset);
-    case Kind::Sub: {
-      if (!u_.pair->kid[0].asAffine(terms, offset)) return false;
-      std::vector<AffineTerm> neg;
-      std::int64_t noff = 0;
-      if (!u_.pair->kid[1].asAffine(neg, noff)) return false;
-      offset -= noff;
-      for (const auto& t : neg) {
-        bool found = false;
-        for (auto& u : terms) {
-          if (u.scope == t.scope) {
-            u.coef -= t.coef;
-            found = true;
-            break;
-          }
-        }
-        if (!found) terms.push_back({t.scope, -t.coef});
-      }
-      return true;
-    }
-    case Kind::Mul: {
-      const IndexExpr* c = nullptr;
-      const IndexExpr* other = nullptr;
-      const IndexExpr* kid = u_.pair->kid;
-      if (kid[0].isConst()) { c = &kid[0]; other = &kid[1]; }
-      else if (kid[1].isConst()) { c = &kid[1]; other = &kid[0]; }
-      else return false;
-      std::vector<AffineTerm> sub;
-      std::int64_t soff = 0;
-      if (!other->asAffine(sub, soff)) return false;
-      offset += soff * c->u_.value;
-      for (const auto& t : sub) {
-        bool found = false;
-        for (auto& u : terms) {
-          if (u.scope == t.scope) {
-            u.coef += t.coef * c->u_.value;
-            found = true;
-            break;
-          }
-        }
-        if (!found) terms.push_back({t.scope, t.coef * c->u_.value});
-      }
-      return true;
-    }
-    case Kind::Div:
-    case Kind::Mod:
-      return false;
-  }
-  return false;
-}
-
 bool IndexExpr::affineCoef(NodeId scope, std::int64_t& coef) const {
   switch (kind_) {
     case Kind::Const:
@@ -218,7 +151,7 @@ bool IndexExpr::affineCoef(NodeId scope, std::int64_t& coef) const {
       return true;
     }
     case Kind::Mul: {
-      // The same choice of constant factor as asAffine.
+      // A product is affine when one factor is a constant.
       const IndexExpr* kid = u_.pair->kid;
       const int c = kid[0].isConst() ? 0 : kid[1].isConst() ? 1 : -1;
       if (c < 0) return false;

@@ -95,22 +95,13 @@ class IndexExpr {
   /// when nothing folds.
   IndexExpr simplified() const;
 
-  /// If the expression is affine in its iterators, i.e. sum of coef*iter plus
-  /// a constant, returns true and fills terms/offset. Division or modulo make
-  /// it non-affine (returns false).
-  struct AffineTerm {
-    NodeId scope;
-    std::int64_t coef;
-  };
-  bool asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) const;
-
-  /// asAffine's coefficient of `iter(scope)` without building the term
-  /// list: if the expression is affine, adds that coefficient (0 when the
-  /// iterator does not occur) to `coef` and returns true; otherwise returns
-  /// false. Allocates nothing, for the legality predicates enumeration runs
-  /// millions of times.
+  /// If the expression is affine in its iterators, i.e. a sum of
+  /// coef*iter plus a constant (division and modulo make it non-affine),
+  /// adds the coefficient of `iter(scope)` (0 when the iterator does not
+  /// occur) to `coef` and returns true; otherwise returns false. Allocates
+  /// nothing, for the legality predicates enumeration runs millions of
+  /// times.
   bool affineCoef(NodeId scope, std::int64_t& coef) const;
-  /// Whether asAffine would succeed, without building the term list.
   bool isAffine() const {
     std::int64_t ignored = 0;
     return affineCoef(kInvalidNode, ignored);

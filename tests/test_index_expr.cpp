@@ -67,36 +67,49 @@ TEST(IndexExpr, CollectIters) {
   EXPECT_FALSE(e.usesIter(4));
 }
 
+/// The coefficient of `scope` in an affine expression.
+std::int64_t coefOf(const IndexExpr& e, NodeId scope) {
+  std::int64_t coef = 0;
+  EXPECT_TRUE(e.affineCoef(scope, coef));
+  return coef;
+}
+
 TEST(IndexExpr, AffineDecomposition) {
   // 2*i + j + 5
   auto e = IndexExpr::add(
       IndexExpr::add(IndexExpr::mul(IndexExpr::constant(2), IndexExpr::iter(1)),
                      IndexExpr::iter(2)),
       IndexExpr::constant(5));
-  std::vector<IndexExpr::AffineTerm> terms;
-  std::int64_t off = 0;
-  ASSERT_TRUE(e.asAffine(terms, off));
-  EXPECT_EQ(off, 5);
-  ASSERT_EQ(terms.size(), 2u);
-  EXPECT_EQ(terms[0].coef, 2);
-  EXPECT_EQ(terms[1].coef, 1);
+  EXPECT_TRUE(e.isAffine());
+  EXPECT_EQ(coefOf(e, 1), 2);
+  EXPECT_EQ(coefOf(e, 2), 1);
+  EXPECT_EQ(coefOf(e, 3), 0);  // absent iterator
+  // The coefficient is added to what the caller passes in.
+  std::int64_t coef = 10;
+  ASSERT_TRUE(e.affineCoef(1, coef));
+  EXPECT_EQ(coef, 12);
 }
 
 TEST(IndexExpr, AffineRejectsDivMod) {
-  auto e = IndexExpr::div(IndexExpr::iter(1), IndexExpr::constant(2));
-  std::vector<IndexExpr::AffineTerm> terms;
-  std::int64_t off = 0;
-  EXPECT_FALSE(e.asAffine(terms, off));
+  std::int64_t coef = 0;
+  EXPECT_FALSE(IndexExpr::div(IndexExpr::iter(1), IndexExpr::constant(2))
+                   .affineCoef(1, coef));
+  EXPECT_FALSE(IndexExpr::mod(IndexExpr::iter(1), IndexExpr::constant(2))
+                   .isAffine());
+  // A product is affine only with a constant factor.
+  EXPECT_FALSE(IndexExpr::mul(IndexExpr::iter(1), IndexExpr::iter(2)).isAffine());
 }
 
 TEST(IndexExpr, AffineSubtraction) {
-  // i - j : coef(i)=1, coef(j)=-1
+  // i - j : coef(i)=1, coef(j)=-1; 2*i - (j - i) : coef(i)=3
   auto e = IndexExpr::sub(IndexExpr::iter(1), IndexExpr::iter(2));
-  std::vector<IndexExpr::AffineTerm> terms;
-  std::int64_t off = 0;
-  ASSERT_TRUE(e.asAffine(terms, off));
-  EXPECT_EQ(terms[0].coef, 1);
-  EXPECT_EQ(terms[1].coef, -1);
+  EXPECT_EQ(coefOf(e, 1), 1);
+  EXPECT_EQ(coefOf(e, 2), -1);
+  auto f = IndexExpr::sub(
+      IndexExpr::mul(IndexExpr::constant(2), IndexExpr::iter(1)),
+      IndexExpr::sub(IndexExpr::iter(2), IndexExpr::iter(1)));
+  EXPECT_EQ(coefOf(f, 1), 3);
+  EXPECT_EQ(coefOf(f, 2), -1);
 }
 
 /// A random expression over iterators 1..3 and small constants, `depth`
@@ -112,48 +125,47 @@ IndexExpr randomExpr(Rng& rng, int depth) {
                            randomExpr(rng, depth - 1));
 }
 
-TEST(IndexExpr, AffineCoefMatchesAsAffine) {
-  // affineCoef and isAffine against the term list asAffine builds, for
-  // every iterator (and one that never occurs) of random expressions.
+/// Affinity by the definition: no division or modulo, and a constant
+/// factor in every product.
+bool referenceAffine(const IndexExpr& e) {
+  switch (e.kind()) {
+    case IndexExpr::Kind::Const:
+    case IndexExpr::Kind::Iter:
+      return true;
+    case IndexExpr::Kind::Add:
+    case IndexExpr::Kind::Sub:
+      return referenceAffine(e.lhs()) && referenceAffine(e.rhs());
+    case IndexExpr::Kind::Mul:
+      return (e.lhs().isConst() && referenceAffine(e.rhs())) ||
+             (e.rhs().isConst() && referenceAffine(e.lhs()));
+    default:
+      return false;
+  }
+}
+
+TEST(IndexExpr, AffineCoefMatchesTheDefinition) {
+  // For an affine expression f, the coefficient of iterator s is
+  // f(s = 1, others 0) - f(0).
   Rng rng(7);
   int affine = 0;
   for (int i = 0; i < 4000; ++i) {
     const IndexExpr e = randomExpr(rng, 4);
-    std::vector<IndexExpr::AffineTerm> terms;
-    std::int64_t off = 0;
-    const bool want = e.asAffine(terms, off);
-    EXPECT_EQ(e.isAffine(), want);
+    const bool want = referenceAffine(e);
+    ASSERT_EQ(e.isAffine(), want) << "expression " << i;
     affine += want;
     for (NodeId scope = 1; scope <= 4; ++scope) {
       std::int64_t coef = 0;
       ASSERT_EQ(e.affineCoef(scope, coef), want) << "scope " << scope;
       if (!want) continue;
-      std::int64_t want_coef = 0;
-      for (const auto& t : terms)
-        if (t.scope == scope) want_coef = t.coef;
-      EXPECT_EQ(coef, want_coef) << "scope " << scope;
+      const std::int64_t at0 = e.eval([](NodeId) -> std::int64_t { return 0; });
+      const std::int64_t at1 = e.eval(
+          [&](NodeId id) -> std::int64_t { return id == scope ? 1 : 0; });
+      EXPECT_EQ(coef, at1 - at0) << "expression " << i << " scope " << scope;
     }
   }
   // Both verdicts occur often enough to mean something.
   EXPECT_GT(affine, 400);
   EXPECT_LT(affine, 3600);
-}
-
-TEST(IndexExpr, AffineCoefAddsToTheGivenCoefficient) {
-  // 2*i - (j - i) : coef(i) = 3, added to what the caller passes in.
-  const auto e = IndexExpr::sub(
-      IndexExpr::mul(IndexExpr::constant(2), IndexExpr::iter(1)),
-      IndexExpr::sub(IndexExpr::iter(2), IndexExpr::iter(1)));
-  std::int64_t coef = 10;
-  ASSERT_TRUE(e.affineCoef(1, coef));
-  EXPECT_EQ(coef, 13);
-  coef = 0;
-  ASSERT_TRUE(e.affineCoef(2, coef));
-  EXPECT_EQ(coef, -1);
-  coef = 0;
-  EXPECT_FALSE(IndexExpr::mod(IndexExpr::iter(1), IndexExpr::constant(2))
-                   .affineCoef(1, coef));
-  EXPECT_FALSE(IndexExpr::mul(IndexExpr::iter(1), IndexExpr::iter(2)).isAffine());
 }
 
 /// simplified()'s rules written out as one bottom-up pass that always
