@@ -1,7 +1,9 @@
 #include "codegen/c_codegen.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
 
 #include "ir/printer.h"
 #include "ir/walk.h"
@@ -66,6 +68,7 @@ class Emitter {
         else storage_[a] = "buf_" + b.name;
       }
     }
+    findPrivateBuffers();
   }
 
   const Program& p() const { return p_; }
@@ -145,25 +148,93 @@ class Emitter {
     return accessC(op.out) + " = " + rhs + ";";
   }
 
+  /// The function-scope declarations: every internal buffer that no
+  /// parallel loop privatizes.
   std::string internalDecls() const {
     std::string out;
     for (const auto& b : p_.buffers) {
-      bool external = false;
-      for (const auto& a : b.arrays)
-        if (p_.isExternal(a)) external = true;
-      if (external) continue;
-      out += "  static " + std::string(cType(b.dtype)) + " buf_" + b.name +
-             "[" + std::to_string(std::max<std::int64_t>(elems_.at(b.name), 1)) +
-             "];  /* " + memSpaceName(b.space) + " */\n";
+      if (isExternal(b) || privatized_.count(b.name) != 0) continue;
+      out += "  static " + bufferDecl(b, "");
     }
     return out;
   }
 
+  /// The declarations at the top of parallel loop `scope`'s body: one
+  /// zero-filled array per buffer private to it.
+  std::string privateDecls(ir::NodeId scope, const std::string& pad) const {
+    std::string out;
+    const auto it = private_.find(scope);
+    if (it == private_.end()) return out;
+    for (const Buffer* b : it->second) out += pad + bufferDecl(*b, " = {0}");
+    return out;
+  }
+
  private:
+  bool isExternal(const Buffer& b) const {
+    for (const auto& a : b.arrays)
+      if (p_.isExternal(a)) return true;
+    return false;
+  }
+
+  std::string bufferDecl(const Buffer& b, const char* init) const {
+    return std::string(cType(b.dtype)) + " buf_" + b.name + "[" +
+           std::to_string(std::max<std::int64_t>(elems_.at(b.name), 1)) +
+           "]" + init + ";  /* " + memSpaceName(b.space) + " */\n";
+  }
+
+  /// An internal buffer is private to a parallel loop S when every access
+  /// to it lies under S and none indexes a materialized dimension by S's
+  /// iterator: every iteration of S then touches the same storage, which a
+  /// function-scope array would share between the threads running those
+  /// iterations (partial_reduce's scratch under a parallelized loop is the
+  /// common case). Each iteration gets its own copy instead. Loops nested
+  /// in S run on the thread of S's iteration, so the outermost parallel
+  /// loop is the one that privatizes.
+  void findPrivateBuffers() {
+    struct Use {
+      ir::NodeId scope = ir::kInvalidNode;  // the outermost enclosing :p
+      bool ok = true;
+    };
+    std::map<const Buffer*, Use> uses;
+    ir::NodeId par = ir::kInvalidNode;
+    auto note = [&](const ir::Access& a) {
+      const Buffer* b = p_.bufferOfArray(a.array);
+      if (b == nullptr || isExternal(*b)) return;
+      const auto [it, first] = uses.try_emplace(b);
+      Use& u = it->second;
+      if (first) u.scope = par;
+      if (par == ir::kInvalidNode || u.scope != par) u.ok = false;
+      for (std::size_t d = 0; u.ok && d < a.idx.size(); ++d)
+        if (b->materialized[d] && a.idx[d].usesIter(par)) u.ok = false;
+    };
+    std::function<void(const Node&)> walk = [&](const Node& n) {
+      if (n.isOp()) {
+        note(n.out);
+        for (const auto& in : n.ins)
+          if (in.kind == Operand::Kind::Array) note(in.access);
+        return;
+      }
+      const bool opens = par == ir::kInvalidNode &&
+                         n.anno == LoopAnno::Parallel && n.id != p_.root.id;
+      if (opens) par = n.id;
+      for (const auto& c : n.children) walk(c);
+      if (opens) par = ir::kInvalidNode;
+    };
+    walk(p_.root);
+    for (const auto& b : p_.buffers) {
+      const auto it = uses.find(&b);
+      if (it == uses.end() || !it->second.ok) continue;
+      private_[it->second.scope].push_back(&b);
+      privatized_.insert(b.name);
+    }
+  }
+
   const Program& p_;
   std::map<std::string, std::vector<std::int64_t>> strides_;
   std::map<std::string, std::int64_t> elems_;
   std::map<std::string, std::string> storage_;
+  std::map<ir::NodeId, std::vector<const Buffer*>> private_;  // by :p scope
+  std::set<std::string> privatized_;
 };
 
 void emitNodeC(const Emitter& em, const Node& n, int indent, std::string& out,
@@ -208,6 +279,7 @@ void emitNodeC(const Emitter& em, const Node& n, int indent, std::string& out,
   const std::string it = iterName(n.id);
   out += pad + "for (int64_t " + it + " = 0; " + it + " < " +
          std::to_string(n.extent) + "; ++" + it + ") {\n";
+  out += em.privateDecls(n.id, pad + "  ");
   for (const auto& c : n.children) emitNodeC(em, c, indent + 1, out, false);
   out += pad + "}\n";
 }

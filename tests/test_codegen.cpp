@@ -41,6 +41,27 @@ TEST(Codegen, ReusedDimCollapsesStorage) {
   EXPECT_NE(c.find("static float buf_mx[1]"), std::string::npos);
 }
 
+TEST(Codegen, ScratchUnderParallelLoopIsPerIteration) {
+  // The expert pass parallelizes softmax's rows and then partial-reduces
+  // each row into a scratch buffer that the row iterator does not index.
+  // Declared once at function scope, the OpenMP threads would share it; it
+  // must be declared in the parallel loop's body instead. Buffers indexed
+  // by the row iterator stay at function scope.
+  auto h = search::heuristicPass(kernels::findKernel("softmax")->build(),
+                                 machines::xeon());
+  const std::string c = generateC(h.current());
+  const auto par = c.find("#pragma omp parallel for");
+  ASSERT_NE(par, std::string::npos) << c;
+  const auto body = c.find("{\n", par);
+  const auto part = c.find("float buf___part");
+  ASSERT_NE(part, std::string::npos) << c;
+  EXPECT_GT(part, body) << c;
+  EXPECT_EQ(c.find("static float buf___part"), std::string::npos) << c;
+  EXPECT_NE(c.find("] = {0};  /* stack */"), std::string::npos) << c;
+  EXPECT_NE(c.find("static float buf_mx["), std::string::npos) << c;
+  EXPECT_LT(c.find("static float buf_mx["), par) << c;
+}
+
 TEST(Codegen, CudaRenderingShowsGridAndBlock) {
   auto h = search::greedyPass(kernels::makeMul(8, 2048), machines::gh200());
   const std::string cu = generateCuda(h.current());
