@@ -84,8 +84,8 @@ constexpr int kEnumReps = 41;  // an enumeration rep is milliseconds
 constexpr int kBudget = 2000;
 /// enum_per_index_build of emitters that built their per-caps lists and
 /// asked their caps gates at every scope, with legality predicates that
-/// allocated: 20.3-21.2x over three runs (Release, 4-core x86 host).
-constexpr double kParentEnumPerIndexBuild = 20.5;
+/// allocated: 19.3-19.5x over three runs (Release, 4-core x86 host).
+constexpr double kParentEnumPerIndexBuild = 19.4;
 
 search::SearchConfig modernConfig() {
   search::SearchConfig cfg;
@@ -275,7 +275,8 @@ struct EnumIndexWalls {
 
 /// One pass of the enumeration-per-index-build leg along enumerationWall's
 /// trajectory: at each state, times the set's update and, separately, one
-/// index build of the state. The side timed first alternates from step to
+/// index build of the state (with its destruction, as update's own index
+/// is destroyed within the update). The side timed first alternates from step to
 /// step and, through `update_first`, from rep to rep.
 EnumIndexWalls enumerationPerIndexBuildWalls(const ir::Program& p0,
                                              bool update_first) {
@@ -297,9 +298,11 @@ EnumIndexWalls enumerationPerIndexBuildWalls(const ir::Program& p0,
   };
   auto index = [&] {
     const auto t0 = Clock::now();
-    const ir::ProgramIndex ix(p);
+    {
+      const ir::ProgramIndex ix(p);
+      index_nodes += ix.subtree(ix.rootId()).size();
+    }
     index_wall += Clock::now() - t0;
-    index_nodes += ix.subtree(ix.rootId()).size();
   };
   for (int step = 0; step < kSteps && !actions.empty(); ++step) {
     const auto a = actions[rng.uniform(actions.size())];
