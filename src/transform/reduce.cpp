@@ -112,7 +112,6 @@ class PartialReduce final : public ScopeSiteTransform {
   }
 
  protected:
-
   void applyChecked(Program& q, const Location& loc) const override {
     // init/combine loops are inserted as siblings of S, and a fresh partial
     // buffer joins the header.
