@@ -62,6 +62,8 @@ class DeltaContext {
   bool bound() const { return bound_; }
   const ir::Program& base() const { return base_; }
   std::uint64_t baseHash() const { return base_hash_; }
+  /// The canonical form of base(), read-only.
+  const ir::CanonicalArena& arena() const { return arena_; }
 
   /// Read-only visitor over a live neighbor, the mutated scratch tree.
   using Visitor = std::function<void(const ir::Program&)>;

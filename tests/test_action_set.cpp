@@ -336,6 +336,169 @@ TEST(Rebase, AcceptAfterVisitMatchesFreshBind) {
     EXPECT_GT(runs[kind], 50) << "sequence kind " << kind;
 }
 
+/// A move that changes nothing and reports so: the clean summary shape (no
+/// dirty root, buffers unchanged), which no library transform reports.
+class NoOpMove : public transform::Transform {
+ public:
+  std::string name() const override { return "test_noop"; }
+  using Transform::findApplicable;
+  std::vector<transform::Location> findApplicable(
+      const ir::ProgramIndex& ix, const transform::MachineCaps&) const override {
+    transform::Location l;
+    l.node = ix.rootId();
+    return {l};
+  }
+  ir::Program apply(const ir::Program& p,
+                    const transform::Location&) const override {
+    return p;
+  }
+  void applyInPlace(ir::Program&, const transform::Location&,
+                    ir::MutationSummary* mut, bool) const override {
+    if (mut) *mut = ir::MutationSummary::none();
+  }
+};
+
+/// The shapes a mutation report takes, as the arena resolves them.
+enum Shape { kDirtySubtree, kRootContainer, kWholeTree, kHeaderOnly, kClean,
+             kShapes };
+
+const char* shapeName(int s) {
+  static const char* const names[kShapes] = {
+      "dirty subtree", "dirty root container", "whole-tree", "header-only",
+      "clean"};
+  return names[s];
+}
+
+Shape shapeOf(const ir::MutationSummary& mut, const ir::Program& q) {
+  if (mut.whole_tree) return kWholeTree;
+  if (mut.dirty == ir::kInvalidNode)
+    return mut.buffers_changed ? kHeaderOnly : kClean;
+  return mut.dirty == q.root.id ? kRootContainer : kDirtySubtree;
+}
+
+TEST(Rebase, AcceptMatchesFreshBindForEverySummaryShape) {
+  // Whatever accept(a) reuses from the calls before it, the context's
+  // canonical form must afterwards equal a fresh bind of a.apply(base)
+  // column by column, text and hash included. Along seeded walks over
+  // Table 3 x four machines, each state takes one action of every summary
+  // shape it offers (reorder_dims reports whole-tree, set_storage
+  // header-only, the test no-op clean) and runs three sequences from a
+  // fresh bind of the state:
+  //   0: neighborVisit(a) -> accept(a)   (priced and probed, then committed)
+  //   1: visit(a) -> accept(a)           (applied but never probed)
+  //   2: neighborVisit(b) -> accept(a)   (b probed and undone, a applied)
+  const NoOpMove noop;
+  int runs[kShapes] = {};
+  for (const auto& k : kernels::table3()) {
+    for (const auto* m : {&machines::snitch(), &machines::xeon(),
+                          &machines::gh200(), &machines::mi300a()}) {
+      const auto& caps = m->caps();
+      SCOPED_TRACE(::testing::Message() << k.label << " on " << m->name());
+      Rng rng(31);
+      ir::Program p = k.build();
+      for (int step = 0; step < 6; ++step) {
+        const auto actions = transform::allActions(p, caps);
+        if (actions.empty()) break;
+        std::vector<const transform::Action*> pick(kShapes, nullptr);
+        for (const auto& a : actions) {
+          ir::Program q = p;
+          ir::MutationSummary mut;
+          a.transform->applyInPlace(q, a.loc, &mut, /*validate=*/false);
+          const Shape s = shapeOf(mut, q);
+          if (!pick[s]) pick[s] = &a;
+        }
+        const transform::Action clean{&noop, noop.findApplicable(p, caps)[0]};
+        pick[kClean] = &clean;
+        for (int s = 0; s < kShapes; ++s) {
+          if (!pick[s]) continue;
+          const transform::Action& a = *pick[s];
+          const transform::Action& b =
+              actions.front().transform == a.transform &&
+                      actions.front().loc == a.loc
+                  ? actions.back()
+                  : actions.front();
+          const ir::Program next = a.apply(p);
+          const ir::CanonicalArena fresh(next);
+          for (int seq = 0; seq < 3; ++seq) {
+            SCOPED_TRACE(::testing::Message()
+                         << "step " << step << ", " << shapeName(s)
+                         << ", sequence " << seq << ": " << a.describe(p));
+            DeltaContext dctx;
+            dctx.bind(p);
+            if (seq == 0) dctx.neighborVisit(a, nullptr);
+            if (seq == 1) dctx.visit(a, nullptr);
+            if (seq == 2) dctx.neighborVisit(b, nullptr);
+            dctx.accept(a);
+            ASSERT_EQ(ir::canonicalText(dctx.base()), ir::canonicalText(next));
+            ASSERT_EQ(dctx.baseHash(), fresh.hash());
+            expectArenasIdentical(dctx.arena(), fresh, next);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+          ++runs[s];
+        }
+        p = actions[rng.uniform(actions.size())].apply(p);
+      }
+    }
+  }
+  for (int s = 0; s < kShapes; ++s)
+    EXPECT_GT(runs[s], 20) << shapeName(s);
+}
+
+/// A transform that rewrites one top-level scope's extent and reports it as
+/// the dirty root, but also appends a new empty top-level scope after it
+/// that the report does not cover: an inadequate report whose unseen clean
+/// node comes after the dirty root in pre-order.
+class TrailingScopeForger : public transform::Transform {
+ public:
+  std::string name() const override { return "test_trailing_scope"; }
+  using Transform::findApplicable;
+  std::vector<transform::Location> findApplicable(
+      const ir::ProgramIndex& ix, const transform::MachineCaps&) const override {
+    transform::Location l;
+    l.node = ix.program().root.children.front().id;
+    return {l};
+  }
+  ir::Program apply(const ir::Program& p,
+                    const transform::Location& loc) const override {
+    ir::Program q = p;
+    applyInPlace(q, loc, nullptr, true);
+    return q;
+  }
+  void applyInPlace(ir::Program& q, const transform::Location& loc,
+                    ir::MutationSummary* mut, bool) const override {
+    ir::Node& first = q.root.children.front();
+    require(first.id == loc.node && first.isScope(),
+            "test_trailing_scope: stale location");
+    first.extent += 1;
+    q.root.children.push_back(ir::Node::scope(q.freshId(), 3));
+    if (mut) {
+      *mut = ir::MutationSummary::none();
+      mut->dirty = loc.node;
+    }
+  }
+};
+
+TEST(Rebase, UnseenCleanNodeAfterTheDirtyRootEqualsFreshBind) {
+  // probe() renders the reported subtree and then meets a clean node the
+  // base never had. Whatever it kept of that render, the rebase that
+  // follows must describe the mutated program exactly.
+  const TrailingScopeForger forger;
+  for (const char* label : {"softmax", "matmul"}) {
+    SCOPED_TRACE(label);
+    const ir::Program p = kernels::findKernel(label)->build();
+    ASSERT_TRUE(!p.root.children.empty() &&
+                p.root.children.front().isScope());
+    const auto locs = forger.findApplicable(p, machines::xeon().caps());
+    ir::Program q = p;
+    ir::MutationSummary mut;
+    forger.applyInPlace(q, locs.front(), &mut, false);
+    ir::CanonicalArena arena(p);
+    EXPECT_EQ(arena.probe(q, mut), ir::canonicalHash(q));
+    arena.rebase(q, mut);
+    expectArenasIdentical(arena, ir::CanonicalArena(q), q);
+  }
+}
+
 TEST(Rebase, EdgesAnnealingCommitsMostAcceptsInPlace) {
   // The edges annealer prices a drawn neighbor through neighborVisit and,
   // when Metropolis accepts it, commits it through accept(): unless its
