@@ -8,12 +8,11 @@
 // witness files and telemetry traces all key on that exact value. What can
 // be kept per subtree is the expensive part, the rendered text:
 //
-//   * bind() flattens the tree once into dense pre-order structure-of-arrays
-//     storage: per-slot NodeId, subtree interval, parent slot, depth, and the
-//     scope fields the cost models and renderer touch (extent, annotation,
-//     kind). NodeId -> slot is a dense vector (ids are small, monotonically
-//     allocated), not a hash map. Node lines are appended straight into the
-//     slab by ir::appendNodeLine.
+//   * the arena holds the tree flattened into dense pre-order
+//     structure-of-arrays storage: per-slot NodeId, subtree interval, parent
+//     slot, depth, and the scope fields the cost models and renderer touch
+//     (extent, annotation, kind). NodeId -> slot is a dense vector (ids are
+//     small, monotonically allocated), not a hash map.
 //   * the canonical tree text lives in ONE contiguous slab, with per-slot
 //     byte offsets. Because slots are pre-order, the bytes of any subtree
 //     are one contiguous range: [line_begin(s), line_begin(subtree_end(s))).
@@ -22,14 +21,22 @@
 //     so "is this subtree clean?" is one interval compare against that
 //     slot. Clean regions around the dirty subtree are hashed as single
 //     fnv1a calls over slab byte ranges; the dirty subtree of the mutated
-//     tree is rendered into a reused scratch buffer and hashed in one call.
-//     The walk visits only the ancestor spine of the dirty root, never the
-//     clean interior. Once the scratch buffers have grown to size, a probe
-//     whose summary names a dirty root and leaves the buffers unchanged
-//     makes no allocation (tests/test_probe_alloc.cpp checks this).
-//   * rebase() builds the new columns into a spare set kept from the
-//     previous rebase and swaps the two, so an accepted move reuses the
-//     storage of the one before.
+//     tree is rendered line by line into a reused buffer, with a reused
+//     vector of line starts, and hashed in one call. The walk visits only
+//     the ancestor spine of the dirty root, never the clean interior. Where
+//     only a full render is correct (a whole-tree report, the root
+//     container, an unbound arena, a root or a clean node the base never
+//     had) the header and every line go into the same reused buffers. Once
+//     they have grown to size, no probe allocates
+//     (tests/test_probe_alloc.cpp checks this).
+//   * probe() keeps what it rendered, and adoptProbe() commits it: the new
+//     slab is the old bytes of the clean columns around the probe's rendered
+//     lines (all of them, plus the header, after a full render), and the new
+//     hash is the probe's. An accepted move is rendered and hashed once, by
+//     the probe that priced it. rebase() is probe() then adoptProbe(), and
+//     bind() is a rebase from the unbound state; the columns are built into
+//     a spare set kept from the previous commit and the two swapped, so an
+//     accepted move reuses the storage of the one before.
 //
 // The invariant is the same non-negotiable one the whole evaluation layer
 // keys on, enforced by the property suite and the fuzzer's incremental-hash
@@ -38,16 +45,17 @@
 //   hash() == fnv1a(canonicalText(p))          after bind(p)
 //   probe(q, mut) == fnv1a(canonicalText(q))   for any adequately-reported
 //                                              mutation p -> q
-//   hash() == fnv1a(canonicalText(q))          after rebase(q, mut)
+//   hash() == fnv1a(canonicalText(q))          after rebase(q, mut), or
+//                                              probe(q, mut), adoptProbe(q)
 //
 // A bind() or rebase() that throws (a tree that does not render, such as an
 // iterator naming a scope that does not enclose it) leaves the arena
-// unbound: probe() then renders in full and rebase() binds afresh.
+// unbound: probe() then renders in full, and so does rebase().
 //
-// The arena is strictly read-only after bind(): probe() commits nothing, so
-// a caller that mutates-probes-undoes (search::DeltaContext) never has to
-// reset anything here — that is what makes the context's undo a watermark
-// reset instead of a cache rebuild.
+// The columns are read-only between commits: probe() changes only its own
+// scratch, so a caller that mutates-probes-undoes (search::DeltaContext)
+// never has to reset anything here — that is what makes the context's undo
+// a watermark reset instead of a cache rebuild.
 #pragma once
 
 #include <cstdint>
@@ -65,11 +73,11 @@ class CanonicalArena {
   CanonicalArena() = default;
   explicit CanonicalArena(const Program& p) { bind(p); }
 
-  /// Flattens `p` into the arena: one pre-order pass renders every node line
-  /// into the contiguous slab and fills the SoA columns. O(n) — amortized
-  /// over every probe until the next bind. If a line fails to render (an
-  /// iterator naming a scope that does not enclose it), the throw leaves the
-  /// arena unbound.
+  /// Flattens `p` into the arena: renders every node line into the
+  /// contiguous slab and fills the SoA columns. O(n) — amortized over every
+  /// probe until the next commit. If a line fails to render (an iterator
+  /// naming a scope that does not enclose it), the throw leaves the arena
+  /// unbound.
   void bind(const Program& p);
 
   bool bound() const { return bound_; }
@@ -78,22 +86,29 @@ class CanonicalArena {
   std::uint64_t hash() const { return hash_; }
 
   /// fnv1a(canonicalText(q)) for a program `q` mutated *away from* the bound
-  /// one as described by `mut`, computed read-only: clean regions are hashed
-  /// straight from the slab, the dirty subtree is rendered into a reused
-  /// scratch string and hashed. Falls back to a full render for a
-  /// whole-tree summary (or a report naming a node the arena has never
-  /// seen).
+  /// one as described by `mut`. Leaves the columns as they are: clean
+  /// regions are hashed straight from the slab, the dirty subtree is
+  /// rendered into reused scratch and hashed. Renders in full for a
+  /// whole-tree summary, the root container, an unbound arena, or a report
+  /// that a node the arena has never seen contradicts. The rendered lines
+  /// stay for adoptProbe() until the next probe or commit.
   std::uint64_t probe(const Program& q, const MutationSummary& mut) const;
 
-  /// Re-binds the arena IN PLACE to a program `q` mutated *away from* the
-  /// bound one — the accepted-move path. Columns and slab bytes of clean
-  /// subtrees are bulk-copied with slot/byte deltas (memory-bound, no
-  /// rendering); only the reported-dirty subtree is re-rendered, exactly
-  /// the region probe() would have rendered. Falls back to bind(q) where
-  /// probe() renders in full. Afterwards the arena is indistinguishable from
-  /// a fresh bind(q): hash(), text() and every accessor agree bit-for-bit
-  /// (the property suite checks this column by column). Like bind(), a
-  /// throw leaves the arena unbound.
+  /// Re-binds the arena IN PLACE to `q`, which must be the program the last
+  /// probe() hashed, unchanged since — the accepted-move path. Renders and
+  /// hashes nothing: columns and slab bytes of clean subtrees are
+  /// bulk-copied with slot/byte deltas, the probe's rendered lines become
+  /// the dirty subtree's bytes (or the whole slab, and its header the
+  /// header, after a full render), and the probe's hash becomes hash().
+  /// Afterwards the arena is indistinguishable from a fresh bind(q): hash(),
+  /// text() and every accessor agree bit-for-bit (the property suite checks
+  /// this column by column). Throws if no probe is left to adopt (a bind or
+  /// commit since, or a probe that threw) or if `q` does not fit the
+  /// probe's render; the arena is then unbound.
+  void adoptProbe(const Program& q);
+
+  /// probe(q, mut) followed by adoptProbe(q). Like bind(), a throw leaves
+  /// the arena unbound.
   void rebase(const Program& q, const MutationSummary& mut);
 
   // --- SoA accessors (slot = dense pre-order index, excluding the root) ---
@@ -153,41 +168,60 @@ class CanonicalArena {
     }
     /// Empties every column, keeping its capacity.
     void clear();
-    /// Appends the column entries of node `n` (its line not yet rendered;
-    /// subtree end patched by the caller) and returns its slot.
-    std::int32_t push(const Node& n, std::int32_t parent, int depth);
+    /// Appends the column entries of node `n`, whose line starts at byte
+    /// `line` of the slab (subtree end patched by the caller), and returns
+    /// its slot.
+    std::int32_t push(const Node& n, std::int32_t parent, int depth,
+                      std::uint32_t line);
     /// Appends the sentinel line offset and rebuilds the NodeId -> slot map.
     void finish(NodeId next_id);
   };
 
-  // dirtySlot() results that name no slot. kCleanTree equals slotOf() of an
-  // id the base never had, so probe() and rebase() render such a node's
-  // subtree fresh, like the dirty root's: always byte-correct.
+  // dirtySlot() results that name no slot.
   static constexpr std::int32_t kCleanTree = -1;
   static constexpr std::int32_t kRenderAll = -2;
 
-  /// What probe() and rebase() re-render for `mut`: the base slot of its
-  /// dirty root, kCleanTree for an untouched tree, or kRenderAll when only a
-  /// full render is correct (an unbound arena, a whole-tree report, the root
-  /// container, or a root the base never had).
+  /// What probe() re-renders for `mut`: the base slot of its dirty root,
+  /// kCleanTree for an untouched tree, or kRenderAll when only a full render
+  /// is correct (an unbound arena, a whole-tree report, the root container,
+  /// or a root the base never had).
   std::int32_t dirtySlot(const Program& q, const MutationSummary& mut) const;
-  std::uint64_t fullRender(const Program& q) const;
-  /// Appends the subtree rooted at `n` to cols_, rendering every line.
-  void flatten(const Node& n, std::int32_t parent, int depth);
-  void rehash();
+  /// The probe of a dirty slot or a clean tree: false, with the scratch
+  /// spoiled, if the walk meets a clean node the base never had.
+  bool splice(const Program& q, const MutationSummary& mut,
+              std::int32_t dirty, std::uint64_t& h) const;
+  /// The full-render probe; returns fnv1a(canonicalText(q)).
+  std::uint64_t renderAll(const Program& q) const;
+  /// Renders the subtree rooted at `n` into render_buf_, one line start per
+  /// node into line_starts_.
+  void renderSubtree(const Node& n, int depth) const;
+  /// Renders q's canonical header into header_buf_.
+  void renderHeader(const Program& q) const;
 
   Columns cols_;   // the bound program
-  Columns spare_;  // rebase()'s previous columns, kept for their capacity
+  Columns spare_;  // the previous commit's columns, kept for their capacity
   std::string header_;
   std::uint64_t hash_ = 0;
   bool bound_ = false;
 
-  // Reused scratch: rendered dirty lines, iterator chains.
+  // What the last probe() left for adoptProbe().
+  struct Probed {
+    bool ready = false;  // a probe finished since the last commit
+    std::int32_t dirty = kCleanTree;  // its dirtySlot(), after any fallback
+    bool header = false;              // header_buf_ holds its header
+    std::uint64_t hash = 0;
+  };
+
   // probe() is logically const; these make it allocation-free in steady
-  // state. A CanonicalArena is not safe for concurrent probes — each thread
-  // owns its own instance (matching DeltaContext's contract).
-  mutable std::string render_buf_;
-  mutable std::vector<NodeId> chain_buf_;
+  // state and keep its render for adoptProbe(). A CanonicalArena is not
+  // safe for concurrent probes — each thread owns its own instance
+  // (matching DeltaContext's contract).
+  mutable Probed probed_;
+  mutable std::string render_buf_;  // the rendered lines, pre-order
+  mutable std::vector<std::uint32_t> line_starts_;  // into render_buf_
+  mutable std::string header_buf_;
+  mutable std::vector<std::size_t> order_buf_;  // header buffer order
+  mutable std::vector<NodeId> chain_buf_;       // enclosing scopes
 };
 
 }  // namespace perfdojo::ir

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "support/common.h"
-#include "support/strings.h"
 
 namespace perfdojo::ir {
 
@@ -127,6 +126,15 @@ void appendOperand(std::string& out, const Operand& in,
   fail("appendOperand: bad kind");
 }
 
+/// Appends join(parts, sep) without building it.
+void appendJoined(std::string& out, const std::vector<std::string>& parts,
+                  const char* sep) {
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i) out += sep;
+    out += parts[i];
+  }
+}
+
 void appendBufferLine(std::string& out, const Buffer& b) {
   out += "buffer ";
   out += b.name;
@@ -142,7 +150,7 @@ void appendBufferLine(std::string& out, const Buffer& b) {
   out += memSpaceName(b.space);
   if (b.arrays.size() != 1 || b.arrays[0] != b.name) {
     out += " -> ";
-    out += join(b.arrays, ", ");
+    appendJoined(out, b.arrays, ", ");
   }
   out += '\n';
 }
@@ -184,12 +192,18 @@ void appendTree(std::string& out, const Program& p) {
 }
 
 void appendHeader(std::string& out, const Program& p, bool sort_buffers) {
+  std::vector<std::size_t> order;
+  appendHeader(out, p, sort_buffers, order);
+}
+
+void appendHeader(std::string& out, const Program& p, bool sort_buffers,
+                  std::vector<std::size_t>& order) {
   out += "kernel ";
   out += p.name;
   out += '\n';
   if (sort_buffers) {
     // Sort buffer *indices* by name: no Program (or even Buffer) copies.
-    std::vector<std::size_t> order(p.buffers.size());
+    order.resize(p.buffers.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return p.buffers[a].name < p.buffers[b].name;
@@ -200,12 +214,12 @@ void appendHeader(std::string& out, const Program& p, bool sort_buffers) {
   }
   if (!p.inputs.empty()) {
     out += "in ";
-    out += join(p.inputs, " ");
+    appendJoined(out, p.inputs, " ");
     out += '\n';
   }
   if (!p.outputs.empty()) {
     out += "out ";
-    out += join(p.outputs, " ");
+    appendJoined(out, p.outputs, " ");
     out += '\n';
   }
   out += '\n';

@@ -54,4 +54,9 @@ void appendTree(std::string& out, const Program& p);
 /// order, or by name when `sort_buffers`), in/out lines and a blank line.
 void appendHeader(std::string& out, const Program& p, bool sort_buffers);
 
+/// Same, sorting through the caller's `order` scratch, so that a caller
+/// reusing `out` and `order` renders the header without allocating.
+void appendHeader(std::string& out, const Program& p, bool sort_buffers,
+                  std::vector<std::size_t>& order);
+
 }  // namespace perfdojo::ir

@@ -54,6 +54,7 @@ void DeltaContext::applyNeighbor(const transform::Action& a) {
                             /*validate=*/false);
   pending_action_ = a;
   pending_ = true;
+  probed_ = false;
 }
 
 void DeltaContext::visit(const transform::Action& a, const Visitor& fn) {
@@ -80,6 +81,7 @@ std::uint64_t DeltaContext::neighborVisit(const transform::Action& a,
     // canonical form without committing anything, so the arena keeps
     // describing the base while the neighbor stays applied.
     const std::uint64_t h = arena_.probe(scratch_, pending_mut_);
+    probed_ = true;
     if (fn) fn(h, scratch_);
     return h;
   } catch (...) {
@@ -96,6 +98,7 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
                                         ir::MutationSummary* mut_out) {
   require(bound_, "DeltaContext: bind() a base program first");
   const bool in_place = pending(a);
+  const bool adopt = in_place && probed_;
   try {
     // A visited neighbor that is the accepted move is committed as it
     // stands. Otherwise the move is applied with validate=false, which skips
@@ -107,7 +110,12 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
     // path including this one.
     if (!in_place) applyNeighbor(a);
     pending_ = false;
-    arena_.rebase(scratch_, pending_mut_);
+    // The arena's last probe rendered and hashed this very tree when
+    // neighborVisit priced it; otherwise rebase() probes it now.
+    if (adopt)
+      arena_.adoptProbe(scratch_);
+    else
+      arena_.rebase(scratch_, pending_mut_);
     // The arena now describes scratch_, the source of the copy.
     copyDirty(pending_mut_, scratch_, base_);
   } catch (...) {

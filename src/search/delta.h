@@ -136,6 +136,9 @@ class DeltaContext {
   transform::Action pending_action_;
   ir::MutationSummary pending_mut_;
   bool pending_ = false;
+  /// Whether the arena's last probe is of the pending neighbor, so that an
+  /// accept of it adopts the probe's render.
+  bool probed_ = false;
   std::uint64_t base_hash_ = 0;
   bool bound_ = false;
   DeltaStats stats_;

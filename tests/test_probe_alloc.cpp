@@ -1,12 +1,13 @@
 // Checks that CanonicalArena::probe() is allocation-free in steady state.
 //
 // This binary replaces the global operator new/delete with counting
-// versions. For every non-conservative neighbor of a few Table-3 kernels
-// (flat and heuristically scheduled) whose mutation leaves the buffers
-// unchanged, one warm-up probe pass sizes the arena's reused scratch; a
-// second pass over the same neighbors must then make zero allocations.
-// Summaries that change the buffers or fall back to a full render are out of
-// scope: they render a fresh header or the whole text by design.
+// versions. For every neighbor of a few Table-3 kernels (flat and
+// heuristically scheduled), one warm-up probe pass sizes the arena's reused
+// scratch; a second pass over the same neighbors must then make zero
+// allocations. That covers every summary shape: a dirty subtree, and the
+// full renders of the root container and of whole-tree reports, with or
+// without a changed header, which render the header and every line into
+// the same reused buffers.
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -59,7 +60,8 @@ struct Neighbor {
 
 TEST(ArenaProbeAllocations, SecondPassMakesNoAllocations) {
   const auto& xeon = machines::xeon();
-  std::size_t probed = 0;
+  std::size_t probed = 0, whole_tree = 0, root_container = 0,
+              header_changed = 0;
   for (const char* label : {"softmax", "layernorm_1", "matmul", "conv_1"}) {
     const auto* k = kernels::findKernel(label);
     ASSERT_NE(k, nullptr) << label;
@@ -71,9 +73,10 @@ TEST(ArenaProbeAllocations, SecondPassMakesNoAllocations) {
       for (const auto& a : transform::allActions(base, xeon.caps())) {
         Neighbor n{base, {}, a.describe(base)};
         a.transform->applyInPlace(n.program, a.loc, &n.mut, false);
-        if (n.mut.whole_tree || n.mut.buffers_changed) continue;
-        if (n.mut.dirty != n.program.root.id)
-          neighbors.push_back(std::move(n));
+        if (n.mut.whole_tree) ++whole_tree;
+        else if (n.mut.dirty == n.program.root.id) ++root_container;
+        else if (n.mut.buffers_changed) ++header_changed;
+        neighbors.push_back(std::move(n));
       }
       ASSERT_FALSE(neighbors.empty());
 
@@ -94,8 +97,12 @@ TEST(ArenaProbeAllocations, SecondPassMakesNoAllocations) {
       probed += neighbors.size();
     }
   }
-  // The check must cover real neighbor sets, not pass vacuously.
+  // The check must cover real neighbor sets and every full-render shape,
+  // not pass vacuously.
   EXPECT_GT(probed, 100u);
+  EXPECT_GT(whole_tree, 0u);
+  EXPECT_GT(root_container, 0u);
+  EXPECT_GT(header_changed, 0u);
 }
 
 }  // namespace
