@@ -44,16 +44,30 @@ OracleReport applyFailure(std::size_t step_index, const std::string& what) {
   return r;
 }
 
+/// The layers an OracleOptions switch turns on or off (apply has none: every
+/// walk and replay checks it).
+constexpr OracleLayer kSwitchedLayers[] = {
+    OracleLayer::Interp, OracleLayer::RoundTrip,  OracleLayer::IncHash,
+    OracleLayer::Cache,  OracleLayer::ArenaDelta, OracleLayer::Codegen};
+
+bool& layerSwitch(OracleOptions& o, OracleLayer layer) {
+  switch (layer) {
+    case OracleLayer::Interp: return o.check_interp;
+    case OracleLayer::RoundTrip: return o.check_roundtrip;
+    case OracleLayer::IncHash: return o.check_incremental;
+    case OracleLayer::Cache: return o.check_cache;
+    case OracleLayer::ArenaDelta: return o.check_arena;
+    case OracleLayer::Codegen: return o.check_codegen;
+    default: fail(std::string("fuzz: no switch for oracle layer ") +
+                  oracleLayerName(layer));
+  }
+}
+
 /// Enables only `layer` so shrink candidates are judged against the failure
 /// class under investigation, not incidental other mismatches.
 OracleOptions restrictTo(const OracleOptions& opts, OracleLayer layer) {
   OracleOptions o = opts;
-  o.check_interp = layer == OracleLayer::Interp;
-  o.check_roundtrip = layer == OracleLayer::RoundTrip;
-  o.check_incremental = layer == OracleLayer::IncHash;
-  o.check_cache = layer == OracleLayer::Cache;
-  o.check_arena = layer == OracleLayer::ArenaDelta;
-  o.check_codegen = layer == OracleLayer::Codegen;
+  for (const OracleLayer l : kSwitchedLayers) layerSwitch(o, l) = l == layer;
   return o;
 }
 
@@ -386,6 +400,11 @@ OracleReport runWitness(const Witness& w, const OracleOptions& opts) {
   require(prof != nullptr, "witness: unknown profile '" + w.profile + "'");
   OracleOptions o = opts;
   o.verify.seed = w.seed;
+  // The layer the witness was found at is checked even where `opts` has it
+  // off (codegen is off by default), so a witness cannot replay as ok
+  // unchecked.
+  for (const OracleLayer l : kSwitchedLayers)
+    if (w.layer == oracleLayerName(l)) layerSwitch(o, l) = true;
   return reportForSteps(k->build_small(), w.steps, *prof, o);
 }
 

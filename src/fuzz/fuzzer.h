@@ -88,7 +88,8 @@ struct FuzzResult {
 FuzzResult runFuzz(const FuzzConfig& cfg);
 
 /// Re-executes one witness: replays its steps from the kernel, then runs
-/// every enabled oracle layer on the final program. A step that throws or no
+/// every oracle layer that `opts` enables, plus the layer the witness names
+/// (codegen included), on the final program. A step that throws or no
 /// longer applies is reported as OracleLayer::Apply.
 OracleReport runWitness(const Witness& w, const OracleOptions& opts);
 

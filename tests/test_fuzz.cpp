@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codegen/c_runner.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/minimize.h"
 #include "fuzz/oracle.h"
@@ -122,6 +123,35 @@ class EvilSilentAnnotate : public Transform {
   }
 };
 
+/// Stores every internal buffer as i32. The interpreter computes in f64
+/// whatever the declared type, so interp, round trip and cache all pass;
+/// only the compiled C truncates the scratch values: a finding of the
+/// codegen layer alone.
+class EvilIntScratch : public Transform {
+ public:
+  std::string name() const override { return "evil_int_scratch"; }
+  using Transform::findApplicable;
+  std::vector<Location> findApplicable(const ir::ProgramIndex& ix,
+                                       const MachineCaps&) const override {
+    Location l;
+    l.node = ix.rootId();
+    return {l};
+  }
+  ir::Program apply(const ir::Program& p, const Location&) const override {
+    ir::Program q = p;
+    bool any = false;
+    for (auto& b : q.buffers) {
+      bool external = false;
+      for (const auto& a : b.arrays) external = external || q.isExternal(a);
+      if (external || b.dtype == ir::DType::I32) continue;
+      b.dtype = ir::DType::I32;
+      any = true;
+    }
+    require(any, "evil_int_scratch: no floating-point scratch buffer");
+    return q;
+  }
+};
+
 const EvilMulToAdd& evilMulToAdd() {
   static const EvilMulToAdd t;
   return t;
@@ -134,12 +164,17 @@ const EvilSilentAnnotate& evilSilentAnnotate() {
   static const EvilSilentAnnotate t;
   return t;
 }
+const EvilIntScratch& evilIntScratch() {
+  static const EvilIntScratch t;
+  return t;
+}
 
 /// Resolver that also knows the test-only transforms.
 const Transform* testResolver(const std::string& name) {
   if (name == evilMulToAdd().name()) return &evilMulToAdd();
   if (name == evilOfferThenThrow().name()) return &evilOfferThenThrow();
   if (name == evilSilentAnnotate().name()) return &evilSilentAnnotate();
+  if (name == evilIntScratch().name()) return &evilIntScratch();
   return transform::findTransform(name);
 }
 
@@ -434,6 +469,37 @@ TEST(Corpus, BenignSeedsPassAndPoisonedSeedRegresses) {
   ASSERT_EQ(regressed.failures.size(), 1u);
   EXPECT_NE(regressed.failures[0].first.find("c_bad"), std::string::npos);
   EXPECT_EQ(regressed.failures[0].second.layer, OracleLayer::Interp);
+}
+
+TEST(Corpus, CodegenWitnessReplaysWithTheCodegenLayer) {
+  // The codegen layer is off by default (it runs the C compiler), so a
+  // replay with default options must still turn on the layer a witness
+  // names: otherwise a codegen witness always replays as ok and a corpus of
+  // them guards nothing.
+  if (!codegen::haveCCompiler()) GTEST_SKIP() << "no C compiler";
+  Witness w;
+  w.kernel = "softmax";
+  w.profile = "cpu";
+  w.seed = 4;
+  w.layer = "codegen";
+  const ir::Program p = kernels::findKernel(w.kernel)->build_small();
+  const auto locs =
+      evilIntScratch().findApplicable(p, findProfile(w.profile)->caps);
+  ASSERT_FALSE(locs.empty());
+  w.steps.push_back({&evilIntScratch(), locs[0]});
+
+  const OracleOptions opts;
+  ASSERT_FALSE(opts.check_codegen);
+  const auto r = runWitness(w, opts);
+  ASSERT_FALSE(r.ok) << "a codegen witness replayed without the codegen layer";
+  EXPECT_EQ(r.layer, OracleLayer::Codegen) << r.detail;
+
+  const std::string dir = tempDir("fuzz_codegen_corpus");
+  writeWitnessFile(dir + "/softmax_cpu_codegen.witness", w);
+  const auto cr = runCorpus(dir, opts, &testResolver);
+  EXPECT_EQ(cr.total, 1);
+  ASSERT_EQ(cr.failures.size(), 1u);
+  EXPECT_EQ(cr.failures[0].second.layer, OracleLayer::Codegen);
 }
 
 TEST(Fuzzer, BudgetedRunTerminatesAndIsClean) {
