@@ -5,12 +5,6 @@
 
 namespace perfdojo::ir {
 
-std::string canonicalHeaderText(const Program& p) {
-  std::string out;
-  appendHeader(out, p, /*sort_buffers=*/true);
-  return out;
-}
-
 std::string canonicalText(const Program& p) {
   std::string out;
   appendHeader(out, p, /*sort_buffers=*/true);

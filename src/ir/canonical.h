@@ -14,11 +14,6 @@ namespace perfdojo::ir {
 /// already depth-relative in the textual form, so ids do not leak into it.
 std::string canonicalText(const Program& p);
 
-/// The header portion of canonicalText (everything before the tree: kernel
-/// name, name-sorted buffer lines, in/out lines, trailing blank line).
-/// canonicalText(p) == canonicalHeaderText(p) + printTree(p).
-std::string canonicalHeaderText(const Program& p);
-
 /// 64-bit hash of the canonical text.
 std::uint64_t canonicalHash(const Program& p);
 

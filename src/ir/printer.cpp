@@ -175,6 +175,10 @@ void appendNodeLine(std::string& out, const Node& n, int depth,
   out += '\n';
 }
 
+namespace {
+
+/// Appends the lines of the subtree rooted at `n` (pre-order), `n` at
+/// `depth` under the enclosing scopes `chain`, which is restored on return.
 void appendSubtree(std::string& out, const Node& n, int depth,
                    std::vector<NodeId>& chain) {
   appendNodeLine(out, n, depth, chain);
@@ -184,6 +188,8 @@ void appendSubtree(std::string& out, const Node& n, int depth,
     chain.pop_back();
   }
 }
+
+}  // namespace
 
 void appendTree(std::string& out, const Program& p) {
   std::vector<NodeId> chain;

@@ -42,11 +42,6 @@ std::string printTree(const Program& p);
 void appendNodeLine(std::string& out, const Node& n, int depth,
                     const std::vector<NodeId>& chain);
 
-/// Appends the lines of the subtree rooted at `n` (pre-order), `n` at
-/// `depth` under the enclosing scopes `chain`, which is restored on return.
-void appendSubtree(std::string& out, const Node& n, int depth,
-                   std::vector<NodeId>& chain);
-
 /// Appends printTree(p).
 void appendTree(std::string& out, const Program& p);
 
