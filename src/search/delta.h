@@ -14,8 +14,12 @@
 //
 // The canonical form is an ir::CanonicalArena: dense pre-order SoA
 // flattening with the canonical text in one contiguous slab. Probing splices
-// — clean byte ranges hash in single FNV calls — and accepting rebases the
-// arena in place from the mutation summary. Undo and commit are one copy in
+// — clean byte ranges hash in single FNV calls — and keeps what it rendered.
+// Accepting the neighbor neighborVisit() just probed commits that render and
+// hash (CanonicalArena::adoptProbe), so the move is rendered and hashed
+// once; any other accept rebases the arena, which probes the accepted tree
+// first. Any apply, visit, bind or throw in between drops the record of the
+// probe. Undo and commit are one copy in
 // opposite directions: the dirty root is found in both trees by one lockstep
 // descent along the arena's parent chain, and the id watermark (`next_id`)
 // resets in O(1). A header-only mutation copies only the buffers. Neither
@@ -40,8 +44,8 @@ namespace perfdojo::search {
 
 struct DeltaStats {
   std::int64_t neighbors_hashed = 0;
-  /// Neighbors whose transform reported conservatively (whole-program
-  /// re-render on both the forward and the undo update).
+  /// Neighbors whose transform reported conservatively (a whole-program
+  /// render in the probe, a whole-program copy in the undo).
   std::int64_t whole_tree_fallbacks = 0;
   /// Accepted moves committed through accept().
   std::int64_t accepts = 0;
@@ -95,8 +99,9 @@ class DeltaContext {
   /// Commits an accepted action: the context's base BECOMES a.apply(base()).
   /// If `a` is the neighbor visited last it is committed as it stands;
   /// otherwise that neighbor is undone and `a` applied in place. The
-  /// canonical form is then REBASED from the mutation summary — clean slabs
-  /// and columns move, only the dirty subtree re-renders — instead of being
+  /// canonical form is then committed in place from the mutation summary —
+  /// clean slabs and columns move, the dirty subtree's lines come from the
+  /// probe of `a` (neighborVisit's, or one made now) — instead of being
   /// rebuilt from scratch, and the same subtree is copied into the base.
   /// The context afterwards is indistinguishable from a fresh bind of the
   /// new base (bit-identical hashes). Throws if the action does not apply
