@@ -53,9 +53,8 @@ void CanonicalArena::Columns::finish(NodeId next_id) {
 }
 
 void CanonicalArena::bind(const Program& p) {
-  // From the unbound state every probe renders in full, so the commit
-  // builds every column from that render.
-  bound_ = false;
+  // A whole-tree report renders in full, so the commit builds every column
+  // from that render.
   rebase(p, MutationSummary::conservative());
 }
 

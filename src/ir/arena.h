@@ -34,7 +34,7 @@
 //     lines (all of them, plus the header, after a full render), and the new
 //     hash is the probe's. An accepted move is rendered and hashed once, by
 //     the probe that priced it. rebase() is probe() then adoptProbe(), and
-//     bind() is a rebase from the unbound state; the columns are built into
+//     bind() is a rebase with a whole-tree report; the columns are built into
 //     a spare set kept from the previous commit and the two swapped, so an
 //     accepted move reuses the storage of the one before.
 //
@@ -89,9 +89,9 @@ class CanonicalArena {
   /// one as described by `mut`. Leaves the columns as they are: clean
   /// regions are hashed straight from the slab, the dirty subtree is
   /// rendered into reused scratch and hashed. Renders in full for a
-  /// whole-tree summary, the root container, an unbound arena, or a report
-  /// that a node the arena has never seen contradicts. The rendered lines
-  /// stay for adoptProbe() until the next probe or commit.
+  /// whole-tree summary, the root container, an unbound arena, or a node
+  /// the arena has never seen outside the reported subtree. The rendered
+  /// lines stay for adoptProbe() until the next probe or commit.
   std::uint64_t probe(const Program& q, const MutationSummary& mut) const;
 
   /// Re-binds the arena IN PLACE to `q`, which must be the program the last
